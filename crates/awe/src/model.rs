@@ -7,7 +7,7 @@
 //! conditioning and right-half-plane pole discarding for stability, the two
 //! standard production fixes.
 
-use ams_sim::{CMatrix, Complex, LinearNet, Matrix, SimError};
+use ams_sim::{Complex, LinearNet, Matrix, SimError};
 use std::fmt;
 
 use crate::moments::Moments;
@@ -135,7 +135,7 @@ impl AweModel {
 
         // Residues from the Vandermonde system Σⱼ rⱼ'·λⱼ^{k+1} = −m'_k.
         let nq = lambdas.len();
-        let mut v = CMatrix::zeros(nq);
+        let mut v = Matrix::zeros(nq, nq);
         let mut vr = vec![Complex::ZERO; nq];
         for k in 0..nq {
             for (j, &lam) in lambdas.iter().enumerate() {

@@ -91,21 +91,20 @@ pub struct GridScalingSample {
 
 impl GridScalingSample {
     /// Loud per-row warnings for fill forecasts off by more than the
-    /// documented 2.5× band in either direction: a drifting forecast
+    /// documented 2× band in either direction: a drifting forecast
     /// silently degrades the ordering pipeline that consumes it, so the
     /// miss is surfaced at every report emission, not just in a test.
-    /// (The band was 4× in the Markowitz-forecast era, and the 64×64 grid
-    /// still blew it at 24×; the BTF∘AMD forecast is exact for the order
-    /// the CSC kernel factors with, and Markowitz-kerneled small grids
-    /// stay within ~2.4×.)
+    /// (The band was 4× in the minimum-degree-forecast era, and the 64×64
+    /// grid still blew it at 24×; the BTF∘AMD forecast is exact for the
+    /// order the CSC kernel factors every grid with.)
     pub fn fill_warnings(&self) -> Vec<String> {
         let mut out = Vec::new();
         for r in &self.rows {
             if let Some(ratio) = r.fill_ratio() {
-                if !(0.4..=2.5).contains(&ratio) {
+                if !(0.5..=2.0).contains(&ratio) {
                     out.push(format!(
                         "WARNING: {0}x{0} grid fill forecast off {1:.2}x \
-                         (actual {2}, predicted {3}) — outside the 2.5x band",
+                         (actual {2}, predicted {3}) — outside the 2x band",
                         r.n, ratio, r.fill_in, r.predicted_fill
                     ));
                 }
@@ -580,8 +579,8 @@ impl Table1Report {
 }
 
 /// Collects a reduced ("quick") Table 1 report: the quick anneal budget,
-/// a small GA speedup sample, and grids up to 24×24 — the smallest size
-/// past `CSC_MIN_DIM`, so the quick gate exercises both sparse kernels.
+/// a small GA speedup sample, and grids up to 24×24 — from below the
+/// auto-sparse threshold to past it, all factored on the CSC kernel.
 /// Runs in a few seconds and produces deterministic counters for a fixed
 /// build, which is what the `ams-report diff` self-check gate compares.
 pub fn collect_quick() -> Table1Report {

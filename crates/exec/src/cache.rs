@@ -72,16 +72,6 @@ pub fn cache_tag(name: &str) -> u64 {
 }
 
 impl CacheKey {
-    /// Builds the key for `(tag, x)`.
-    #[deprecated(
-        since = "0.3.0",
-        note = "derive the tag with `cache_tag(name)` and build keys via \
-                `CacheKey::for_candidate` so probes collide across optimizers"
-    )]
-    pub fn new(tag: u64, x: &[f64]) -> Self {
-        Self::for_candidate(tag, x)
-    }
-
     /// The canonical key-construction path: quantizes every coordinate of
     /// a candidate's parameter vector under a [`cache_tag`]-derived
     /// namespace tag. All optimizers build keys here so identical

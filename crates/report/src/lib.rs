@@ -135,9 +135,9 @@ impl Default for DiffOptions {
         // `fill_ratio` is actual-over-forecast fill of the sparse DC
         // factorization. Both sides are deterministic for a fixed build,
         // but the ratio legitimately moves when either the AMD ordering
-        // or a kernel's pivot tie-breaks are retuned; the hard accuracy
-        // gate is the 2.5× band asserted by the bench and the test
-        // battery, so report diffs only flag drift beyond 5%.
+        // or the kernel's pivot tie-breaks are retuned; the hard accuracy
+        // gate is the 2× band asserted by the bench and the test battery,
+        // so report diffs only flag drift beyond 5%.
         tolerances.insert("fill_ratio".to_string(), 0.05);
         // `evals_per_sec` is throughput (work over wall time) and is
         // already classified informational by `is_informational` via its
@@ -393,10 +393,10 @@ pub fn summary(v: &Value) -> String {
                 g("btf_blocks")
             );
             if let Some(ratio) = r.get("fill_ratio").and_then(Value::as_f64) {
-                if !(0.4..=2.5).contains(&ratio) {
+                if !(0.5..=2.0).contains(&ratio) {
                     let _ = writeln!(
                         out,
-                        "      ^ WARNING: fill forecast off {ratio:.2}x — outside the 2.5x band"
+                        "      ^ WARNING: fill forecast off {ratio:.2}x — outside the 2x band"
                     );
                 }
             }

@@ -6,7 +6,7 @@ use std::fmt;
 ///
 /// [`Backend::Dense`] is the partial-pivot LU in [`crate::linalg`] — ideal
 /// for the 10–100 device cells of §3.1. [`Backend::Sparse`] is the
-/// Markowitz-pivoted LU in [`crate::sparse`] with symbolic-factorization
+/// BTF∘AMD-ordered CSC LU in [`crate::csc`] with symbolic-factorization
 /// reuse — the only viable choice for grid-scale RAIL networks (§3.2).
 /// Both backends produce the same solutions to solver tolerance; the sparse
 /// path additionally guarantees bit-identical results between its
@@ -15,7 +15,7 @@ use std::fmt;
 pub enum Backend {
     /// Dense partial-pivot LU, O(n³); lowest constant factors.
     Dense,
-    /// Triplet-assembled Markowitz sparse LU with pattern reuse.
+    /// Triplet-assembled CSC sparse LU with pattern reuse.
     Sparse,
 }
 

@@ -20,14 +20,13 @@
 //! * [`SimSession::tran`] — trapezoidal integration with step halving.
 //! * [`SimSession::noise`] — output-referred noise PSD and integrated rms.
 //!
-//! Small systems solve on the dense LU in [`linalg`]; grid-scale systems
-//! (see `ams-rail`) automatically switch to the sparse backend at
+//! Small systems solve on the one dense partial-pivot LU in [`linalg`],
+//! generic over real and complex [`Scalar`]s; grid-scale systems (see
+//! `ams-rail`) automatically switch to the sparse backend at
 //! [`Backend::AUTO_SPARSE_DIM`] unknowns, overridable with the
 //! `AMS_SIM_BACKEND` environment variable or [`SimSession::with_backend`].
-//! Within the sparse backend, device-sized systems factor on the Markowitz
-//! kernel in [`sparse`] and grid-scale ones on the KLU-style BTF∘AMD + CSC
-//! kernel in [`csc`] (threshold [`sparse::CSC_MIN_DIM`]; override with
-//! `AMS_SPARSE_KERNEL=markowitz|csc`).
+//! Every sparse factorization runs on the KLU-style BTF∘AMD + CSC kernel
+//! in [`csc`], fed by the triplet assembly in [`sparse`].
 //!
 //! # Example
 //!
@@ -72,11 +71,9 @@ pub use batch::{BatchBindError, BatchSession};
 pub use csc::CscLu;
 pub use dc::{assumed_op, linearize, linearize_at, DcStrategy, OpPoint};
 pub use error::SimError;
-pub use linalg::{CMatrix, Complex, Lu, Matrix, SingularMatrix};
+pub use linalg::{Complex, Lu, Matrix, Scalar, SingularMatrix};
 pub use mna::{output_index, LinearNet, MnaLayout, Stamper};
 pub use noise::{noise_sources, NoiseKind, NoiseResult, NoiseSource};
 pub use session::SimSession;
-pub use sparse::{
-    BlockStructure, RefactorError, Scalar, SparseFactor, SparseKernel, SparseLu, Triplets,
-};
+pub use sparse::{BlockStructure, RefactorError, Triplets};
 pub use tran::TranResult;

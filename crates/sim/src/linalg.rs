@@ -1,8 +1,11 @@
-//! Dense linear algebra: real and complex matrices with partial-pivot LU.
+//! Dense linear algebra: the [`Scalar`] field trait and one partial-pivot
+//! LU over real and complex matrices.
 //!
 //! Analog cells are 10–100 devices (§3.1 of the tutorial), so the MNA
 //! systems the flow solves are small; dense LU with partial pivoting is both
-//! simpler and faster than sparse machinery at this scale.
+//! simpler and faster than sparse machinery at this scale. [`Matrix`] is
+//! generic over [`Scalar`], so one elimination loop serves real DC and
+//! complex AC/noise solves alike.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub};
@@ -159,21 +162,111 @@ impl Neg for Complex {
     }
 }
 
-/// Dense row-major real matrix.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Matrix {
-    n_rows: usize,
-    n_cols: usize,
-    data: Vec<f64>,
+/// Field element the dense and sparse LUs are generic over: `f64` for
+/// DC/transient, [`Complex`] for AC/noise.
+pub trait Scalar: Copy + PartialEq + std::fmt::Debug + Send + Sync + 'static {
+    /// Additive identity.
+    const ZERO: Self;
+    /// Multiplicative identity.
+    const ONE: Self;
+    /// Magnitude used for sparse threshold-pivot comparisons.
+    fn mag(self) -> f64;
+    /// Cheapest monotone stand-in for the magnitude, which the dense
+    /// partial-pivot search ranks rows by: `|x|` for reals, `|z|²` for
+    /// complex values.
+    fn pivot_key(self) -> f64;
+    /// True when the value is finite in every component.
+    fn finite(self) -> bool;
+    /// `self + rhs`.
+    fn add(self, rhs: Self) -> Self;
+    /// `self − rhs`.
+    fn sub(self, rhs: Self) -> Self;
+    /// `self · rhs`.
+    fn mul(self, rhs: Self) -> Self;
+    /// `self / rhs`.
+    fn div(self, rhs: Self) -> Self;
+    /// Componentwise scaling by a real factor. The CSC kernel only calls
+    /// this with exact powers of two (equilibration), where it is exact.
+    fn scale(self, f: f64) -> Self;
 }
 
-impl Matrix {
+impl Scalar for f64 {
+    const ZERO: Self = 0.0;
+    const ONE: Self = 1.0;
+    fn mag(self) -> f64 {
+        self.abs()
+    }
+    fn pivot_key(self) -> f64 {
+        self.abs()
+    }
+    fn finite(self) -> bool {
+        self.is_finite()
+    }
+    fn add(self, rhs: Self) -> Self {
+        self + rhs
+    }
+    fn sub(self, rhs: Self) -> Self {
+        self - rhs
+    }
+    fn mul(self, rhs: Self) -> Self {
+        self * rhs
+    }
+    fn div(self, rhs: Self) -> Self {
+        self / rhs
+    }
+    fn scale(self, f: f64) -> Self {
+        self * f
+    }
+}
+
+impl Scalar for Complex {
+    const ZERO: Self = Complex::ZERO;
+    const ONE: Self = Complex::ONE;
+    fn mag(self) -> f64 {
+        self.abs()
+    }
+    fn pivot_key(self) -> f64 {
+        self.norm_sqr()
+    }
+    fn finite(self) -> bool {
+        !self.is_bad()
+    }
+    fn add(self, rhs: Self) -> Self {
+        self + rhs
+    }
+    fn sub(self, rhs: Self) -> Self {
+        self - rhs
+    }
+    fn mul(self, rhs: Self) -> Self {
+        self * rhs
+    }
+    fn div(self, rhs: Self) -> Self {
+        self * rhs.inv()
+    }
+    fn scale(self, f: f64) -> Self {
+        Complex {
+            re: self.re * f,
+            im: self.im * f,
+        }
+    }
+}
+
+/// Dense row-major matrix over a [`Scalar`]: real (`Matrix`) for DC and
+/// the linearized network, [`Complex`] for AC, noise and AWE residues.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Matrix<T = f64> {
+    n_rows: usize,
+    n_cols: usize,
+    data: Vec<T>,
+}
+
+impl<T: Scalar> Matrix<T> {
     /// Zero matrix of the given shape.
     pub fn zeros(n_rows: usize, n_cols: usize) -> Self {
         Matrix {
             n_rows,
             n_cols,
-            data: vec![0.0; n_rows * n_cols],
+            data: vec![T::ZERO; n_rows * n_cols],
         }
     }
 
@@ -181,7 +274,7 @@ impl Matrix {
     pub fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
-            m[(i, i)] = 1.0;
+            m[(i, i)] = T::ONE;
         }
         m
     }
@@ -196,6 +289,110 @@ impl Matrix {
         self.n_cols
     }
 
+    /// In-place LU factorization with partial pivoting, kept for many
+    /// right-hand sides.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SingularMatrix`] when a pivot underflows.
+    pub fn lu(mut self) -> Result<Lu<T>, SingularMatrix> {
+        let mut perm: Vec<usize> = (0..self.n_rows).collect();
+        let mut sign = 1.0;
+        self.eliminate(&mut [], |k, p| {
+            perm.swap(k, p);
+            sign = -sign;
+        })?;
+        Ok(Lu {
+            lu: self,
+            perm,
+            sign,
+        })
+    }
+
+    /// Solves `A x = b` once, consuming the matrix: the right-hand side
+    /// rides through the elimination, so no permutation is kept.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SingularMatrix`] when a pivot underflows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` does not match the dimension.
+    pub fn solve(mut self, b: &[T]) -> Result<Vec<T>, SingularMatrix> {
+        assert_eq!(b.len(), self.n_rows, "dimension mismatch");
+        let mut x = b.to_vec();
+        self.eliminate(&mut x, |_, _| {})?;
+        self.back_substitute(&mut x);
+        Ok(x)
+    }
+
+    /// The one elimination loop behind [`Matrix::lu`] and
+    /// [`Matrix::solve`]: partial pivoting on [`Scalar::pivot_key`],
+    /// leaving the unit-lower multipliers below the diagonal and `U` on and
+    /// above it. Row exchanges and row updates are replayed on `rhs` when
+    /// it is non-empty; `swapped(k, p)` hears every exchange.
+    fn eliminate(
+        &mut self,
+        rhs: &mut [T],
+        mut swapped: impl FnMut(usize, usize),
+    ) -> Result<(), SingularMatrix> {
+        assert_eq!(self.n_rows, self.n_cols, "LU needs a square matrix");
+        let n = self.n_rows;
+        for k in 0..n {
+            let mut p = k;
+            let mut pmax = self[(k, k)].pivot_key();
+            for i in k + 1..n {
+                let v = self[(i, k)].pivot_key();
+                if v > pmax {
+                    pmax = v;
+                    p = i;
+                }
+            }
+            if pmax < 1e-300 || !pmax.is_finite() {
+                return Err(SingularMatrix { pivot: k });
+            }
+            if p != k {
+                let (upper, lower) = self.data.split_at_mut(p * n);
+                upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
+                if !rhs.is_empty() {
+                    rhs.swap(k, p);
+                }
+                swapped(k, p);
+            }
+            let (upper, lower) = self.data.split_at_mut((k + 1) * n);
+            let row_k = &upper[k * n..];
+            let pivot = row_k[k];
+            for (i, row_i) in (k + 1..n).zip(lower.chunks_exact_mut(n)) {
+                let f = row_i[k].div(pivot);
+                row_i[k] = f;
+                for (a, &v) in row_i[k + 1..].iter_mut().zip(&row_k[k + 1..]) {
+                    *a = a.sub(f.mul(v));
+                }
+                if !rhs.is_empty() {
+                    rhs[i] = rhs[i].sub(f.mul(rhs[k]));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Back substitution against the upper factor left by
+    /// [`Matrix::eliminate`].
+    fn back_substitute(&self, x: &mut [T]) {
+        let n = self.n_rows;
+        for i in (0..n).rev() {
+            let row = &self.data[i * n..(i + 1) * n];
+            let mut s = x[i];
+            for (&u, &xj) in row[i + 1..].iter().zip(&x[i + 1..]) {
+                s = s.sub(u.mul(xj));
+            }
+            x[i] = s.div(row[i]);
+        }
+    }
+}
+
+impl Matrix {
     /// Matrix-vector product.
     ///
     /// # Panics
@@ -210,65 +407,17 @@ impl Matrix {
         }
         y
     }
-
-    /// In-place LU factorization with partial pivoting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SingularMatrix`] when a pivot underflows.
-    pub fn lu(mut self) -> Result<Lu, SingularMatrix> {
-        assert_eq!(self.n_rows, self.n_cols, "LU needs a square matrix");
-        let n = self.n_rows;
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
-        for k in 0..n {
-            // Partial pivot.
-            let mut p = k;
-            let mut pmax = self[(k, k)].abs();
-            for i in k + 1..n {
-                let v = self[(i, k)].abs();
-                if v > pmax {
-                    pmax = v;
-                    p = i;
-                }
-            }
-            if pmax < 1e-300 || !pmax.is_finite() {
-                return Err(SingularMatrix { pivot: k });
-            }
-            if p != k {
-                for j in 0..n {
-                    self.data.swap(k * n + j, p * n + j);
-                }
-                perm.swap(k, p);
-                sign = -sign;
-            }
-            let pivot = self[(k, k)];
-            for i in k + 1..n {
-                let f = self[(i, k)] / pivot;
-                self[(i, k)] = f;
-                for j in k + 1..n {
-                    let v = self[(k, j)];
-                    self[(i, j)] -= f * v;
-                }
-            }
-        }
-        Ok(Lu {
-            lu: self,
-            perm,
-            sign,
-        })
-    }
 }
 
-impl std::ops::Index<(usize, usize)> for Matrix {
-    type Output = f64;
-    fn index(&self, (i, j): (usize, usize)) -> &f64 {
+impl<T> std::ops::Index<(usize, usize)> for Matrix<T> {
+    type Output = T;
+    fn index(&self, (i, j): (usize, usize)) -> &T {
         &self.data[i * self.n_cols + j]
     }
 }
 
-impl std::ops::IndexMut<(usize, usize)> for Matrix {
-    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
+impl<T> std::ops::IndexMut<(usize, usize)> for Matrix<T> {
+    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut T {
         &mut self.data[i * self.n_cols + j]
     }
 }
@@ -288,142 +437,40 @@ impl fmt::Display for SingularMatrix {
 
 impl std::error::Error for SingularMatrix {}
 
-/// LU factorization of a real matrix, reusable for many right-hand sides.
+/// LU factorization of a dense matrix, reusable for many right-hand sides.
 #[derive(Debug, Clone)]
-pub struct Lu {
-    lu: Matrix,
+pub struct Lu<T = f64> {
+    lu: Matrix<T>,
     perm: Vec<usize>,
     sign: f64,
 }
 
-impl Lu {
+impl<T: Scalar> Lu<T> {
     /// Solves `A x = b`.
     ///
     /// # Panics
     ///
     /// Panics if `b.len()` does not match the matrix dimension.
-    // The triangular solves read earlier/later entries of `x` while writing
-    // x[i]; index loops state that dependence more clearly than iterators.
-    #[allow(clippy::needless_range_loop)]
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+    pub fn solve(&self, b: &[T]) -> Vec<T> {
         let n = self.lu.n_rows;
         assert_eq!(b.len(), n, "dimension mismatch");
-        let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
+        let mut x: Vec<T> = self.perm.iter().map(|&p| b[p]).collect();
         // Forward substitution (L has unit diagonal).
         for i in 1..n {
+            let row = &self.lu.data[i * n..i * n + i];
             let mut s = x[i];
-            for j in 0..i {
-                s -= self.lu[(i, j)] * x[j];
+            for (&l, &xj) in row.iter().zip(&x[..i]) {
+                s = s.sub(l.mul(xj));
             }
             x[i] = s;
         }
-        // Back substitution.
-        for i in (0..n).rev() {
-            let mut s = x[i];
-            for j in i + 1..n {
-                s -= self.lu[(i, j)] * x[j];
-            }
-            x[i] = s / self.lu[(i, i)];
-        }
+        self.lu.back_substitute(&mut x);
         x
     }
 
     /// Determinant of the original matrix.
-    pub fn det(&self) -> f64 {
-        let n = self.lu.n_rows;
-        let mut d = self.sign;
-        for i in 0..n {
-            d *= self.lu[(i, i)];
-        }
-        d
-    }
-}
-
-/// Dense row-major complex matrix with its own LU solver.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CMatrix {
-    n: usize,
-    data: Vec<Complex>,
-}
-
-impl CMatrix {
-    /// Zero square matrix.
-    pub fn zeros(n: usize) -> Self {
-        CMatrix {
-            n,
-            data: vec![Complex::ZERO; n * n],
-        }
-    }
-
-    /// Matrix dimension.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Solves `A x = b` by LU with partial pivoting, consuming the matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SingularMatrix`] when a pivot underflows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` does not match the dimension.
-    pub fn solve(mut self, b: &[Complex]) -> Result<Vec<Complex>, SingularMatrix> {
-        let n = self.n;
-        assert_eq!(b.len(), n, "dimension mismatch");
-        let mut x: Vec<Complex> = b.to_vec();
-        for k in 0..n {
-            let mut p = k;
-            let mut pmax = self[(k, k)].norm_sqr();
-            for i in k + 1..n {
-                let v = self[(i, k)].norm_sqr();
-                if v > pmax {
-                    pmax = v;
-                    p = i;
-                }
-            }
-            if pmax < 1e-300 || !pmax.is_finite() {
-                return Err(SingularMatrix { pivot: k });
-            }
-            if p != k {
-                for j in 0..n {
-                    self.data.swap(k * n + j, p * n + j);
-                }
-                x.swap(k, p);
-            }
-            let pivot_inv = self[(k, k)].inv();
-            for i in k + 1..n {
-                let f = self[(i, k)] * pivot_inv;
-                for j in k + 1..n {
-                    let v = self[(k, j)];
-                    self[(i, j)] = self[(i, j)] - f * v;
-                }
-                let xk = x[k];
-                x[i] = x[i] - f * xk;
-            }
-        }
-        for i in (0..n).rev() {
-            let mut s = x[i];
-            for j in i + 1..n {
-                s = s - self[(i, j)] * x[j];
-            }
-            x[i] = s * self[(i, i)].inv();
-        }
-        Ok(x)
-    }
-}
-
-impl std::ops::Index<(usize, usize)> for CMatrix {
-    type Output = Complex;
-    fn index(&self, (i, j): (usize, usize)) -> &Complex {
-        &self.data[i * self.n + j]
-    }
-}
-
-impl std::ops::IndexMut<(usize, usize)> for CMatrix {
-    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut Complex {
-        &mut self.data[i * self.n + j]
+    pub fn det(&self) -> T {
+        (0..self.lu.n_rows).fold(T::ONE.scale(self.sign), |d, i| d.mul(self.lu[(i, i)]))
     }
 }
 
@@ -486,7 +533,7 @@ mod tests {
 
     #[test]
     fn singular_matrix_reports_error() {
-        let a = Matrix::zeros(2, 2);
+        let a: Matrix = Matrix::zeros(2, 2);
         assert!(a.lu().is_err());
     }
 
@@ -502,7 +549,7 @@ mod tests {
     #[test]
     fn complex_solve_round_trips() {
         let n = 4;
-        let mut a = CMatrix::zeros(n);
+        let mut a = Matrix::zeros(n, n);
         // Diagonally dominant complex matrix.
         for i in 0..n {
             for j in 0..n {
@@ -520,6 +567,49 @@ mod tests {
             }
             assert!((s - b[i]).abs() < 1e-10);
         }
+    }
+
+    /// An `n × n` matrix filled from `entry(i, j)`.
+    fn pivoting_system<T: Scalar>(n: usize, entry: impl Fn(usize, usize) -> T) -> Matrix<T> {
+        let mut a = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                a[(i, j)] = entry(i, j);
+            }
+        }
+        a
+    }
+
+    /// Neither matrix is diagonally dominant, so elimination exchanges
+    /// rows (three times each): both entry points have permutations to get
+    /// right, and must agree to the last bit.
+    #[test]
+    fn one_shot_solve_matches_kept_factors_bitwise() {
+        let n = 7;
+        let real = pivoting_system(n, |i, j| {
+            ((i * 7 + j * 3) % 11) as f64 - 4.5 + (i == j) as u8 as f64
+        });
+        let b: Vec<f64> = (0..n).map(|i| i as f64 * 0.75 - 2.0).collect();
+        let kept = real.clone().lu().unwrap().solve(&b);
+        let once = real.solve(&b).unwrap();
+        assert_eq!(
+            kept.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            once.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+
+        let cplx = pivoting_system(n, |i, j| {
+            Complex::new(
+                ((i * 5 + j) % 9) as f64 - 3.0,
+                ((i + 2 * j) % 7) as f64 * 0.3,
+            )
+        });
+        let bc: Vec<Complex> = (0..n).map(|i| Complex::new(1.0, i as f64)).collect();
+        let kept = cplx.clone().lu().unwrap().solve(&bc);
+        let once = cplx.solve(&bc).unwrap();
+        let bits = |x: &[Complex]| -> Vec<(u64, u64)> {
+            x.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        assert_eq!(bits(&kept), bits(&once));
     }
 
     #[test]

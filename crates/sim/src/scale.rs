@@ -14,7 +14,7 @@
 //! identically by factor and refactor, so refactorization replays remain
 //! bit-identical.
 
-use crate::sparse::Scalar;
+use crate::linalg::Scalar;
 
 /// Largest magnitude exponent we will correct; keeps `exp2` comfortably
 /// inside the normal range even for adversarial inputs.

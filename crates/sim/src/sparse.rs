@@ -1,132 +1,36 @@
-//! Sparse linear algebra: triplet assembly and Markowitz-pivoted LU with
-//! symbolic-factorization reuse.
+//! Sparse linear algebra: triplet assembly and the factor-or-refactor
+//! solve every sparse analysis funnels through.
 //!
 //! MNA matrices from grid-scale RAIL analysis (§3.2 of the tutorial) have a
 //! few nonzeros per row, so the dense O(n³) LU in [`crate::linalg`] is
-//! hopeless beyond a few hundred unknowns. This module implements the
-//! classic SPICE fast path instead:
+//! hopeless beyond a few hundred unknowns. The sparse backend follows the
+//! classic SPICE fast path on one kernel, [`CscLu`]:
 //!
-//! 1. **First factorization** — right-looking elimination with Markowitz
-//!    pivot selection (minimize `(r−1)·(c−1)` fill bound) under a relative
-//!    magnitude threshold, recording the row/column permutations and the
-//!    full fill pattern.
-//! 2. **Numeric refactorization** — while the assembled pattern is
+//! 1. **First factorization** — symbolic analysis (BTF∘AMD column order,
+//!    equilibration) and numeric elimination, recording the pivot rows and
+//!    the full fill pattern.
+//! 2. **Numeric refactorization** — while the stamped triplet sequence is
 //!    unchanged (Newton iterations, transient timesteps, AC frequency
 //!    points), only the numeric elimination repeats over the frozen
-//!    pattern; no symbolic analysis, no allocation.
+//!    pattern; no symbolic analysis.
 //!
-//! The solver is generic over [`Scalar`] so one implementation serves the
+//! The kernel is generic over [`Scalar`] so one implementation serves the
 //! real analyses (DC, transient) and the complex ones (AC, noise), where
-//! the pattern of `G + jωC` is constant across the whole sweep.
-//!
-//! All pivot ordering uses `BTree` structures with index tie-breaks, so
-//! factorization is bit-for-bit deterministic for a given input; the
+//! the pattern of `G + jωC` is constant across the whole sweep. The
 //! refactorization replays the exact arithmetic sequence of the first
 //! factorization, so a refactored solve is bit-identical to a freshly
 //! factored one.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use crate::linalg::{Complex, SingularMatrix};
-
-/// Relative magnitude threshold for pivot acceptance (shared by the
-/// Markowitz and CSC kernels): a candidate must be at least this fraction
-/// of the largest magnitude in its column.
-pub(crate) const PIVOT_THRESHOLD: f64 = 1e-3;
-/// Absolute pivot underflow guard, matching the dense LU.
-pub(crate) const PIVOT_MIN: f64 = 1e-300;
-/// A refactorization pivot that has decayed below this fraction of its row's
-/// largest entry signals that the frozen pivot order went numerically stale.
-pub(crate) const REFACTOR_DECAY: f64 = 1e-12;
-/// How many lowest-count candidate columns the Markowitz search examines.
-const PIVOT_SEARCH_COLS: usize = 8;
-/// Systems at or above this dimension factor on the CSC kernel
-/// ([`crate::csc::CscLu`]) by default; smaller ones keep the Markowitz
-/// path, whose adaptive two-sided pivoting wins on device-sized matrices.
-/// Overridable either way with `AMS_SPARSE_KERNEL=markowitz|csc`.
-pub(crate) const CSC_MIN_DIM: usize = 512;
-
-/// Field element the sparse LU is generic over: `f64` for DC/transient,
-/// [`Complex`] for AC/noise.
-pub trait Scalar: Copy + PartialEq + std::fmt::Debug + Send + Sync + 'static {
-    /// Additive identity.
-    const ZERO: Self;
-    /// Magnitude used for pivot comparisons.
-    fn mag(self) -> f64;
-    /// True when the value is finite in every component.
-    fn finite(self) -> bool;
-    /// `self + rhs`.
-    fn add(self, rhs: Self) -> Self;
-    /// `self − rhs`.
-    fn sub(self, rhs: Self) -> Self;
-    /// `self · rhs`.
-    fn mul(self, rhs: Self) -> Self;
-    /// `self / rhs`.
-    fn div(self, rhs: Self) -> Self;
-    /// Componentwise scaling by a real factor. The CSC kernels only call
-    /// this with exact powers of two (equilibration), where it is exact.
-    fn scale(self, f: f64) -> Self;
-}
-
-impl Scalar for f64 {
-    const ZERO: Self = 0.0;
-    fn mag(self) -> f64 {
-        self.abs()
-    }
-    fn finite(self) -> bool {
-        self.is_finite()
-    }
-    fn add(self, rhs: Self) -> Self {
-        self + rhs
-    }
-    fn sub(self, rhs: Self) -> Self {
-        self - rhs
-    }
-    fn mul(self, rhs: Self) -> Self {
-        self * rhs
-    }
-    fn div(self, rhs: Self) -> Self {
-        self / rhs
-    }
-    fn scale(self, f: f64) -> Self {
-        self * f
-    }
-}
-
-impl Scalar for Complex {
-    const ZERO: Self = Complex { re: 0.0, im: 0.0 };
-    fn mag(self) -> f64 {
-        self.abs()
-    }
-    fn finite(self) -> bool {
-        !self.is_bad()
-    }
-    fn add(self, rhs: Self) -> Self {
-        self + rhs
-    }
-    fn sub(self, rhs: Self) -> Self {
-        self - rhs
-    }
-    fn mul(self, rhs: Self) -> Self {
-        self * rhs
-    }
-    fn div(self, rhs: Self) -> Self {
-        self * rhs.inv()
-    }
-    fn scale(self, f: f64) -> Self {
-        Complex {
-            re: self.re * f,
-            im: self.im * f,
-        }
-    }
-}
+use crate::csc::CscLu;
+use crate::linalg::{Scalar, SingularMatrix};
 
 /// Triplet (coordinate-format) builder for a square sparse matrix.
 ///
 /// Duplicate `(row, col)` entries are allowed and sum during assembly —
 /// exactly the semantics MNA stamping needs. The *sequence* of pushed
-/// coordinates is the pattern key for [`SparseLu::refactor`]: re-stamping
+/// coordinates is the pattern key for [`CscLu::refactor`]: re-stamping
 /// the same circuit at a different operating point produces the same
 /// sequence, so only numbers change.
 #[derive(Debug, Clone)]
@@ -173,7 +77,7 @@ impl<T: Scalar> Triplets<T> {
         self.vals.push(v);
     }
 
-    /// Raw `(rows, cols, vals)` views for the sibling kernels.
+    /// Raw `(rows, cols, vals)` views for the CSC kernel.
     pub(crate) fn parts(&self) -> (&[u32], &[u32], &[T]) {
         (&self.rows, &self.cols, &self.vals)
     }
@@ -217,10 +121,11 @@ impl std::fmt::Display for RefactorError {
 
 /// Block-triangular structure of a matrix pattern, as computed by the
 /// structural analyzer (`ams_lint::structural`): unknowns listed block by
-/// block in a dependencies-first (block lower triangular) order. Attached
-/// to a [`SparseLu`] by the session so downstream consumers — block-wise
-/// solves, partitioned refactorization — can exploit it without re-running
-/// the decomposition.
+/// block in a dependencies-first (block lower triangular) order. Handed to
+/// [`CscLu::factor`] by the session, which nests its AMD column order in
+/// the block partition and keeps the structure for downstream consumers —
+/// block-wise solves, partitioned refactorization — so they can exploit it
+/// without re-running the decomposition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockStructure {
     /// Column permutation, blocks concatenated in topological order.
@@ -237,454 +142,17 @@ impl BlockStructure {
     }
 }
 
-/// Sparse LU factorization `P·A·Q = L·U` with Markowitz-chosen permutations
-/// and a frozen fill pattern for cheap numeric refactorization.
-#[derive(Debug, Clone)]
-pub struct SparseLu<T> {
-    n: usize,
-    /// `(row, col)` sequence of the triplets this pattern was built from.
-    pattern: Vec<(u32, u32)>,
-    /// Original row → indices into the triplet arrays (ascending).
-    row_triplets: Vec<Vec<u32>>,
-    /// Elimination step → original pivot row.
-    prow: Vec<usize>,
-    /// Elimination step → original pivot column.
-    qcol: Vec<usize>,
-    /// Pivot value at each step.
-    pivots: Vec<T>,
-    /// L by pivot step: `(original row, multiplier)` below the pivot.
-    lcols: Vec<Vec<(u32, T)>>,
-    /// L by *row*: for the row eliminated at step `s`, the earlier steps
-    /// that update it as `(step, slot in lcols[step])`, ascending.
-    lrows: Vec<Vec<(u32, u32)>>,
-    /// U by pivot step: `(original col, value)` right of the pivot.
-    urows: Vec<Vec<(u32, T)>>,
-    fill_in: u64,
-    /// Block-triangular permutation from the structural analyzer, when the
-    /// owning session ran it; purely advisory metadata.
-    btf: Option<Arc<BlockStructure>>,
-}
-
-impl<T: Scalar> SparseLu<T> {
-    /// Full symbolic + numeric factorization of the assembled triplets.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SingularMatrix`] when no acceptable pivot exists at some
-    /// elimination step; `pivot` is the original column index of the first
-    /// unusable column (so MNA callers can name the offending node).
-    pub fn factor(t: &Triplets<T>) -> Result<SparseLu<T>, SingularMatrix> {
-        let n = t.dim;
-        // Assemble rows, summing duplicates in push order (the order matters
-        // for bit-identical refactorization).
-        let mut rows: Vec<BTreeMap<u32, T>> = vec![BTreeMap::new(); n];
-        let mut row_triplets: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for k in 0..t.vals.len() {
-            let (i, j) = (t.rows[k] as usize, t.cols[k]);
-            let slot = rows[i].entry(j).or_insert(T::ZERO);
-            *slot = slot.add(t.vals[k]);
-            row_triplets[i].push(k as u32);
-        }
-        // Column membership of active rows, plus a (count, col) queue for the
-        // Markowitz search.
-        let mut col_rows: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); n];
-        for (i, row) in rows.iter().enumerate() {
-            for &c in row.keys() {
-                col_rows[c as usize].insert(i as u32);
-            }
-        }
-        let mut colq: BTreeSet<(u32, u32)> = col_rows
-            .iter()
-            .enumerate()
-            .map(|(c, s)| (s.len() as u32, c as u32))
-            .collect();
-
-        let mut prow = Vec::with_capacity(n);
-        let mut qcol = Vec::with_capacity(n);
-        let mut row_step = vec![usize::MAX; n];
-        let mut pivots = Vec::with_capacity(n);
-        let mut lcols: Vec<Vec<(u32, T)>> = Vec::with_capacity(n);
-        let mut urows: Vec<Vec<(u32, T)>> = Vec::with_capacity(n);
-        let mut fill_in = 0u64;
-
-        for step in 0..n {
-            let (pc, pr) = pick_pivot(&rows, &col_rows, &colq)?;
-            prow.push(pr as usize);
-            qcol.push(pc as usize);
-            row_step[pr as usize] = step;
-
-            // Detach the pivot row and column from the active structure.
-            let prow_map = std::mem::take(&mut rows[pr as usize]);
-            for &cc in prow_map.keys() {
-                if cc != pc {
-                    let cnt = col_rows[cc as usize].len() as u32;
-                    col_rows[cc as usize].remove(&pr);
-                    colq.remove(&(cnt, cc));
-                    colq.insert((cnt - 1, cc));
-                }
-            }
-            colq.remove(&(col_rows[pc as usize].len() as u32, pc));
-            let targets: Vec<u32> = col_rows[pc as usize]
-                .iter()
-                .copied()
-                .filter(|&i| i != pr)
-                .collect();
-            col_rows[pc as usize].clear();
-
-            let pivot = *prow_map.get(&pc).expect("pivot entry exists");
-            pivots.push(pivot);
-            let urow: Vec<(u32, T)> = prow_map
-                .iter()
-                .filter(|&(&c, _)| c != pc)
-                .map(|(&c, &v)| (c, v))
-                .collect();
-
-            // Eliminate: row_i ← row_i − m · pivot_row for every active row
-            // with a nonzero in the pivot column.
-            let mut lcol = Vec::with_capacity(targets.len());
-            for &i in &targets {
-                let aic = rows[i as usize].remove(&pc).expect("column member");
-                let m = aic.div(pivot);
-                lcol.push((i, m));
-                for &(cc, uv) in &urow {
-                    match rows[i as usize].entry(cc) {
-                        std::collections::btree_map::Entry::Occupied(mut e) => {
-                            let nv = e.get().sub(m.mul(uv));
-                            *e.get_mut() = nv;
-                        }
-                        std::collections::btree_map::Entry::Vacant(e) => {
-                            e.insert(T::ZERO.sub(m.mul(uv)));
-                            fill_in += 1;
-                            let cnt = col_rows[cc as usize].len() as u32;
-                            col_rows[cc as usize].insert(i);
-                            colq.remove(&(cnt, cc));
-                            colq.insert((cnt + 1, cc));
-                        }
-                    }
-                }
-            }
-            lcols.push(lcol);
-            urows.push(urow);
-        }
-
-        // Row-wise view of L for the refactorization sweep. The outer loop
-        // ascends over steps, so each per-row list is already sorted.
-        let mut lrows: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-        for (k, lcol) in lcols.iter().enumerate() {
-            for (slot, &(i, _)) in lcol.iter().enumerate() {
-                lrows[row_step[i as usize]].push((k as u32, slot as u32));
-            }
-        }
-
-        Ok(SparseLu {
-            n,
-            pattern: t.rows.iter().zip(&t.cols).map(|(&r, &c)| (r, c)).collect(),
-            row_triplets,
-            prow,
-            qcol,
-            pivots,
-            lcols,
-            lrows,
-            urows,
-            fill_in,
-            btf: None,
-        })
-    }
-
-    /// Matrix dimension.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Entries created by elimination beyond the assembled pattern:
-    /// `nnz(L+U) − nnz(A)`.
-    pub fn fill_in(&self) -> u64 {
-        self.fill_in
-    }
-
-    /// Attaches the structural analyzer's block-triangular permutation.
-    pub fn set_block_structure(&mut self, btf: Arc<BlockStructure>) {
-        self.btf = Some(btf);
-    }
-
-    /// The attached block-triangular structure, if the session computed
-    /// one for this pattern.
-    pub fn block_structure(&self) -> Option<&Arc<BlockStructure>> {
-        self.btf.as_ref()
-    }
-
-    /// Numeric refactorization over the frozen pattern and pivot order.
-    /// Replays the exact arithmetic sequence of [`SparseLu::factor`], so the
-    /// result is bit-identical to a fresh factorization of the same values.
-    ///
-    /// # Errors
-    ///
-    /// [`RefactorError::PatternChanged`] when the triplet sequence differs
-    /// from the one this factorization was built from, and
-    /// [`RefactorError::Unstable`] when a pivot decays on the frozen order.
-    /// On either error the factorization is left partially overwritten: the
-    /// caller must discard it and run [`SparseLu::factor`] again.
-    pub fn refactor(&mut self, t: &Triplets<T>) -> Result<(), RefactorError> {
-        if t.vals.len() != self.pattern.len() || t.dim != self.n {
-            return Err(RefactorError::PatternChanged);
-        }
-        for (k, &(r, c)) in self.pattern.iter().enumerate() {
-            if t.rows[k] != r || t.cols[k] != c {
-                return Err(RefactorError::PatternChanged);
-            }
-        }
-        let mut w = vec![T::ZERO; self.n];
-        for k in 0..self.n {
-            let r = self.prow[k];
-            // Scatter row r of A in push order (bit-identical to assembly).
-            for &ti in &self.row_triplets[r] {
-                let c = t.cols[ti as usize] as usize;
-                w[c] = w[c].add(t.vals[ti as usize]);
-            }
-            // Apply the updates from every earlier step that touches row r,
-            // in the same order the original elimination did.
-            for &(j, slot) in &self.lrows[k] {
-                let j = j as usize;
-                let qc = self.qcol[j];
-                let m = w[qc].div(self.pivots[j]);
-                self.lcols[j][slot as usize].1 = m;
-                w[qc] = T::ZERO;
-                for &(cc, uv) in &self.urows[j] {
-                    let cc = cc as usize;
-                    w[cc] = w[cc].sub(m.mul(uv));
-                }
-            }
-            // Extract the new pivot and U row.
-            let piv = w[self.qcol[k]];
-            let mut row_max = piv.mag();
-            for &(cc, _) in &self.urows[k] {
-                row_max = row_max.max(w[cc as usize].mag());
-            }
-            if !piv.finite() || piv.mag() < PIVOT_MIN || piv.mag() < REFACTOR_DECAY * row_max {
-                return Err(RefactorError::Unstable { step: k });
-            }
-            self.pivots[k] = piv;
-            w[self.qcol[k]] = T::ZERO;
-            for e in self.urows[k].iter_mut() {
-                e.1 = w[e.0 as usize];
-                w[e.0 as usize] = T::ZERO;
-            }
-        }
-        Ok(())
-    }
-
-    /// Solves `A·x = b` using the stored factors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` does not match the dimension.
-    pub fn solve(&self, b: &[T]) -> Vec<T> {
-        assert_eq!(b.len(), self.n, "dimension mismatch");
-        let mut w = b.to_vec();
-        for k in 0..self.n {
-            let bk = w[self.prow[k]];
-            for &(i, m) in &self.lcols[k] {
-                let i = i as usize;
-                w[i] = w[i].sub(m.mul(bk));
-            }
-        }
-        let mut x = vec![T::ZERO; self.n];
-        for k in (0..self.n).rev() {
-            let mut s = w[self.prow[k]];
-            for &(c, v) in &self.urows[k] {
-                s = s.sub(v.mul(x[c as usize]));
-            }
-            x[self.qcol[k]] = s.div(self.pivots[k]);
-        }
-        x
-    }
-
-    /// Solves `A·x = b` with two fixed steps of iterative refinement
-    /// against the assembled triplets.
-    ///
-    /// Threshold pivoting accepts pivots down to [`PIVOT_THRESHOLD`] of
-    /// their column maximum to preserve sparsity, so element growth can
-    /// cost the raw triangular solve several digits on grid-scale systems.
-    /// Each refinement step computes the residual `r = b − A·x` over the
-    /// raw triplets and back-substitutes the correction, restoring the
-    /// digits at the price of two extra `O(nnz)` passes. The step count is
-    /// fixed (not residual-gated) so the arithmetic sequence — and hence
-    /// cross-thread byte determinism — never depends on intermediate
-    /// values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` or the triplet dimension does not match.
-    pub fn solve_refined(&self, t: &Triplets<T>, b: &[T]) -> Vec<T> {
-        assert_eq!(t.dim, self.n, "triplet dimension mismatch");
-        let mut x = self.solve(b);
-        for _ in 0..2 {
-            let mut r = b.to_vec();
-            for k in 0..t.vals.len() {
-                let i = t.rows[k] as usize;
-                r[i] = r[i].sub(t.vals[k].mul(x[t.cols[k] as usize]));
-            }
-            let dx = self.solve(&r);
-            for (xi, di) in x.iter_mut().zip(&dx) {
-                *xi = xi.add(*di);
-            }
-        }
-        x
-    }
-}
-
-/// Which numeric kernel a sparse factorization runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SparseKernel {
-    /// Right-looking elimination with adaptive two-sided Markowitz
-    /// pivoting; wins on device-sized systems.
-    Markowitz,
-    /// KLU-style analyze/factor/refactor: BTF∘AMD column pre-ordering,
-    /// equilibration, left-looking CSC elimination with threshold row
-    /// pivoting; wins on grid-scale systems.
-    Csc,
-}
-
-impl SparseKernel {
-    /// Kernel for a system of dimension `dim`: [`SparseKernel::Csc`] at or
-    /// above [`CSC_MIN_DIM`], overridable either way with
-    /// `AMS_SPARSE_KERNEL=markowitz|csc`.
-    pub fn auto_for(dim: usize) -> SparseKernel {
-        match std::env::var("AMS_SPARSE_KERNEL").as_deref() {
-            Ok("markowitz") => SparseKernel::Markowitz,
-            Ok("csc") => SparseKernel::Csc,
-            _ if dim >= CSC_MIN_DIM => SparseKernel::Csc,
-            _ => SparseKernel::Markowitz,
-        }
-    }
-
-    /// Stable lowercase name, for logs and tests.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SparseKernel::Markowitz => "markowitz",
-            SparseKernel::Csc => "csc",
-        }
-    }
-}
-
-/// A factorization on either sparse kernel, dispatching the shared
-/// analyze-once / refactor-many contract. Which kernel a fresh
-/// factorization lands on is decided by [`SparseKernel::auto_for`]; once
-/// cached, refactorization always stays on the kernel that did the
-/// symbolic analysis.
-// One instance lives per analysis slot, so the header-size gap between
-// the two kernels (both dominated by their heap arrays anyway) is not
-// worth a Box indirection on every dispatch.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum SparseFactor<T> {
-    /// Markowitz right-looking kernel.
-    Markowitz(SparseLu<T>),
-    /// CSC left-looking kernel with BTF∘AMD pre-ordering.
-    Csc(crate::csc::CscLu<T>),
-}
-
-impl<T: Scalar> SparseFactor<T> {
-    /// Full factorization on the kernel [`SparseKernel::auto_for`] picks.
-    /// `btf` (the structural analyzer's block partition, when the caller
-    /// has one) seeds the CSC column ordering and is attached to either
-    /// kernel as metadata.
-    ///
-    /// # Errors
-    ///
-    /// [`SingularMatrix`] as from the underlying kernel.
-    pub fn factor(
-        t: &Triplets<T>,
-        btf: Option<Arc<BlockStructure>>,
-    ) -> Result<Self, SingularMatrix> {
-        match SparseKernel::auto_for(t.dim()) {
-            SparseKernel::Csc => Ok(SparseFactor::Csc(crate::csc::CscLu::factor(t, btf)?)),
-            SparseKernel::Markowitz => {
-                let mut f = SparseLu::factor(t)?;
-                if let Some(b) = btf {
-                    f.set_block_structure(b);
-                }
-                Ok(SparseFactor::Markowitz(f))
-            }
-        }
-    }
-
-    /// The kernel this factorization runs on.
-    pub fn kernel(&self) -> SparseKernel {
-        match self {
-            SparseFactor::Markowitz(_) => SparseKernel::Markowitz,
-            SparseFactor::Csc(_) => SparseKernel::Csc,
-        }
-    }
-
-    /// Matrix dimension.
-    pub fn dim(&self) -> usize {
-        match self {
-            SparseFactor::Markowitz(f) => f.dim(),
-            SparseFactor::Csc(f) => f.dim(),
-        }
-    }
-
-    /// Entries created by elimination beyond the assembled pattern.
-    pub fn fill_in(&self) -> u64 {
-        match self {
-            SparseFactor::Markowitz(f) => f.fill_in(),
-            SparseFactor::Csc(f) => f.fill_in(),
-        }
-    }
-
-    /// Attaches block-structure metadata (see the kernels' own docs).
-    pub fn set_block_structure(&mut self, btf: Arc<BlockStructure>) {
-        match self {
-            SparseFactor::Markowitz(f) => f.set_block_structure(btf),
-            SparseFactor::Csc(f) => f.set_block_structure(btf),
-        }
-    }
-
-    /// The attached block-triangular structure, if any.
-    pub fn block_structure(&self) -> Option<&Arc<BlockStructure>> {
-        match self {
-            SparseFactor::Markowitz(f) => f.block_structure(),
-            SparseFactor::Csc(f) => f.block_structure(),
-        }
-    }
-
-    /// Numeric refactorization over the frozen pattern; see the kernels.
-    ///
-    /// # Errors
-    ///
-    /// [`RefactorError`] as from the underlying kernel.
-    pub fn refactor(&mut self, t: &Triplets<T>) -> Result<(), RefactorError> {
-        match self {
-            SparseFactor::Markowitz(f) => f.refactor(t),
-            SparseFactor::Csc(f) => f.refactor(t),
-        }
-    }
-
-    /// Solve with two fixed iterative-refinement steps; see the kernels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` or the triplet dimension does not match.
-    pub fn solve_refined(&self, t: &Triplets<T>, b: &[T]) -> Vec<T> {
-        match self {
-            SparseFactor::Markowitz(f) => f.solve_refined(t, b),
-            SparseFactor::Csc(f) => f.solve_refined(t, b),
-        }
-    }
-}
-
 /// Factor-or-refactor solve against a cached factorization slot: tries a
 /// numeric refactorization of `*lu` first and falls back to a fresh
 /// symbolic+numeric factorization (updating the cache) when the pattern
 /// changed or the refactorization went unstable. `btf` is the structural
-/// analyzer's block partition when the caller has one; it seeds the CSC
-/// ordering on fresh factorizations. Bumps the
+/// analyzer's block partition when the caller has one; it seeds the
+/// column ordering on fresh factorizations. Bumps the
 /// `sim.sparse.{symbolic,symbolic_reuse,refactor,fill_in}` trace counters
 /// accordingly; every caching sparse solve in the crate funnels through
 /// here so the counters stay consistent.
 pub(crate) fn solve_cached<T: Scalar>(
-    lu: &mut Option<SparseFactor<T>>,
+    lu: &mut Option<CscLu<T>>,
     t: &Triplets<T>,
     b: &[T],
     btf: Option<Arc<BlockStructure>>,
@@ -699,240 +167,10 @@ pub(crate) fn solve_cached<T: Scalar>(
         // the symbolic analysis from scratch.
         *lu = None;
     }
-    let f = SparseFactor::factor(t, btf)?;
+    let f = CscLu::factor(t, btf)?;
     ams_trace::counter_add("sim.sparse.symbolic", 1);
     ams_trace::counter_add("sim.sparse.fill_in", f.fill_in());
     let x = f.solve_refined(t, b);
     *lu = Some(f);
     Ok(x)
-}
-
-/// Markowitz pivot search: examine the lowest-count candidate columns,
-/// accept entries within [`PIVOT_THRESHOLD`] of their column maximum, and
-/// pick the lowest `(r−1)·(c−1)` cost with deterministic index tie-breaks.
-fn pick_pivot<T: Scalar>(
-    rows: &[BTreeMap<u32, T>],
-    col_rows: &[BTreeSet<u32>],
-    colq: &BTreeSet<(u32, u32)>,
-) -> Result<(u32, u32), SingularMatrix> {
-    let mut best: Option<(u64, u32, u32)> = None; // (cost, col, row)
-    for (scanned, &(cnt, c)) in colq.iter().enumerate() {
-        if cnt == 0 {
-            // Structurally empty active column: singular, name it.
-            return Err(SingularMatrix { pivot: c as usize });
-        }
-        if scanned >= PIVOT_SEARCH_COLS && best.is_some() {
-            break;
-        }
-        let members = &col_rows[c as usize];
-        let col_max = members
-            .iter()
-            .map(|&i| rows[i as usize].get(&c).map_or(0.0, |v| v.mag()))
-            .fold(0.0f64, f64::max);
-        if !(col_max.is_finite() && col_max >= PIVOT_MIN) {
-            continue;
-        }
-        for &i in members {
-            let v = rows[i as usize].get(&c).expect("column member");
-            if v.mag() < PIVOT_THRESHOLD * col_max {
-                continue;
-            }
-            let cost = (rows[i as usize].len() as u64 - 1) * (cnt as u64 - 1);
-            let cand = (cost, c, i);
-            if best.is_none_or(|b| cand < b) {
-                best = Some(cand);
-            }
-        }
-    }
-    match best {
-        Some((_, c, r)) => Ok((c, r)),
-        None => Err(SingularMatrix {
-            pivot: colq.iter().next().map_or(0, |&(_, c)| c as usize),
-        }),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::linalg::Matrix;
-
-    /// Deterministic pseudo-random stream for test matrices.
-    fn lcg(seed: &mut u64) -> f64 {
-        *seed = seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((*seed >> 33) as f64) / (1u64 << 31) as f64 - 0.5
-    }
-
-    fn random_system(n: usize, seed: u64) -> (Triplets<f64>, Matrix, Vec<f64>) {
-        let mut s = seed;
-        let mut t = Triplets::new(n);
-        let mut dense = Matrix::zeros(n, n);
-        for i in 0..n {
-            // Diagonal plus a few off-diagonal entries per row.
-            let d = 4.0 + lcg(&mut s).abs();
-            t.push(i, i, d);
-            dense[(i, i)] += d;
-            for _ in 0..3 {
-                let j = ((lcg(&mut s).abs() * 10.0 * n as f64) as usize) % n;
-                let v = lcg(&mut s);
-                t.push(i, j, v);
-                dense[(i, j)] += v;
-            }
-        }
-        let b: Vec<f64> = (0..n).map(|i| lcg(&mut s) + i as f64 * 0.01).collect();
-        (t, dense, b)
-    }
-
-    #[test]
-    fn matches_dense_lu_on_random_systems() {
-        for seed in 1..6u64 {
-            let (t, dense, b) = random_system(40, seed);
-            let lu = SparseLu::factor(&t).unwrap();
-            let xs = lu.solve(&b);
-            let xd = dense.clone().lu().unwrap().solve(&b);
-            for (a, d) in xs.iter().zip(&xd) {
-                assert!((a - d).abs() < 1e-9, "seed {seed}: {a} vs {d}");
-            }
-        }
-    }
-
-    #[test]
-    fn refactor_is_bit_identical_to_fresh_factor() {
-        let (t0, _, b) = random_system(30, 7);
-        let mut lu = SparseLu::factor(&t0).unwrap();
-        // Same pattern, different values: push sequence must match.
-        let mut t1 = Triplets::new(t0.dim());
-        for k in 0..t0.len() {
-            let (i, j) = (t0.rows[k] as usize, t0.cols[k] as usize);
-            t1.push(i, j, t0.vals[k] * 1.25 + if i == j { 0.5 } else { 0.0 });
-        }
-        lu.refactor(&t1).unwrap();
-        let x_re = lu.solve(&b);
-        let x_fresh = SparseLu::factor(&t1).unwrap().solve(&b);
-        for (a, f) in x_re.iter().zip(&x_fresh) {
-            assert_eq!(a.to_bits(), f.to_bits(), "refactor must replay exactly");
-        }
-    }
-
-    #[test]
-    fn pattern_change_is_detected() {
-        let (t0, _, _) = random_system(10, 3);
-        let mut lu = SparseLu::factor(&t0).unwrap();
-        let mut t1 = Triplets::new(10);
-        t1.push(0, 0, 1.0);
-        assert_eq!(lu.refactor(&t1), Err(RefactorError::PatternChanged));
-    }
-
-    #[test]
-    fn zero_pivot_columns_are_singular() {
-        let mut t = Triplets::new(3);
-        t.push(0, 0, 1.0);
-        t.push(1, 1, 1.0);
-        t.push(2, 2, 0.0); // structurally present, numerically zero column
-        let err = SparseLu::factor(&t).unwrap_err();
-        assert_eq!(err.pivot, 2);
-    }
-
-    #[test]
-    fn missing_column_is_singular() {
-        let mut t = Triplets::new(3);
-        t.push(0, 0, 1.0);
-        t.push(1, 1, 1.0);
-        t.push(2, 0, 1.0); // column 2 never referenced
-        assert!(SparseLu::factor(&t).is_err());
-    }
-
-    #[test]
-    fn zero_diagonal_needs_off_diagonal_pivot() {
-        // Voltage-source style: [[0, 1], [1, 0]] — structurally zero
-        // diagonal, perfectly solvable with off-diagonal pivots.
-        let mut t = Triplets::new(2);
-        t.push(0, 1, 1.0);
-        t.push(1, 0, 1.0);
-        let lu = SparseLu::factor(&t).unwrap();
-        let x = lu.solve(&[3.0, 7.0]);
-        assert!((x[0] - 7.0).abs() < 1e-12 && (x[1] - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn duplicates_accumulate() {
-        let mut t = Triplets::new(1);
-        t.push(0, 0, 1.5);
-        t.push(0, 0, 2.5);
-        let lu = SparseLu::factor(&t).unwrap();
-        let x = lu.solve(&[8.0]);
-        assert!((x[0] - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn complex_solve_round_trips() {
-        let n = 12;
-        let mut s = 99u64;
-        let mut t = Triplets::new(n);
-        for i in 0..n {
-            t.push(i, i, Complex::new(3.0 + lcg(&mut s).abs(), 1.0));
-            let j = (i + 3) % n;
-            t.push(i, j, Complex::new(lcg(&mut s), lcg(&mut s)));
-        }
-        let b: Vec<Complex> = (0..n)
-            .map(|i| Complex::new(i as f64 * 0.3 - 1.0, 0.5))
-            .collect();
-        let lu = SparseLu::factor(&t).unwrap();
-        let x = lu.solve(&b);
-        let back = t.mul_vec(&x);
-        for (u, v) in back.iter().zip(&b) {
-            assert!((*u - *v).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn fill_in_counts_created_entries() {
-        // Arrow matrix: dense first row/col + diagonal. Eliminating the
-        // arrow head first would be catastrophic; Markowitz avoids it and
-        // fill stays small.
-        let n = 20;
-        let mut t = Triplets::new(n);
-        for i in 0..n {
-            t.push(i, i, 5.0);
-        }
-        for i in 1..n {
-            t.push(0, i, 1.0);
-            t.push(i, 0, 1.0);
-        }
-        let lu = SparseLu::factor(&t).unwrap();
-        assert_eq!(
-            lu.fill_in(),
-            0,
-            "min-degree order keeps the arrow fill-free"
-        );
-        let b = vec![1.0; n];
-        let x = lu.solve(&b);
-        let back = t.mul_vec(&x);
-        for (u, v) in back.iter().zip(&b) {
-            assert!((u - v).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn unstable_refactor_reports_error() {
-        let mut t = Triplets::new(2);
-        t.push(0, 0, 1.0);
-        t.push(0, 1, 0.0);
-        t.push(1, 0, 0.0);
-        t.push(1, 1, 1.0);
-        let mut lu = SparseLu::factor(&t).unwrap();
-        // Same pattern, but the frozen pivot (1,1) collapses: u11 becomes
-        // 1 − 1e16·1e-16... instead force literal decay with a tiny pivot.
-        let mut t2 = Triplets::new(2);
-        t2.push(0, 0, 1.0);
-        t2.push(0, 1, 1.0);
-        t2.push(1, 0, 0.0);
-        t2.push(1, 1, 0.0);
-        assert!(matches!(
-            lu.refactor(&t2),
-            Err(RefactorError::Unstable { .. })
-        ));
-    }
 }

@@ -25,19 +25,12 @@ for backend in dense sparse; do
     AMS_SIM_BACKEND=$backend cargo test --offline -q -p ams-sim -p ams-rail
 done
 
-echo "== dense/sparse backend equivalence (incl. Markowitz-vs-CSC kernel legs) =="
+echo "== dense/sparse backend equivalence (exemplars, grids, seeded deck generator) =="
 cargo test --offline -q --test sparse_equivalence
 
 echo "== fill-reducing ordering: AMD permutation/determinism/forecast props =="
 cargo test --offline -q --test ordering_props
 AMS_EXEC_THREADS=1 cargo test --offline -q --test ordering_props
-
-echo "== forced sparse-kernel matrix (sim, both LU kernels) =="
-for kernel in markowitz csc; do
-    echo "--  AMS_SPARSE_KERNEL=$kernel"
-    AMS_SIM_BACKEND=sparse AMS_SPARSE_KERNEL=$kernel AMS_EXEC_THREADS=1 \
-        cargo test --offline -q -p ams-sim
-done
 
 echo "== exec determinism across worker counts =="
 cargo test --offline -q --test exec_determinism

@@ -252,78 +252,42 @@ fn interrupted_resumed_fault_runs_match_uninterrupted() {
     }
 }
 
-/// Coarse classification of a transcript: the ok/err shape of each
-/// workload stage plus the flow outcome, with all numeric payloads (param
-/// bits, iteration counts) stripped. Two solver kernels keep different
-/// floating-point trajectories, so only this shape — not the bytes — is
-/// comparable across kernels.
-fn classify(transcript: &str) -> Vec<String> {
-    transcript
-        .lines()
-        .filter_map(|l| {
-            let mut words = l.split_whitespace();
-            match words.next() {
-                Some(head @ ("flow" | "dc" | "tran")) => {
-                    Some(format!("{head} {}", words.next().unwrap_or("?")))
-                }
-                Some(head) if head.starts_with("outcome=") => Some(head.to_string()),
-                _ => None,
-            }
-        })
-        .collect()
-}
-
 /// The LU fault sites live in the Newton loop (`ams_sim::dc`), above the
-/// kernel split: `lu_pivot` and `nan_residual` must fire and classify the
-/// same with the CSC kernel forced process-wide as with Markowitz, and
-/// same-seed CSC runs must stay byte-identical, counters included. The
-/// sparse backend is forced too, so the Newton loop actually runs on the
-/// kernel under test.
+/// solver: with the sparse backend forced process-wide, so the Newton loop
+/// runs on the CSC kernel, `lu_pivot` and `nan_residual` must fire, and
+/// same-seed runs must stay byte-identical, counters included.
 #[test]
 fn lu_faults_fire_identically_on_the_csc_kernel() {
     let _l = lock();
     std::env::set_var("AMS_SIM_BACKEND", "sparse");
     for kind in [FaultKind::LuPivot, FaultKind::NanResidual] {
         for seed in [11u64, 33] {
-            std::env::set_var("AMS_SPARSE_KERNEL", "csc");
             let (a, counters_a) = run_faulted(kind, seed);
             let (b, counters_b) = run_faulted(kind, seed);
-            std::env::set_var("AMS_SPARSE_KERNEL", "markowitz");
-            let (m, counters_m) = run_faulted(kind, seed);
-            std::env::remove_var("AMS_SPARSE_KERNEL");
             assert_eq!(a, b, "same-seed CSC run diverged: {kind} seed {seed}");
             assert_eq!(
                 counters_a, counters_b,
                 "CSC counters diverged: {kind} seed {seed}"
             );
-            assert_eq!(
-                classify(&a),
-                classify(&m),
-                "kernels classified differently: {kind} seed {seed}"
-            );
             let key = format!("guard.fault.{kind}");
-            let fired = |c: &BTreeMap<String, u64>| c.get(&key).copied().unwrap_or(0);
-            assert!(fired(&counters_a) > 0, "{kind} never fired on csc");
-            assert_eq!(
-                fired(&counters_a),
-                fired(&counters_m),
-                "{kind} fired a different number of times across kernels"
+            assert!(
+                counters_a.get(&key).copied().unwrap_or(0) > 0,
+                "{kind} never fired on csc"
             );
         }
     }
     std::env::remove_var("AMS_SIM_BACKEND");
 }
 
-/// The interrupted+resumed contract holds on the CSC kernel too: for both
-/// LU fault kinds, a checkpointed run killed after the first sizing stage
-/// and resumed in a fresh "process" reproduces the uninterrupted
+/// The interrupted+resumed contract holds on the sparse backend too: for
+/// both LU fault kinds, a checkpointed run killed after the first sizing
+/// stage and resumed in a fresh "process" reproduces the uninterrupted
 /// transcript byte-for-byte — the resume fingerprint accepts the CSC
 /// factorization path.
 #[test]
 fn interrupted_resumed_lu_faults_match_on_the_csc_kernel() {
     let _l = lock();
     std::env::set_var("AMS_SIM_BACKEND", "sparse");
-    std::env::set_var("AMS_SPARSE_KERNEL", "csc");
     for kind in [FaultKind::LuPivot, FaultKind::NanResidual] {
         let seed = 11u64;
         let (plain, counters_plain) = run_faulted(kind, seed);
@@ -338,7 +302,6 @@ fn interrupted_resumed_lu_faults_match_on_the_csc_kernel() {
             "interrupted+resumed CSC counters diverged: {kind} seed {seed}"
         );
     }
-    std::env::remove_var("AMS_SPARSE_KERNEL");
     std::env::remove_var("AMS_SIM_BACKEND");
 }
 

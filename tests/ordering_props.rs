@@ -222,19 +222,19 @@ fn composed_block_order_respects_the_partition() {
 }
 
 /// The W006 forecast — exact symbolic fill of the composed BTF∘AMD order —
-/// tracks the fill the CSC kernel actually produces on the bench grids.
+/// tracks the fill the CSC kernel actually produces on the bench grids,
+/// from the smallest (8x8) to 128x128.
 ///
 /// The kernel follows the same order but threshold pivoting may deviate
 /// where the mirror pivot is numerically weak, so exact agreement is not
 /// required; the documented band is a factor of 2 either way (tightened
-/// from the 4x band the Markowitz-era forecast needed, which the 64x64
-/// grid still violated at 24x).
+/// from the 4x band the minimum-degree-era forecast needed, which the
+/// 64x64 grid still violated at 24x).
 #[test]
 fn grid_fill_forecast_tracks_actual_csc_fill() {
-    // Force the CSC kernel for every sparse factorization in this test;
-    // no other test in this binary performs sparse solves.
-    std::env::set_var("AMS_SPARSE_KERNEL", "csc");
-    for n in [8usize, 16, 32, 64, 96, 128] {
+    // The fill delta is attributable to one factorization: no other test
+    // in this binary performs sparse solves.
+    for n in [8usize, 12, 16, 24, 32, 48, 64, 96, 128] {
         let ckt = grid_circuit(n);
         let analysis = analyze_circuit_structure(&ckt);
         assert!(analysis.is_structurally_nonsingular(), "{n}x{n} grid");
@@ -261,5 +261,4 @@ fn grid_fill_forecast_tracks_actual_csc_fill() {
              outside the documented 2x band"
         );
     }
-    std::env::remove_var("AMS_SPARSE_KERNEL");
 }

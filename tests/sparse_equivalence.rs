@@ -1,42 +1,24 @@
 //! Backend equivalence: every circuit the toolkit can simulate must produce
-//! the same answer on the dense backend and on *both* sparse LU kernels —
-//! the Markowitz right-looking kernel and the KLU-style BTF∘AMD + CSC
-//! left-looking kernel.
+//! the same answer on the dense backend and on the sparse backend's
+//! KLU-style BTF∘AMD + CSC kernel.
 //!
 //! Dense LU with partial pivoting is the trusted reference (it is gated by
-//! the analytic golden tests). The sparse paths share the Newton loop and
+//! the analytic golden tests). The sparse path shares the Newton loop and
 //! the stamps, so any divergence beyond roundoff accumulation is a pivot,
-//! ordering, or fill-in bug in `ams_sim::sparse` / `ams_sim::csc`. The
-//! gate is 1e-9 — absolute near zero, relative elsewhere — far above the
-//! ~1e-13 observed from pivot-order differences, far below any physical
-//! effect.
+//! ordering, or fill-in bug in `ams_sim::csc`. The gate is 1e-9 —
+//! absolute near zero, relative elsewhere — far above the ~1e-13 observed
+//! from pivot-order differences, far below any physical effect.
 //!
-//! Kernel selection is forced through the process-wide `AMS_SPARSE_KERNEL`
-//! override, so every test that sets it (or `AMS_SIM_BACKEND`) serializes
-//! on [`ENV_LOCK`]; the remaining tests are kernel-agnostic — their
-//! dense-vs-sparse bound holds whichever kernel the override leaves
-//! active.
+//! Besides the hand-written exemplars and grids, a seeded deck generator
+//! (machine-made netlists in the spirit of AMSNet, arXiv:2405.09045, built
+//! from the topology library with no dataset) feeds the same bound with
+//! hundreds of ERC-clean R/C/MOS/V/I decks, from a few unknowns to past
+//! the auto-sparse threshold.
 
 use ams::prelude::*;
 use ams_prng::{Rng, SeedableRng, SmallRng};
 use ams_sim::Backend;
 use ams_topology::BlockClass;
-use std::sync::{Mutex, MutexGuard};
-
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn env_lock() -> MutexGuard<'static, ()> {
-    ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Runs `f` with `AMS_SPARSE_KERNEL` pinned, holding the env lock.
-fn with_kernel<R>(kernel: &str, f: impl FnOnce() -> R) -> R {
-    let _l = env_lock();
-    std::env::set_var("AMS_SPARSE_KERNEL", kernel);
-    let r = f();
-    std::env::remove_var("AMS_SPARSE_KERNEL");
-    r
-}
 
 /// |a − b| ≤ 1e-9·max(|b|, 1) element-wise over two solution vectors.
 fn assert_vectors_close(dense: &[f64], sparse: &[f64], what: &str) {
@@ -50,6 +32,8 @@ fn assert_vectors_close(dense: &[f64], sparse: &[f64], what: &str) {
     }
 }
 
+/// Solves `ckt` on both backends, checks the bound, and returns the
+/// sparse solution.
 fn solve_both(ckt: &Circuit, what: &str) -> Vec<f64> {
     let dense = SimSession::with_backend(ckt, Backend::Dense)
         .op()
@@ -58,51 +42,41 @@ fn solve_both(ckt: &Circuit, what: &str) -> Vec<f64> {
         .op()
         .unwrap_or_else(|e| panic!("{what}: sparse solve failed: {e}"));
     assert_vectors_close(&dense.x, &sparse.x, what);
-    dense.x
+    sparse.x
 }
 
-/// Walks all six device-level exemplar decks through [`solve_both`] and
-/// returns how many were checked.
-fn check_exemplar_decks(label: &str) -> usize {
+/// The six device-level exemplar decks of the topology library — four
+/// opamps, the comparator, the pulse frontend.
+fn exemplar_decks() -> Vec<(String, String)> {
     let lib = TopologyLibrary::standard();
-    let mut checked = 0;
-    for t in lib.of_class(BlockClass::Opamp).into_iter().chain(
-        lib.of_class(BlockClass::Comparator)
-            .into_iter()
-            .chain(lib.of_class(BlockClass::Adc))
-            .chain(lib.of_class(BlockClass::PulseFrontend))
-            .chain(lib.of_class(BlockClass::Filter)),
-    ) {
-        let Some(deck) = &t.exemplar_deck else {
-            continue;
-        };
-        let ckt = parse_deck(deck).unwrap_or_else(|e| panic!("{}: parse: {e}", t.name));
-        solve_both(&ckt, &format!("{} [{label}]", t.name));
-        checked += 1;
-    }
-    checked
+    [
+        BlockClass::Opamp,
+        BlockClass::Comparator,
+        BlockClass::Adc,
+        BlockClass::PulseFrontend,
+        BlockClass::Filter,
+    ]
+    .into_iter()
+    .flat_map(|class| lib.of_class(class))
+    .filter_map(|t| Some((t.name.to_string(), t.exemplar_deck.clone()?)))
+    .collect()
 }
 
 /// Every device-level exemplar deck in the topology library — MOS opamps,
 /// the comparator, the pulse frontend — biases identically on both
 /// backends. These decks exercise the nonlinear stamps (MOS in all
-/// regions), controlled sources, and the gmin/source-stepping ladder.
+/// regions), controlled sources, and the gmin/source-stepping ladder on
+/// small, unsymmetric systems the CSC kernel's AMD ordering and
+/// equilibration must handle as well as the grids it was built for.
 #[test]
 fn every_exemplar_deck_agrees_across_backends() {
-    // The library carries six exemplars (four opamps, comparator, pulse
-    // frontend); a silent drop here would gut the test.
-    assert_eq!(check_exemplar_decks("auto"), 6, "exemplar coverage shrank");
-}
-
-/// The same six exemplars with the CSC kernel forced for every sparse
-/// factorization: the left-looking kernel, its AMD ordering, and its
-/// equilibration pass hold the 1e-9 dense-equivalence bound on small,
-/// unsymmetric, nonlinear systems — not just on the grids it was built
-/// for.
-#[test]
-fn every_exemplar_deck_agrees_on_the_csc_kernel() {
-    let checked = with_kernel("csc", || check_exemplar_decks("csc"));
-    assert_eq!(checked, 6, "exemplar coverage shrank");
+    let decks = exemplar_decks();
+    // A silent drop here would gut the test.
+    assert_eq!(decks.len(), 6, "exemplar coverage shrank");
+    for (name, deck) in &decks {
+        let ckt = parse_deck(deck).unwrap_or_else(|e| panic!("{name}: parse: {e}"));
+        solve_both(&ckt, name);
+    }
 }
 
 /// 32×32 power grid (≈1k unknowns, past the auto-sparse threshold): the
@@ -111,19 +85,6 @@ fn every_exemplar_deck_agrees_on_the_csc_kernel() {
 /// tap sees the deepest droop.
 #[test]
 fn power_grid_32x32_drop_map_agrees() {
-    power_grid_32x32_drop_map("auto");
-}
-
-/// The 32×32 grid again with the Markowitz kernel pinned: at ≈1k unknowns
-/// the auto threshold picks CSC, so this leg keeps the right-looking
-/// kernel honest on the exact same physics and cross-checks the two
-/// kernels against each other through the shared dense reference.
-#[test]
-fn power_grid_32x32_drop_map_agrees_on_markowitz() {
-    with_kernel("markowitz", || power_grid_32x32_drop_map("markowitz"));
-}
-
-fn power_grid_32x32_drop_map(label: &str) {
     use ams::rail::{GridSpec, PowerGrid};
     let spec = GridSpec::synthetic(32);
     let vdd = spec.vdd;
@@ -134,7 +95,7 @@ fn power_grid_32x32_drop_map(label: &str) {
     let op_dense = SimSession::with_backend(&ckt, Backend::Dense)
         .op()
         .expect("dense 32x32 grid DC");
-    assert_vectors_close(&op_dense.x, &op_sparse.x, &format!("32x32 grid [{label}]"));
+    assert_vectors_close(&op_dense.x, &op_sparse.x, "32x32 grid");
 
     // Drop map sanity on the sparse solution.
     let v = |x: usize, y: usize| {
@@ -176,7 +137,7 @@ fn random_r_network(rng: &mut SmallRng) -> Circuit {
         nodes.push(id);
     }
     // Ground-anchored chain keeps the network connected; random chords
-    // vary the sparsity pattern and the Markowitz pivot order.
+    // vary the sparsity pattern and the pivot order.
     for u in 0..n_nodes {
         let ohms = rng.gen_range(10.0..1e3);
         ckt.add(
@@ -205,63 +166,144 @@ fn random_r_network(rng: &mut SmallRng) -> Circuit {
 }
 
 /// Property test: random connected resistor networks with random current
-/// injections solve to the same node voltages on both backends.
+/// injections solve to the same node voltages on both backends — 64
+/// networks from each of two seeds.
 #[test]
 fn random_r_networks_agree_across_backends() {
-    let mut rng = SmallRng::seed_from_u64(0x5fa6_0001);
-    for case in 0..64 {
-        let ckt = random_r_network(&mut rng);
-        solve_both(&ckt, &format!("random R network case {case}"));
-    }
-}
-
-/// The same property with the CSC kernel forced (fresh seed, 64 new
-/// networks): AMD ordering, equilibration, and the left-looking update
-/// hold the dense bound on arbitrary small patterns.
-#[test]
-fn random_r_networks_agree_on_the_csc_kernel() {
-    with_kernel("csc", || {
-        let mut rng = SmallRng::seed_from_u64(0x5fa6_0011);
+    for seed in [0x5fa6_0001u64, 0x5fa6_0011] {
+        let mut rng = SmallRng::seed_from_u64(seed);
         for case in 0..64 {
             let ckt = random_r_network(&mut rng);
-            solve_both(&ckt, &format!("random R network (csc) case {case}"));
+            solve_both(&ckt, &format!("random R network {seed:#x} case {case}"));
         }
-    });
+    }
 }
 
-/// Kernel cross-check without the dense intermediary: the Markowitz and
-/// CSC kernels solve the same stamped systems to within the 1e-9 bound of
-/// each other, on random networks and on a grid past the auto-CSC
-/// threshold.
-#[test]
-fn markowitz_and_csc_kernels_agree() {
-    use ams::rail::{GridSpec, PowerGrid};
-    let mut rng = SmallRng::seed_from_u64(0x5fa6_0021);
-    let mut circuits: Vec<(String, Circuit)> = (0..16)
-        .map(|case| {
-            (
-                format!("cross-check case {case}"),
-                random_r_network(&mut rng),
-            )
-        })
-        .collect();
-    circuits.push((
-        "cross-check 24x24 grid".into(),
-        PowerGrid::uniform(GridSpec::synthetic(24), 10e-6).to_circuit(),
-    ));
-    for (what, ckt) in &circuits {
-        let mk = with_kernel("markowitz", || {
-            SimSession::with_backend(ckt, Backend::Sparse)
-                .op()
-                .unwrap_or_else(|e| panic!("{what}: markowitz solve failed: {e}"))
-        });
-        let csc = with_kernel("csc", || {
-            SimSession::with_backend(ckt, Backend::Sparse)
-                .op()
-                .unwrap_or_else(|e| panic!("{what}: csc solve failed: {e}"))
-        });
-        assert_vectors_close(&mk.x, &csc.x, what);
+/// One seeded deck as netlist text: a ladder of `nodes` internal nodes
+/// (series resistor to the previous node, shunt resistor to ground),
+/// local R/C chords, grounded capacitors, small current injections,
+/// diode-connected MOS loads, and a driving voltage source on a node of
+/// its own. With `exemplar`, that library deck is included and its `vdd`
+/// rail is tied into the ladder through a resistor.
+///
+/// Every construct is ERC-clean by design: each node has a resistive path
+/// to ground, each voltage source owns its node (no loops), the model card
+/// is always used, and the shunts bound every node voltage by the sources
+/// and a few microamps through at most 100 kΩ, within easy reach of the
+/// damped Newton loop.
+fn seeded_deck(rng: &mut SmallRng, nodes: usize, exemplar: Option<&str>) -> String {
+    use std::fmt::Write;
+    assert!(nodes >= 2, "the chord rule needs two ladder nodes");
+    let mut deck = String::from("* seeded deck\n");
+    if let Some(ex) = exemplar {
+        deck.push_str(ex);
+        let _ = writeln!(
+            deck,
+            "Rgtie vdd g{} {:.1}",
+            rng.gen_range(1..=nodes),
+            rng.gen_range(1e3..1e5)
+        );
     }
+    let _ = writeln!(deck, ".model gnch nmos vt0=0.7 kp=110u lambda=0.04");
+    let _ = writeln!(deck, "Vg gv 0 DC {:.3}", rng.gen_range(0.5..3.0));
+    let _ = writeln!(deck, "Rgv gv g1 {:.1}", rng.gen_range(10.0..1e3));
+    for u in 1..=nodes {
+        if u > 1 {
+            let _ = writeln!(
+                deck,
+                "Rs{u} g{} g{u} {:.1}",
+                u - 1,
+                rng.gen_range(10.0..1e3)
+            );
+        }
+        let _ = writeln!(deck, "Rp{u} g{u} 0 {:.1}", rng.gen_range(1e3..1e5));
+    }
+    for k in 0..rng.gen_range(0..=nodes) {
+        let a = rng.gen_range(1..nodes);
+        let b = (a + rng.gen_range(1usize..=8)).min(nodes);
+        if rng.gen_bool(0.5) {
+            let _ = writeln!(deck, "Rq{k} g{a} g{b} {:.1}", rng.gen_range(100.0..1e4));
+        } else {
+            let _ = writeln!(deck, "Cq{k} g{a} g{b} {:.3}p", rng.gen_range(0.1..10.0));
+        }
+    }
+    for k in 0..rng.gen_range(0..=nodes / 4) {
+        let a = rng.gen_range(1..=nodes);
+        let _ = writeln!(deck, "Cg{k} g{a} 0 {:.3}p", rng.gen_range(0.1..10.0));
+    }
+    for k in 0..rng.gen_range(0..4) {
+        let a = rng.gen_range(1..=nodes);
+        let _ = writeln!(deck, "Ig{k} 0 g{a} DC {:.4}u", rng.gen_range(-5.0..5.0));
+    }
+    for k in 0..rng.gen_range(1..=nodes.div_ceil(8)) {
+        let a = rng.gen_range(1..=nodes);
+        let w = rng.gen_range(2.0..50.0);
+        let _ = writeln!(deck, "Mg{k} g{a} g{a} 0 0 gnch W={w:.2}u L=1u");
+    }
+    deck
+}
+
+/// The generated-deck oracle: 256 seeded decks — bare ladders and ladders
+/// tied to every library exemplar, from a few unknowns to past
+/// [`Backend::AUTO_SPARSE_DIM`] — each ERC-clean under `ams_lint` (no
+/// diagnostic at all) with no structural error, each solving to the 1e-9
+/// dense bound on the sparse backend, and each re-solving bit-identically
+/// on a fresh sparse session. Every generated deck is checked; none is
+/// skipped. (Structural *warnings* are allowed: every library exemplar
+/// already carries a W005, its MNA pattern splitting into independent
+/// blocks.)
+#[test]
+fn seeded_decks_agree_across_backends() {
+    let exemplars = exemplar_decks();
+    let mut rng = SmallRng::seed_from_u64(0x5fa6_0031);
+    let (mut min_dim, mut max_dim) = (usize::MAX, 0);
+    for case in 0..256 {
+        let nodes = match case % 4 {
+            0 => rng.gen_range(2usize..8),
+            1 => rng.gen_range(8usize..32),
+            2 => rng.gen_range(32usize..96),
+            _ => rng.gen_range(96usize..160),
+        };
+        let exemplar = (case % 3 != 0).then(|| {
+            let (_, deck) = &exemplars[rng.gen_range(0..exemplars.len())];
+            deck.as_str()
+        });
+        let deck = seeded_deck(&mut rng, nodes, exemplar);
+        let what = format!("seeded deck {case}");
+
+        let erc = ams_lint::lint_deck(&deck).expect("generated deck parses");
+        assert!(
+            erc.is_clean(),
+            "{what} is not ERC-clean:\n{}\n{deck}",
+            erc.render_human()
+        );
+        let structure = ams_lint::analyze_deck_structure(&deck).expect("generated deck parses");
+        assert!(
+            !structure.report().has_errors(),
+            "{what} is not structurally sound:\n{}\n{deck}",
+            structure.report().render_human()
+        );
+
+        let ckt = parse_deck(&deck).expect("generated deck parses");
+        let x = solve_both(&ckt, &what);
+        let again = SimSession::with_backend(&ckt, Backend::Sparse)
+            .op()
+            .unwrap_or_else(|e| panic!("{what}: repeated sparse solve failed: {e}"))
+            .x;
+        assert!(
+            x.iter()
+                .zip(&again)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "{what}: repeated sparse solve is not bit-identical"
+        );
+        min_dim = min_dim.min(x.len());
+        max_dim = max_dim.max(x.len());
+    }
+    assert!(min_dim <= 8, "smallest deck has {min_dim} unknowns");
+    assert!(
+        max_dim > Backend::AUTO_SPARSE_DIM,
+        "largest deck has {max_dim} unknowns"
+    );
 }
 
 /// Same-seed GA synthesis runs stay byte-identical at 1, 2, and 8 exec
@@ -273,10 +315,8 @@ fn seeded_runs_byte_identical_across_thread_counts_with_sparse() {
     use ams::core::{table1_spec, SimulatedPulseDetectorModel};
     use ams_sizing::{evolve, GaConfig, PerfModel};
 
-    // Process-wide override, so serialize with every other env-touching
-    // test; the remaining tests pin their backend explicitly and hold the
-    // dense bound on either kernel, so they are unaffected.
-    let _l = env_lock();
+    // Process-wide override; every other test here pins its backend
+    // explicitly, so none is affected.
     std::env::set_var("AMS_SIM_BACKEND", "sparse");
     assert_eq!(Backend::auto_for(2), Backend::Sparse, "override not active");
 
