@@ -13,8 +13,8 @@
 //! [`SimSession::pattern_fingerprint`]) that the candidate really shares
 //! the prototype's pattern. The bound session's first sparse DC factor
 //! consumes the shared BTF hint exactly as an unbatched session consumes
-//! its own freshly computed one, and every later Newton iteration is a
-//! numeric refactorization — so batched evaluation is **bit-identical**
+//! its own freshly computed one, and every later Newton iteration reuses
+//! its symbolic structure — so batched evaluation is **bit-identical**
 //! to the unbatched path while skipping the per-candidate analysis.
 //!
 //! What is deliberately *not* shared: numeric LU factors. The sparse

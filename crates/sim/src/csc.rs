@@ -21,7 +21,10 @@
 //!    symbolic structure through the *same* numeric routine. The
 //!    arithmetic sequence is identical to a fresh factorization of the
 //!    same values, so refactored solves are bit-identical — the contract
-//!    `solve_cached` and the checkpoint/resume machinery rely on.
+//!    `solve_cached` and the checkpoint/resume machinery rely on. The
+//!    same argument lets a refactor whose values are bit-identical to the
+//!    ones the factors came from skip equilibration and elimination
+//!    altogether and keep the factors.
 //!
 //! Everything is computed serially from ordered containers: results are
 //! byte-deterministic for a given input at any `AMS_EXEC_THREADS`.
@@ -31,7 +34,7 @@ use std::sync::Arc;
 use crate::amd::fill_reducing_order;
 use crate::linalg::{Scalar, SingularMatrix};
 use crate::scale::equilibrate;
-use crate::sparse::{BlockStructure, RefactorError, Triplets};
+use crate::sparse::{BlockStructure, RefactorError, Refresh, Triplets};
 
 /// Relative magnitude threshold for pivot acceptance: a candidate must be
 /// at least this fraction of the largest magnitude in its column.
@@ -80,6 +83,11 @@ pub struct CscLu<T> {
     l_rows: Vec<u32>,
     l_vals: Vec<T>,
     pivots: Vec<T>,
+    /// Raw triplet values, in push order, that the current factors were
+    /// computed from: the reuse key of [`CscLu::refactor`]. Emptied while
+    /// a numeric refactor overwrites the factors, so a failed one leaves
+    /// no key to match.
+    factored_vals: Vec<T>,
     fill_in: u64,
     btf: Option<Arc<BlockStructure>>,
 }
@@ -138,6 +146,7 @@ impl<T: Scalar> CscLu<T> {
             l_rows: Vec::new(),
             l_vals: Vec::new(),
             pivots: vec![T::ZERO; n],
+            factored_vals: tvals.to_vec(),
             fill_in: 0,
             btf: btf.clone(),
         };
@@ -300,15 +309,22 @@ impl<T: Scalar> CscLu<T> {
     /// Numeric refactorization over the frozen pattern, order, and pivot
     /// rows. Replays the exact arithmetic sequence of [`CscLu::factor`].
     ///
+    /// When every value is bit-identical ([`Scalar::same_bits`]) to the
+    /// ones the current factors were computed from, the replay would
+    /// reproduce them bit for bit, so it is skipped and
+    /// [`Refresh::Reused`] is returned; otherwise the elimination runs and
+    /// the result is [`Refresh::Numeric`].
+    ///
     /// # Errors
     ///
     /// [`RefactorError::PatternChanged`] when the triplet sequence differs
     /// from the one this factorization was built from, and
     /// [`RefactorError::Unstable`] when a frozen pivot underflows or decays
-    /// below [`REFACTOR_DECAY`] of its column maximum. On either error the
-    /// factorization is left partially overwritten: discard and re-factor.
-    pub fn refactor(&mut self, t: &Triplets<T>) -> Result<(), RefactorError> {
-        let (trows, tcols, _) = t.parts();
+    /// below [`REFACTOR_DECAY`] of its column maximum. After `Unstable` the
+    /// factorization is left partially overwritten and no later call
+    /// reuses it: discard and re-factor.
+    pub fn refactor(&mut self, t: &Triplets<T>) -> Result<Refresh, RefactorError> {
+        let (trows, tcols, tvals) = t.parts();
         if trows.len() != self.pattern.len() || t.dim() != self.n {
             return Err(RefactorError::PatternChanged);
         }
@@ -317,6 +333,18 @@ impl<T: Scalar> CscLu<T> {
                 return Err(RefactorError::PatternChanged);
             }
         }
+        // The length test is what keeps a cleared key from matching: `zip`
+        // over an empty key is vacuously all-equal.
+        if self.factored_vals.len() == tvals.len()
+            && self
+                .factored_vals
+                .iter()
+                .zip(tvals)
+                .all(|(&a, &b)| a.same_bits(b))
+        {
+            return Ok(Refresh::Reused);
+        }
+        self.factored_vals.clear();
         self.assemble(t);
         let mut w = vec![T::ZERO; self.n];
         for k in 0..self.n {
@@ -360,7 +388,8 @@ impl<T: Scalar> CscLu<T> {
                 w[self.prow[j as usize] as usize] = T::ZERO;
             }
         }
-        Ok(())
+        self.factored_vals.extend_from_slice(tvals);
+        Ok(Refresh::Numeric)
     }
 
     /// Solves `A·x = b` using the stored factors (scaling applied and
@@ -521,6 +550,82 @@ mod tests {
         let x_fresh = CscLu::factor(&t1, None).unwrap().solve_refined(&t1, &b);
         for (a, f) in x_re.iter().zip(&x_fresh) {
             assert_eq!(a.to_bits(), f.to_bits(), "refactor must replay exactly");
+        }
+    }
+
+    /// A copy of `t` with the value at push index `k` replaced by `v`.
+    fn with_value(t: &Triplets<f64>, k: usize, v: f64) -> Triplets<f64> {
+        let (rows, cols, vals) = t.parts();
+        let mut out = Triplets::new(t.dim());
+        for i in 0..vals.len() {
+            let val = if i == k { v } else { vals[i] };
+            out.push(rows[i] as usize, cols[i] as usize, val);
+        }
+        out
+    }
+
+    #[test]
+    fn bit_identical_restamp_reuses_factors() {
+        let (t0, _, b) = random_system(30, 11);
+        let mut lu = CscLu::factor(&t0, None).unwrap();
+        assert_eq!(lu.refactor(&t0.clone()), Ok(Refresh::Reused));
+        let fresh = |t: &Triplets<f64>| CscLu::factor(t, None).unwrap().solve_refined(t, &b);
+        let same_bits =
+            |x: &[f64], y: &[f64]| x.iter().zip(y).all(|(a, c)| a.to_bits() == c.to_bits());
+        assert!(same_bits(&lu.solve_refined(&t0, &b), &fresh(&t0)));
+
+        // A changed value refactors; re-stamping it again reuses that.
+        let (_, _, vals) = t0.parts();
+        let t1 = with_value(&t0, 0, vals[0] * 1.25);
+        assert_eq!(lu.refactor(&t1), Ok(Refresh::Numeric));
+        assert_eq!(lu.refactor(&t1.clone()), Ok(Refresh::Reused));
+        assert!(same_bits(&lu.solve_refined(&t1, &b), &fresh(&t1)));
+    }
+
+    #[test]
+    fn signed_zero_and_nan_never_reuse() {
+        // Diagonal plus one off-diagonal entry that is zero or NaN: the
+        // NaN lands in a factor entry no pivot depends on, so refactoring
+        // with it succeeds and would leave a NaN key behind.
+        let mut t = Triplets::new(4);
+        for i in 0..4 {
+            t.push(i, i, 2.0 + i as f64);
+        }
+        t.push(1, 2, 0.0);
+        let k = t.len() - 1;
+        let mut lu = CscLu::factor(&t, None).unwrap();
+        let neg = with_value(&t, k, -0.0);
+        assert_eq!(lu.refactor(&neg), Ok(Refresh::Numeric), "-0 is not +0");
+        assert_eq!(lu.refactor(&neg), Ok(Refresh::Reused));
+        assert_eq!(lu.refactor(&t), Ok(Refresh::Numeric), "+0 is not -0");
+
+        let nan = with_value(&t, k, f64::NAN);
+        assert_eq!(lu.refactor(&nan), Ok(Refresh::Numeric));
+        assert_eq!(lu.refactor(&nan), Ok(Refresh::Numeric), "NaN never matches");
+        let mut from_nan = CscLu::factor(&nan, None).unwrap();
+        assert_eq!(from_nan.refactor(&nan), Ok(Refresh::Numeric));
+    }
+
+    #[test]
+    fn failed_refactor_leaves_no_reusable_key() {
+        let mut good = Triplets::new(2);
+        good.push(0, 0, 1.0);
+        good.push(0, 1, 0.0);
+        good.push(1, 0, 0.0);
+        good.push(1, 1, 1.0);
+        let mut lu = CscLu::factor(&good, None).unwrap();
+        let bad = with_value(&with_value(&good, 1, 1.0), 3, 0.0);
+        assert!(matches!(
+            lu.refactor(&bad),
+            Err(RefactorError::Unstable { .. })
+        ));
+        // The factors are half overwritten: the last good values must
+        // refactor, not match a key the failed call left behind.
+        assert_eq!(lu.refactor(&good), Ok(Refresh::Numeric));
+        let b = [3.0, 7.0];
+        let fresh = CscLu::factor(&good, None).unwrap().solve_refined(&good, &b);
+        for (a, f) in lu.solve_refined(&good, &b).iter().zip(&fresh) {
+            assert_eq!(a.to_bits(), f.to_bits());
         }
     }
 

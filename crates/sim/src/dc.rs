@@ -9,10 +9,12 @@ use ams_netlist::{Circuit, Device, MosOp};
 // det-lint: allow(hash-collection): public OpPoint API; per-device operating points are read by instance name
 use std::collections::HashMap;
 
+use crate::backend::Backend;
 use crate::error::SimError;
 use crate::linalg::{Matrix, SingularMatrix};
-use crate::mna::{indexed_devices, LinearNet, MnaLayout, Stamper};
+use crate::mna::{indexed_devices, LinearNet, MnaLayout, Stamper, StamperMatrix};
 use crate::session::{RealSlot, SimSession};
+use crate::sparse::Triplets;
 
 /// Maximum Newton iterations per homotopy stage.
 const MAX_ITER: usize = 150;
@@ -161,7 +163,9 @@ pub(crate) fn dc_op_from(ses: &SimSession<'_>, x0: Option<&[f64]>) -> Result<OpP
     let result = dc_solve(ses, x0, &mut iters);
     ams_trace::counter_add("sim.dc_solves", 1);
     ams_trace::counter_add("sim.newton_iters", iters as u64);
-    // Each Newton iteration performs exactly one LU factor and one solve.
+    // `sim.lu_factors` counts Newton linear solves: one per iteration,
+    // whether the sparse kernel factored, refactored or kept its factors
+    // (the `sim.sparse.*` counters split those).
     ams_trace::counter_add("sim.lu_factors", iters as u64);
     ams_trace::counter_add("sim.lu_solves", iters as u64);
     match &result {
@@ -570,6 +574,25 @@ fn stamp_dc(
                 st.current_into(s, ieq);
             }
         }
+    }
+}
+
+/// The sparse DC Newton system behind [`SimSession::dc_system`].
+pub(crate) fn sparse_system(ses: &SimSession<'_>, x: &[f64]) -> (Triplets<f64>, Vec<f64>) {
+    let layout = ses.layout();
+    assert_eq!(x.len(), layout.dim(), "solution vector dimension mismatch");
+    let mut st = Stamper::with_backend(layout.dim(), Backend::Sparse);
+    stamp_dc(
+        layout,
+        &indexed_devices(ses.circuit()),
+        x,
+        0.0,
+        1.0,
+        &mut st,
+    );
+    match st.a {
+        StamperMatrix::Sparse(t) => (t, st.z),
+        StamperMatrix::Dense(_) => unreachable!("stamped on the sparse backend"),
     }
 }
 

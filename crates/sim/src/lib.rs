@@ -75,5 +75,5 @@ pub use linalg::{Complex, Lu, Matrix, Scalar, SingularMatrix};
 pub use mna::{output_index, LinearNet, MnaLayout, Stamper};
 pub use noise::{noise_sources, NoiseKind, NoiseResult, NoiseSource};
 pub use session::SimSession;
-pub use sparse::{BlockStructure, RefactorError, Triplets};
+pub use sparse::{BlockStructure, RefactorError, Refresh, Triplets};
 pub use tran::TranResult;

@@ -188,6 +188,10 @@ pub trait Scalar: Copy + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     /// Componentwise scaling by a real factor. The CSC kernel only calls
     /// this with exact powers of two (equilibration), where it is exact.
     fn scale(self, f: f64) -> Self;
+    /// True when both values have the same bits in every component and
+    /// none is NaN: the factor-reuse key of the CSC kernel, under which
+    /// `+0` and `-0` differ and a NaN never matches.
+    fn same_bits(self, other: Self) -> bool;
 }
 
 impl Scalar for f64 {
@@ -216,6 +220,9 @@ impl Scalar for f64 {
     }
     fn scale(self, f: f64) -> Self {
         self * f
+    }
+    fn same_bits(self, other: Self) -> bool {
+        self.to_bits() == other.to_bits() && !self.is_nan()
     }
 }
 
@@ -248,6 +255,9 @@ impl Scalar for Complex {
             re: self.re * f,
             im: self.im * f,
         }
+    }
+    fn same_bits(self, other: Self) -> bool {
+        self.re.same_bits(other.re) && self.im.same_bits(other.im)
     }
 }
 

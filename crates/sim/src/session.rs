@@ -5,7 +5,8 @@
 //! DC operating point, the linearized small-signal network, and — on the
 //! sparse backend — the symbolic LU factorizations that turn each Newton
 //! iteration, transient timestep, and AC frequency point into a numeric
-//! refactorization instead of a full factorization.
+//! refactorization instead of a full factorization, or into no
+//! factorization at all when the re-stamped values did not change.
 //!
 //! ```
 //! use ams_sim::SimSession;
@@ -39,7 +40,7 @@ use crate::error::SimError;
 use crate::linalg::SingularMatrix;
 use crate::mna::{output_index, LinearNet, MnaLayout, Stamper, StamperMatrix};
 use crate::noise::{self, NoiseResult};
-use crate::sparse::BlockStructure;
+use crate::sparse::{BlockStructure, Triplets};
 use crate::tran::{self, TranResult};
 
 /// Which cached real factorization slot a solve belongs to. DC and
@@ -234,13 +235,27 @@ impl<'c> SimSession<'c> {
 
     /// Drops the cached operating point while keeping the factorization
     /// caches, so the next [`op`](SimSession::op) re-runs the Newton
-    /// ladder replaying the frozen symbolic structure (numeric refactor
-    /// only — `sim.sparse.refactor` bumps, `sim.sparse.symbolic` does
-    /// not). This is the steady-state cost a sizing loop pays per
-    /// evaluation; the scaling bench measures it directly.
+    /// ladder on the frozen symbolic structure: `sim.sparse.symbolic`
+    /// does not bump. Each iteration whose stamp differs from the last one
+    /// in any value bit refactors numerically (`sim.sparse.refactor`);
+    /// one that re-stamps bit-identical values, as every iteration of a
+    /// linear circuit does, keeps the cached factors (`sim.sparse.reuse`).
     pub fn invalidate_op(&self) {
         *self.op_cache.lock().unwrap() = None;
         *self.net_cache.lock().unwrap() = None;
+    }
+
+    /// The DC Newton system `A·x = z` linearized at `x`, with gmin off and
+    /// sources at full value, stamped as sparse triplets in the push order
+    /// every sparse DC solve of this session uses: the pattern
+    /// [`CscLu::refactor`] checks. Independent of the session's backend
+    /// and caches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` does not match the MNA dimension.
+    pub fn dc_system(&self, x: &[f64]) -> (Triplets<f64>, Vec<f64>) {
+        dc::sparse_system(self, x)
     }
 
     /// DC operating point with deterministic perturbed restarts on
@@ -451,29 +466,48 @@ mod tests {
 
     #[test]
     fn sparse_session_reuses_symbolic_factorization() {
-        let ckt = parse_deck(
+        // A linear divider re-stamps bit-identical values at every Newton
+        // iteration; the MOS deck's conductances move between iterations.
+        let divider = parse_deck(
             "V1 in 0 DC 10
              R1 in out 9k
              R2 out 0 1k",
         )
         .unwrap();
+        let mos = parse_deck(
+            ".model nch nmos vt0=0.7 kp=110u lambda=0.04
+             Vdd vdd 0 DC 5
+             Vg  g   0 DC 1.0
+             RD  vdd d 10k
+             M1  d g 0 0 nch W=20u L=2u",
+        )
+        .unwrap();
         ams_trace::set_enabled(true);
-        let before = ams_trace::snapshot().counters;
-        let ses = SimSession::with_backend(&ckt, Backend::Sparse);
-        ses.op().unwrap();
-        let after = ams_trace::snapshot().counters;
+        let counters = |ckt: &Circuit| {
+            let before = ams_trace::snapshot().counters;
+            SimSession::with_backend(ckt, Backend::Sparse).op().unwrap();
+            let after = ams_trace::snapshot().counters;
+            move |k: &str| after.get(k).copied().unwrap_or(0) - before.get(k).copied().unwrap_or(0)
+        };
+        let on_divider = counters(&divider);
+        let on_mos = counters(&mos);
         ams_trace::set_enabled(false);
-        let delta =
-            |k: &str| after.get(k).copied().unwrap_or(0) - before.get(k).copied().unwrap_or(0);
         // Counters are process-global, so stay robust to concurrently
         // running tests: at least one symbolic analysis ran, and later
         // Newton iterations reused it instead of re-analyzing.
-        assert!(delta("sim.sparse.symbolic") >= 1, "symbolic analysis ran");
         assert!(
-            delta("sim.sparse.symbolic_reuse") >= 1,
+            on_divider("sim.sparse.symbolic") >= 1,
+            "symbolic analysis ran"
+        );
+        assert!(
+            on_divider("sim.sparse.symbolic_reuse") >= 1,
             "later Newton iterations must reuse the pattern"
         );
-        assert!(delta("sim.sparse.refactor") >= 1, "numeric refactor ran");
+        assert!(
+            on_divider("sim.sparse.reuse") >= 1,
+            "unchanged values must reuse the factors"
+        );
+        assert!(on_mos("sim.sparse.refactor") >= 1, "numeric refactor ran");
     }
 
     #[test]

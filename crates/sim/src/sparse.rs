@@ -13,6 +13,11 @@
 //!    unchanged (Newton iterations, transient timesteps, AC frequency
 //!    points), only the numeric elimination repeats over the frozen
 //!    pattern; no symbolic analysis.
+//! 3. **Factor reuse** — when the re-stamped values are also bit-identical
+//!    to the ones the factors came from (a linear circuit's Newton
+//!    iterations, fixed-step transient on a linear grid), the elimination
+//!    would replay the same arithmetic on the same inputs, so it is
+//!    skipped and the cached factors serve the solve.
 //!
 //! The kernel is generic over [`Scalar`] so one implementation serves the
 //! real analyses (DC, transient) and the complex ones (AC, noise), where
@@ -94,6 +99,16 @@ impl<T: Scalar> Triplets<T> {
     }
 }
 
+/// How a successful [`CscLu::refactor`] brought its factors up to date.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refresh {
+    /// The values were bit-identical to the ones the factors were computed
+    /// from, so the factors were kept as they are.
+    Reused,
+    /// A numeric refactorization ran over the frozen pattern.
+    Numeric,
+}
+
 /// Why a numeric refactorization could not reuse the frozen pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefactorError {
@@ -142,15 +157,19 @@ impl BlockStructure {
     }
 }
 
-/// Factor-or-refactor solve against a cached factorization slot: tries a
-/// numeric refactorization of `*lu` first and falls back to a fresh
-/// symbolic+numeric factorization (updating the cache) when the pattern
-/// changed or the refactorization went unstable. `btf` is the structural
-/// analyzer's block partition when the caller has one; it seeds the
-/// column ordering on fresh factorizations. Bumps the
-/// `sim.sparse.{symbolic,symbolic_reuse,refactor,fill_in}` trace counters
-/// accordingly; every caching sparse solve in the crate funnels through
-/// here so the counters stay consistent.
+/// Factor-or-refactor solve against a cached factorization slot: tries
+/// [`CscLu::refactor`] on `*lu` first (which keeps the factors when the
+/// values are bit-identical and refactors numerically otherwise) and falls
+/// back to a fresh symbolic+numeric factorization (updating the cache)
+/// when the pattern changed or the refactorization went unstable. `btf` is
+/// the structural analyzer's block partition when the caller has one; it
+/// seeds the column ordering on fresh factorizations. Bumps the trace
+/// counters accordingly: `sim.sparse.symbolic` and `sim.sparse.fill_in`
+/// per fresh factorization, `sim.sparse.symbolic_reuse` per solve that
+/// skipped it, split into `sim.sparse.refactor` (a numeric refactor ran)
+/// and `sim.sparse.reuse` (served from unchanged factors). Every caching
+/// sparse solve in the crate funnels through here so the counters stay
+/// consistent.
 pub(crate) fn solve_cached<T: Scalar>(
     lu: &mut Option<CscLu<T>>,
     t: &Triplets<T>,
@@ -158,9 +177,15 @@ pub(crate) fn solve_cached<T: Scalar>(
     btf: Option<Arc<BlockStructure>>,
 ) -> Result<Vec<T>, SingularMatrix> {
     if let Some(f) = lu.as_mut() {
-        if f.refactor(t).is_ok() {
+        if let Ok(refresh) = f.refactor(t) {
             ams_trace::counter_add("sim.sparse.symbolic_reuse", 1);
-            ams_trace::counter_add("sim.sparse.refactor", 1);
+            ams_trace::counter_add(
+                match refresh {
+                    Refresh::Reused => "sim.sparse.reuse",
+                    Refresh::Numeric => "sim.sparse.refactor",
+                },
+                1,
+            );
             return Ok(f.solve_refined(t, b));
         }
         // Pattern changed or the replayed pivots decayed: discard and redo

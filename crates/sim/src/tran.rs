@@ -194,7 +194,9 @@ fn flush_stats(stats: &TranStats) {
     ams_trace::counter_add("sim.tran_step_halvings", stats.halvings);
     ams_trace::counter_add("sim.tran_newton_iters", stats.newton_iters);
     ams_trace::counter_add("sim.tran_newton_rejects", stats.rejected);
-    // Each transient Newton iteration is one LU factor plus one solve.
+    // `sim.lu_factors` counts Newton linear solves: one per transient
+    // iteration, whether the sparse kernel factored, refactored or kept
+    // its factors (the `sim.sparse.*` counters split those).
     ams_trace::counter_add("sim.lu_factors", stats.newton_iters);
     ams_trace::counter_add("sim.lu_solves", stats.newton_iters);
 }

@@ -18,6 +18,8 @@ AMS_EXEC_THREADS=1 cargo test --workspace --offline -q
 
 echo "== analytic golden references =="
 cargo test --offline -q --test golden_analytic
+echo "--  AMS_SIM_BACKEND=sparse (closed forms through the sparse factor-reuse path)"
+AMS_SIM_BACKEND=sparse cargo test --offline -q --test golden_analytic
 
 echo "== forced linear-solver backend matrix (sim + rail) =="
 for backend in dense sparse; do

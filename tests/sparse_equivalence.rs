@@ -306,6 +306,94 @@ fn seeded_decks_agree_across_backends() {
     );
 }
 
+/// Runs the same transient on both backends: every time point matches
+/// bit for bit, every solution to the 1e-9 bound, and a second sparse run
+/// on a fresh session reproduces the first bit for bit.
+fn tran_both(ckt: &Circuit, tstop: f64, dt: f64, what: &str) {
+    let tran = |backend| {
+        SimSession::with_backend(ckt, backend)
+            .tran(tstop, dt)
+            .unwrap_or_else(|e| panic!("{what}: {backend:?} transient failed: {e}"))
+    };
+    let dense = tran(Backend::Dense);
+    let sparse = tran(Backend::Sparse);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&dense.times),
+        bits(&sparse.times),
+        "{what}: time points"
+    );
+    assert!(dense.times.len() > 10, "{what}: too few time points");
+    for ((t, d), s) in dense
+        .times
+        .iter()
+        .zip(&dense.solutions)
+        .zip(&sparse.solutions)
+    {
+        assert_vectors_close(d, s, &format!("{what} at t = {t:e}"));
+    }
+    let again = tran(Backend::Sparse);
+    assert_eq!(
+        bits(&again.times),
+        bits(&sparse.times),
+        "{what}: rerun times"
+    );
+    for (a, s) in again.solutions.iter().zip(&sparse.solutions) {
+        assert_eq!(
+            bits(a),
+            bits(s),
+            "{what}: sparse rerun is not bit-identical"
+        );
+    }
+}
+
+/// The transient leg of the oracle. On a linear RAIL grid at a fixed step
+/// the sparse kernel serves most steps from cached factors, since the
+/// companion matrix does not change; the MOS deck's matrix changes at every
+/// Newton iteration, so it refactors throughout. Seeded grids (side, spike
+/// tap, segment widths) and a pulse-driven MOS stage must each match the
+/// dense reference at every time point.
+#[test]
+fn transient_agrees_across_backends() {
+    use ams::rail::{GridSpec, PowerGrid, Tap, TapKind};
+    let mut rng = SmallRng::seed_from_u64(0x5fa6_0041);
+    for case in 0..4 {
+        let n = rng.gen_range(3usize..=12);
+        let mut spec = GridSpec::synthetic(n);
+        let period = rng.gen_range(5e-9..10e-9);
+        spec.taps.push(Tap {
+            name: "spiker".into(),
+            x: rng.gen_range(0..n),
+            y: rng.gen_range(0..n),
+            dc_amps: rng.gen_range(0.02..0.08),
+            spike: Some((
+                rng.gen_range(0.1..0.3),
+                rng.gen_range(0.3e-9..0.5e-9),
+                rng.gen_range(1.0e-9..2.0e-9),
+                period,
+            )),
+            kind: TapKind::Digital,
+        });
+        let mut grid = PowerGrid::uniform(spec, 10e-6);
+        for w in &mut grid.widths {
+            *w = rng.gen_range(5e-6..20e-6);
+        }
+        let what = format!("seeded {n}x{n} grid transient (case {case})");
+        tran_both(&grid.to_circuit(), period + 2e-9, period / 40.0, &what);
+    }
+
+    let mos = parse_deck(
+        ".model nch nmos vt0=0.7 kp=110u lambda=0.04
+         Vdd vdd 0 DC 5
+         Vin g 0 PULSE(0 3 1n 1n 1n 5n 20n)
+         RD vdd d 10k
+         M1 d g 0 0 nch W=20u L=2u
+         CL d 0 1p",
+    )
+    .expect("MOS deck parses");
+    tran_both(&mos, 30e-9, 0.25e-9, "pulse-driven MOS stage transient");
+}
+
 /// Same-seed GA synthesis runs stay byte-identical at 1, 2, and 8 exec
 /// workers with the sparse backend forced process-wide — the determinism
 /// contract of `ams-exec` survives the new solver. Cost bits, champion
