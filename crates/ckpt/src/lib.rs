@@ -228,7 +228,7 @@ impl From<codec::TaggedDecodeError> for CkptError {
 pub struct CkptRecord {
     /// Dense sequence number (0,1,2,... in commit order).
     pub seq: u64,
-    /// Caller-chosen tag, e.g. `"anneal.state"` or `"sizing.0.0"`.
+    /// Caller-chosen tag, e.g. `"ga.state"` or `"sizing.0.0"`.
     pub tag: String,
     /// Opaque payload (callers use [`codec`] to build/parse it).
     pub payload: Vec<u8>,

@@ -56,7 +56,7 @@ pub struct CacheKey {
 /// Every optimizer front end — GA, annealer, simopt templates, equation
 /// models, polish — must derive its cache tag through this one function
 /// so that probes for the *same* cost function collide across
-/// generations, restarts, optimizers, and (with the persistent cache)
+/// generations, optimizers, and (with the persistent cache)
 /// across process runs. Ad-hoc per-callsite tag constants defeat the
 /// cache: two sites evaluating the same model under different tags never
 /// share an entry.

@@ -4,7 +4,8 @@
 //! handle resolves the cache *mode* (off / in-memory / on-disk, selected
 //! by an explicit [`EvalCachePolicy`] or the `AMS_EVAL_CACHE` environment
 //! variable), loads any previously persisted entries, and commits the
-//! accumulated cache back to disk at generation / restart boundaries.
+//! accumulated cache back to disk at the optimizer's boundaries: each GA
+//! generation and polish round, and the end of an anneal.
 //!
 //! # On-disk format
 //!
@@ -193,7 +194,8 @@ pub fn read_entries(path: &Path) -> Result<Vec<(CacheKey, u64)>, CkptError> {
 /// One optimizer run's view of the (possibly persistent) eval cache.
 ///
 /// Open at optimizer start; evaluate through [`EvalCacheHandle::cache`];
-/// call [`EvalCacheHandle::commit`] at generation / restart boundaries.
+/// call [`EvalCacheHandle::commit`] at each boundary that should survive
+/// the process (a GA generation or polish round, the end of an anneal).
 /// In `Off`/`Memory` modes, `commit` is a no-op.
 #[derive(Debug)]
 pub struct EvalCacheHandle {
@@ -275,12 +277,6 @@ impl EvalCacheHandle {
     /// existed but could not be read.
     pub fn load_defect(&self) -> Option<&CkptError> {
         self.defect.as_ref()
-    }
-
-    /// Merges externally produced entries (e.g. per-chain memo exports
-    /// from parallel anneal restarts) into the backing cache.
-    pub fn absorb(&self, entries: &[(CacheKey, u64)]) {
-        self.cache.import_entries(entries);
     }
 
     /// Persists the union of the backing cache and the file's current
@@ -372,7 +368,7 @@ mod tests {
         let handle = EvalCacheHandle::open(&EvalCachePolicy::Disk(path.clone()), 0);
         assert_eq!(handle.mode(), EvalCacheMode::Disk);
         assert_eq!(handle.loaded_entries(), 0);
-        handle.absorb(&sample_entries());
+        handle.cache().import_entries(&sample_entries());
         handle.commit();
 
         let warm = EvalCacheHandle::open(&EvalCachePolicy::Disk(path.clone()), 0);
@@ -387,10 +383,10 @@ mod tests {
         let path = tmp_path("union.ckpt");
         let _ = std::fs::remove_file(&path);
         let a = EvalCacheHandle::open(&EvalCachePolicy::Disk(path.clone()), 0);
-        a.absorb(&sample_entries()[..1]);
+        a.cache().import_entries(&sample_entries()[..1]);
         a.commit();
         let b = EvalCacheHandle::open(&EvalCachePolicy::Disk(path.clone()), 0);
-        b.absorb(&sample_entries()[1..]);
+        b.cache().import_entries(&sample_entries()[1..]);
         b.commit();
         assert_eq!(read_entries(&path).expect("readable").len(), 2);
         let _ = std::fs::remove_file(&path);
@@ -408,7 +404,7 @@ mod tests {
         assert!(handle.cache().is_empty());
         assert!(handle.load_defect().is_some(), "defect must be surfaced");
         // The run proceeds cold and the next commit repairs the file.
-        handle.absorb(&sample_entries());
+        handle.cache().import_entries(&sample_entries());
         handle.commit();
         assert_eq!(read_entries(&path).expect("repaired").len(), 2);
         let _ = std::fs::remove_file(&path);
@@ -420,7 +416,7 @@ mod tests {
         let good = tmp_path("good.ckpt");
         let _ = std::fs::remove_file(&good);
         let h = EvalCacheHandle::open(&EvalCachePolicy::Disk(good.clone()), 0);
-        h.absorb(&sample_entries());
+        h.cache().import_entries(&sample_entries());
         h.commit();
         let bytes = std::fs::read(&good).expect("read good");
         std::fs::write(&path, &bytes[..bytes.len() - 3]).expect("truncate");

@@ -18,9 +18,10 @@ static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 static ENV_THREADS: OnceLock<Option<usize>> = OnceLock::new();
 
 /// Below this many items a batch runs inline on the calling thread. Kept
-/// at 2 (only genuinely unsplittable batches stay inline): callers like
-/// `anneal_restarts` submit few-item batches where every item is a whole
-/// optimization chain, so even a 2-item batch is worth the spawn cost.
+/// at 2 (only genuinely unsplittable batches stay inline): the GA's polish
+/// rounds submit one trial per species champion, and with a
+/// simulation-backed cost each trial is a full DC and AC solve, so even a
+/// 2-item batch is worth the spawn cost.
 const MIN_PARALLEL_ITEMS: usize = 2;
 
 /// Overrides the worker count for subsequent [`par_map_indexed`] calls.

@@ -1,7 +1,7 @@
 //! `BatchSession`: one symbolic analysis amortized over a candidate set.
 //!
 //! Optimizer loops evaluate thousands of same-topology candidates — a GA
-//! population, an anneal restart set — and every candidate historically
+//! population, an anneal chain — and every candidate historically
 //! paid the full `SimSession::new` analysis cost: the structural MNA pass
 //! (maximum-transversal nonsingularity proof, BTF decomposition, AMD fill
 //! forecast) ran again for a pattern that never changes, because only the

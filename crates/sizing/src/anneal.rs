@@ -6,11 +6,8 @@
 //! optimization loop") and OBLX ("numerically searches for a good minimum
 //! of this function via annealing") all share this engine shape.
 
-use ams_ckpt::codec::{Dec, DecodeError, Enc};
 use ams_exec::{CacheKey, EvalCache};
 use ams_prng::{Rng, SeedableRng, SmallRng};
-
-use crate::ckpt::{CkptRun, SizingCkptError};
 
 /// One optimization parameter: bounds and scale.
 #[derive(Debug, Clone)]
@@ -148,266 +145,97 @@ const MULTI_START_EXTRA: usize = 20;
 /// any thread count — samples are drawn serially and reduced in index
 /// order.
 ///
-/// # Panics
-///
-/// Panics if `params` is empty.
-pub fn anneal<F>(params: &[ParamDef], config: &AnnealConfig, cost: F) -> AnnealResult
-where
-    F: Fn(&[f64]) -> f64 + Sync,
-{
-    match anneal_inner(params, config, None, None, &cost) {
-        Ok(r) => r,
-        // Without a checkpoint run there is nothing that can fail.
-        Err(e) => unreachable!("un-checkpointed anneal cannot fail: {e}"),
-    }
-}
-
-/// [`anneal`] with evaluation memoization through an [`EvalCache`].
-///
-/// Every candidate is keyed by `CacheKey::for_candidate(tag, x)` — derive
-/// `tag` with [`crate::cost::eval_tag`] so keys are canonical across all
-/// optimizer loops. The multi-start batch probes the cache serially before
-/// fanning the misses out in parallel, and the Metropolis chain memoizes
-/// each move through [`EvalCache::eval_with`]; cached costs are the exact
-/// bits a fresh evaluation would have produced, so the trajectory (and the
-/// result) is byte-identical to an uncached same-seed run against the same
-/// cache warmth.
-///
+/// With `memo = Some((tag, cache))` every candidate is memoized under
+/// `CacheKey::for_candidate(tag, x)` — derive `tag` with
+/// [`crate::cost::eval_tag`] so keys are canonical across all optimizer
+/// loops. The multi-start batch probes the cache serially before fanning
+/// the misses out in parallel, and the Metropolis chain memoizes each move
+/// through [`EvalCache::eval_with`]. Cached costs are the exact bits a
+/// fresh evaluation would have produced, so the trajectory and the result
+/// are the same with no memo, a disabled cache, a cold one or a warm one.
 /// Budget metering moves with the cache: the init batch charges only its
-/// computed misses (hits are free), while chain moves stay charged per
-/// move exactly as [`anneal`] charges them.
+/// computed misses (hits are free), while chain moves are charged per
+/// move either way.
 ///
 /// # Panics
 ///
 /// Panics if `params` is empty.
-pub fn anneal_cached<F>(
+pub fn anneal<F>(
     params: &[ParamDef],
     config: &AnnealConfig,
-    tag: u64,
-    cache: &EvalCache,
+    memo: Option<(u64, &EvalCache)>,
     cost: F,
 ) -> AnnealResult
 where
     F: Fn(&[f64]) -> f64 + Sync,
 {
-    match anneal_inner(params, config, None, Some((tag, cache)), &cost) {
-        Ok(r) => r,
-        // Without a checkpoint run there is nothing that can fail.
-        Err(e) => unreachable!("un-checkpointed anneal cannot fail: {e}"),
-    }
-}
-
-/// [`anneal`] with durable checkpointing at temperature-stage boundaries.
-///
-/// The multi-start initialization and every completed stage commit the full
-/// chain state (incumbent, best, temperature, loop counters, serialized
-/// xoshiro256++ RNG state, and the trace-counter delta accrued so far) to
-/// `ck.store`. Calling again with the same store resumes after the last
-/// committed stage, continuing the exact RNG stream — the resumed run's
-/// result and final trace counters are byte-identical to an uninterrupted
-/// same-seed run. With an empty store this behaves exactly like [`anneal`].
-///
-/// # Panics
-///
-/// Panics if `params` is empty.
-pub fn anneal_ckpt<F>(
-    params: &[ParamDef],
-    config: &AnnealConfig,
-    ck: CkptRun<'_>,
-    cost: F,
-) -> Result<AnnealResult, SizingCkptError>
-where
-    F: Fn(&[f64]) -> f64 + Sync,
-{
-    anneal_inner(params, config, Some(ck), None, &cost)
-}
-
-/// Journal tag for the annealer's chain-state record.
-const ANNEAL_TAG: &str = "anneal.state";
-
-/// Complete annealer chain state at a stage boundary.
-struct ChainState {
-    rng: [u64; 4],
-    x: Vec<f64>,
-    c: f64,
-    best_x: Vec<f64>,
-    best_c: f64,
-    t: f64,
-    accepted: usize,
-    evaluations: usize,
-    moves_attempted: u64,
-    next_stage: usize,
-    budget_ok: bool,
-}
-
-fn encode_chain(st: &ChainState, delta: &[(String, u64)]) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.counter_delta(delta);
-    e.u64_slice(&st.rng);
-    e.f64_slice(&st.x);
-    e.f64(st.c);
-    e.f64_slice(&st.best_x);
-    e.f64(st.best_c);
-    e.f64(st.t);
-    e.u64(st.accepted as u64);
-    e.u64(st.evaluations as u64);
-    e.u64(st.moves_attempted);
-    e.u64(st.next_stage as u64);
-    e.bool(st.budget_ok);
-    e.finish()
-}
-
-fn decode_chain(payload: &[u8]) -> Result<(Vec<(String, u64)>, ChainState), DecodeError> {
-    let mut d = Dec::new(payload);
-    let delta = d.counter_delta()?;
-    let rng_v = d.u64_vec()?;
-    let rng: [u64; 4] = rng_v
-        .try_into()
-        .map_err(|_| DecodeError::BadLen { len: 4, have: 0 })?;
-    let st = ChainState {
-        rng,
-        x: d.f64_vec()?,
-        c: d.f64()?,
-        best_x: d.f64_vec()?,
-        best_c: d.f64()?,
-        t: d.f64()?,
-        accepted: d.usize()?,
-        evaluations: d.usize()?,
-        moves_attempted: d.u64()?,
-        next_stage: d.usize()?,
-        budget_ok: d.bool()?,
-    };
-    d.finish()?;
-    Ok((delta, st))
-}
-
-fn store_err(e: DecodeError) -> SizingCkptError {
-    SizingCkptError::Store(e.tagged(ANNEAL_TAG).into())
-}
-
-fn anneal_inner<F>(
-    params: &[ParamDef],
-    config: &AnnealConfig,
-    mut ck: Option<CkptRun<'_>>,
-    memo: Option<(u64, &EvalCache)>,
-    cost: &F,
-) -> Result<AnnealResult, SizingCkptError>
-where
-    F: Fn(&[f64]) -> f64 + Sync,
-{
     assert!(!params.is_empty(), "no parameters to optimize");
     let _span = ams_trace::span("sizing.anneal");
-    if ams_trace::enabled() {
-        // Fitness-vs-evals curve: one trajectory per chain, one point per
-        // cooling stage.
-        ams_trace::series_begin("sizing.anneal.best_cost");
-    }
-    // Counter base for checkpoint deltas: everything accrued from here on
-    // is journaled with each boundary, so a resumed process can re-apply
-    // the work it skips.
-    let counter_base = if ck.is_some() {
-        ams_ckpt::counters_now()
-    } else {
-        Default::default()
-    };
+    // Fitness-vs-evals curve: one trajectory per chain, one point per
+    // cooling stage.
+    ams_trace::series_begin("sizing.anneal.best_cost");
 
     // Every candidate evaluation is panic-isolated: a poisoned candidate
     // scores infeasible (infinite cost) instead of killing the run.
     let eval = |v: &[f64]| ams_guard::guarded_eval(|| cost(v));
 
-    let resumed: Option<ChainState> = match ck.as_ref().and_then(|c| c.store.find(ANNEAL_TAG)) {
-        Some(payload) => {
-            let (delta, st) = decode_chain(payload).map_err(store_err)?;
-            ams_ckpt::restore_delta(&delta);
-            Some(st)
+    let mut rng = SmallRng::seed_from_u64(config.seed);
+    // Multi-start initialization: best of a handful of random samples,
+    // drawn serially and evaluated as one parallel batch. Each sample is
+    // metered; the batch runs to completion even if the budget is crossed
+    // inside it (bounded overrun), and exhaustion is then observed at the
+    // batch boundary so the stages below stop deterministically.
+    let starts: Vec<Vec<f64>> = (0..1 + MULTI_START_EXTRA)
+        .map(|_| params.iter().map(|p| p.sample(&mut rng)).collect())
+        .collect();
+    let start_costs = match memo {
+        // Memoized path: the cache probes serially, charges the computed
+        // misses to the budget itself, and fans only the misses out in
+        // parallel.
+        Some((tag, cache)) => {
+            cache.eval_batch_keyed(&starts, |v| CacheKey::for_candidate(tag, v), |_, v| eval(v))
         }
-        None => None,
+        None => ams_exec::par_map_indexed(&starts, |_, v| {
+            let _ = ams_guard::budget::charge_evals(1);
+            eval(v)
+        }),
+    };
+    let mut evaluations = starts.len();
+    // Reduce in index order: running best plus the cost spread against
+    // the running best, exactly as the serial loop computed it.
+    let mut x = starts[0].clone();
+    let mut c = start_costs[0];
+    let mut spread = 0.0f64;
+    for (cand, &cc) in starts.iter().zip(&start_costs).skip(1) {
+        if cc.is_finite() && c.is_finite() {
+            spread = spread.max((cc - c).abs());
+        }
+        if cc < c {
+            x = cand.clone();
+            c = cc;
+        }
+    }
+    let mut t = (spread.max(c.abs()).max(1e-9)) * config.t_initial_factor;
+    let (mut best_x, mut best_c) = (x.clone(), c);
+    let (mut accepted, mut moves_attempted) = (0usize, 0u64);
+    let stages = if ams_guard::budget::check_in() {
+        config.stages
+    } else {
+        0
     };
 
-    let mut st = match resumed {
-        Some(st) => st,
-        None => {
-            let mut rng = SmallRng::seed_from_u64(config.seed);
-            // Multi-start initialization: best of a handful of random
-            // samples, drawn serially and evaluated as one parallel batch.
-            // Each sample is metered; the batch runs to completion even if
-            // the budget is crossed inside it (bounded overrun), and
-            // exhaustion is then observed at the batch boundary so the
-            // stages below stop deterministically.
-            let starts: Vec<Vec<f64>> = (0..1 + MULTI_START_EXTRA)
-                .map(|_| params.iter().map(|p| p.sample(&mut rng)).collect())
-                .collect();
-            let start_costs = match memo {
-                // Memoized path: the cache probes serially, charges the
-                // computed misses to the budget itself, and fans only the
-                // misses out in parallel.
-                Some((tag, cache)) => cache.eval_batch_keyed(
-                    &starts,
-                    |v| CacheKey::for_candidate(tag, v),
-                    |_, v| eval(v),
-                ),
-                None => ams_exec::par_map_indexed(&starts, |_, v| {
-                    let _ = ams_guard::budget::charge_evals(1);
-                    eval(v)
-                }),
-            };
-            let evaluations = starts.len();
-            // Reduce in index order: running best plus the cost spread
-            // against the running best, exactly as the serial loop
-            // computed it.
-            let mut x = starts[0].clone();
-            let mut c = start_costs[0];
-            let mut spread = 0.0f64;
-            for (cand, &cc) in starts.iter().zip(&start_costs).skip(1) {
-                if cc.is_finite() && c.is_finite() {
-                    spread = spread.max((cc - c).abs());
-                }
-                if cc < c {
-                    x = cand.clone();
-                    c = cc;
-                }
-            }
-            let budget_ok = ams_guard::budget::check_in();
-            let st = ChainState {
-                rng: rng.state(),
-                best_x: x.clone(),
-                best_c: c,
-                t: (spread.max(c.abs()).max(1e-9)) * config.t_initial_factor,
-                x,
-                c,
-                accepted: 0,
-                evaluations,
-                moves_attempted: 0,
-                next_stage: 0,
-                budget_ok,
-            };
-            // Commit the post-init state so a crash during stage 0 does
-            // not repeat the multi-start batch.
-            if let Some(ck) = ck.as_mut() {
-                let delta = ams_ckpt::delta_since(&counter_base);
-                ck.store.commit(ANNEAL_TAG, encode_chain(&st, &delta))?;
-            }
-            st
-        }
-    };
-
-    let mut rng = SmallRng::from_state(st.rng);
-    let start_stage = st.next_stage;
-    'stages: for stage in start_stage..config.stages {
-        if !st.budget_ok {
-            break;
-        }
+    'stages: for stage in 0..stages {
         // Move scale shrinks from coarse to fine over the schedule.
         let progress = stage as f64 / config.stages.max(1) as f64;
         let scale = 0.5 * (1.0 - progress) + 0.02;
-        let stage_accepted_before = st.accepted;
+        let stage_accepted_before = accepted;
         for _ in 0..config.moves_per_stage {
             if !ams_guard::budget::charge_evals(1) {
                 break 'stages;
             }
-            st.moves_attempted += 1;
+            moves_attempted += 1;
             let k = rng.gen_range(0..params.len());
-            let mut cand = st.x.clone();
+            let mut cand = x.clone();
             cand[k] = params[k].perturb(cand[k], scale, &mut rng);
             let cc = match memo {
                 Some((tag, cache)) => {
@@ -415,308 +243,69 @@ where
                 }
                 None => eval(&cand),
             };
-            st.evaluations += 1;
-            let accept = cc < st.c || {
-                let d = cc - st.c;
-                d.is_finite() && rng.gen::<f64>() < (-d / st.t.max(1e-300)).exp()
+            evaluations += 1;
+            let accept = cc < c || {
+                let d = cc - c;
+                d.is_finite() && rng.gen::<f64>() < (-d / t.max(1e-300)).exp()
             };
             if accept {
-                st.x = cand;
-                st.c = cc;
-                st.accepted += 1;
-                if st.c < st.best_c {
-                    st.best_c = st.c;
-                    st.best_x = st.x.clone();
+                x = cand;
+                c = cc;
+                accepted += 1;
+                if c < best_c {
+                    best_c = c;
+                    best_x = x.clone();
                 }
             }
         }
-        st.t *= config.cooling;
+        t *= config.cooling;
         // Per-temperature acceptance ratio, for cooling-schedule tuning.
         if config.moves_per_stage > 0 {
             ams_trace::record(
                 "sizing.anneal_stage_accept_ratio",
-                (st.accepted - stage_accepted_before) as f64 / config.moves_per_stage as f64,
+                (accepted - stage_accepted_before) as f64 / config.moves_per_stage as f64,
             );
         }
-        if ams_trace::enabled() {
-            ams_trace::series_push("sizing.anneal.best_cost", st.best_c);
-        }
-        if ams_trace::stream_enabled() {
-            ams_trace::emit(ams_trace::TelemetryEvent::OptimizerGeneration {
-                algorithm: "anneal".to_string(),
-                generation: stage as u64,
-                evals: st.evaluations as u64,
-                best_cost: st.best_c,
-            });
-        }
-        if let Some(ck) = ck.as_mut() {
-            st.rng = rng.state();
-            st.next_stage = stage + 1;
-            let delta = ams_ckpt::delta_since(&counter_base);
-            ck.store.commit(ANNEAL_TAG, encode_chain(&st, &delta))?;
-            if ck.halt_after == Some(stage) {
-                return Err(SizingCkptError::Halted { boundary: stage });
-            }
-        }
+        record_generation(
+            "anneal",
+            "sizing.anneal.best_cost",
+            stage,
+            evaluations as u64,
+            best_c,
+        );
     }
 
     ams_trace::counter_add("sizing.anneal_runs", 1);
-    ams_trace::counter_add("sizing.anneal_moves", st.moves_attempted);
-    ams_trace::counter_add("sizing.anneal_accepted", st.accepted as u64);
-    ams_trace::counter_add("sizing.anneal_evals", st.evaluations as u64);
-    Ok(AnnealResult {
-        x: st.best_x,
-        cost: st.best_c,
-        evaluations: st.evaluations,
-        accepted: st.accepted,
-    })
-}
-
-/// Runs `restarts` independent annealing chains with seeds derived from
-/// `config.seed` and returns the best result.
-///
-/// The chains are embarrassingly parallel and run across the `ams-exec`
-/// pool; each is internally the plain serial [`anneal`]. The reduction is
-/// deterministic: ties on cost are broken by the lowest restart index, so
-/// the winner never depends on completion order. `evaluations` and
-/// `accepted` are summed over all chains.
-///
-/// # Panics
-///
-/// Panics if `params` is empty or `restarts` is 0.
-pub fn anneal_restarts<F>(
-    params: &[ParamDef],
-    config: &AnnealConfig,
-    restarts: usize,
-    cost: F,
-) -> AnnealResult
-where
-    F: Fn(&[f64]) -> f64 + Sync,
-{
-    assert!(restarts > 0, "need at least one restart");
-    let _span = ams_trace::span("sizing.anneal_restarts");
-    let seeds: Vec<u64> = (0..restarts as u64)
-        .map(|i| {
-            config
-                .seed
-                .wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        })
-        .collect();
-    let runs = ams_exec::par_map_indexed(&seeds, |i, &seed| {
-        if ams_trace::stream_enabled() {
-            ams_trace::emit(ams_trace::TelemetryEvent::OptimizerRestart {
-                algorithm: "anneal".to_string(),
-                restart: i as u64,
-                seed,
-            });
-        }
-        let chain = AnnealConfig {
-            seed,
-            ..config.clone()
-        };
-        anneal(params, &chain, &cost)
-    });
-    let (mut best_idx, mut evaluations, mut accepted) = (0usize, 0usize, 0usize);
-    for (i, r) in runs.iter().enumerate() {
-        evaluations += r.evaluations;
-        accepted += r.accepted;
-        if r.cost < runs[best_idx].cost {
-            best_idx = i;
-        }
-    }
+    ams_trace::counter_add("sizing.anneal_moves", moves_attempted);
+    ams_trace::counter_add("sizing.anneal_accepted", accepted as u64);
+    ams_trace::counter_add("sizing.anneal_evals", evaluations as u64);
     AnnealResult {
-        x: runs[best_idx].x.clone(),
-        cost: runs[best_idx].cost,
-        evaluations,
-        accepted,
-    }
-}
-
-/// [`anneal_restarts`] with per-chain evaluation memoization.
-///
-/// Sharing one mutable cache across parallel chains would make hit/miss
-/// totals depend on which chain computes a duplicate key first — a
-/// scheduling race. Instead every chain gets a **private** cache seeded
-/// from the immutable `seed_entries` snapshot, so each chain's trajectory
-/// and counters are fully determined by its seed and the snapshot. The
-/// chains' exports are merged in restart-index order (first writer wins;
-/// duplicate keys carry identical bits anyway, because a cached cost is
-/// the exact result of a fresh evaluation) and returned alongside the
-/// winning result so callers can commit the union at a restart boundary.
-///
-/// # Panics
-///
-/// Panics if `params` is empty or `restarts` is 0.
-pub fn anneal_restarts_cached<F>(
-    params: &[ParamDef],
-    config: &AnnealConfig,
-    restarts: usize,
-    tag: u64,
-    seed_entries: &[(CacheKey, u64)],
-    cost: F,
-) -> (AnnealResult, Vec<(CacheKey, u64)>)
-where
-    F: Fn(&[f64]) -> f64 + Sync,
-{
-    assert!(restarts > 0, "need at least one restart");
-    let _span = ams_trace::span("sizing.anneal_restarts");
-    let seeds: Vec<u64> = (0..restarts as u64)
-        .map(|i| {
-            config
-                .seed
-                .wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        })
-        .collect();
-    let runs = ams_exec::par_map_indexed(&seeds, |i, &seed| {
-        if ams_trace::stream_enabled() {
-            ams_trace::emit(ams_trace::TelemetryEvent::OptimizerRestart {
-                algorithm: "anneal".to_string(),
-                restart: i as u64,
-                seed,
-            });
-        }
-        let chain = AnnealConfig {
-            seed,
-            ..config.clone()
-        };
-        let local = EvalCache::new();
-        local.import_entries(seed_entries);
-        let r = anneal_cached(params, &chain, tag, &local, &cost);
-        (r, local.export_entries())
-    });
-    let (mut best_idx, mut evaluations, mut accepted) = (0usize, 0usize, 0usize);
-    for (i, (r, _)) in runs.iter().enumerate() {
-        evaluations += r.evaluations;
-        accepted += r.accepted;
-        if r.cost < runs[best_idx].0.cost {
-            best_idx = i;
-        }
-    }
-    // Merge exports in index order, deduplicating on the key so the
-    // caller commits each entry once.
-    let mut seen: std::collections::BTreeSet<&CacheKey> = std::collections::BTreeSet::new();
-    let mut merged: Vec<(CacheKey, u64)> = Vec::new();
-    for (_, entries) in &runs {
-        for (k, bits) in entries {
-            if seen.insert(k) {
-                merged.push((k.clone(), *bits));
-            }
-        }
-    }
-    (
-        AnnealResult {
-            x: runs[best_idx].0.x.clone(),
-            cost: runs[best_idx].0.cost,
-            evaluations,
-            accepted,
-        },
-        merged,
-    )
-}
-
-/// Journal tag for the restart wrapper's progress record.
-const RESTARTS_TAG: &str = "anneal.restarts.state";
-
-/// [`anneal_restarts`] with durable checkpointing at chain boundaries.
-///
-/// Chains run **serially** here (unlike the parallel [`anneal_restarts`])
-/// so that each completed chain commits a well-ordered progress record:
-/// chains done, running best, summed totals, and the counter delta so far.
-/// A resumed call skips completed chains entirely. Seeds, per-chain
-/// results, and the final reduction are identical to [`anneal_restarts`] —
-/// only the execution order differs, which the deterministic index-order
-/// reduction already makes unobservable.
-///
-/// `ck.halt_after` counts chain indices.
-///
-/// # Panics
-///
-/// Panics if `params` is empty or `restarts` is 0.
-pub fn anneal_restarts_ckpt<F>(
-    params: &[ParamDef],
-    config: &AnnealConfig,
-    restarts: usize,
-    ck: CkptRun<'_>,
-    cost: F,
-) -> Result<AnnealResult, SizingCkptError>
-where
-    F: Fn(&[f64]) -> f64 + Sync,
-{
-    assert!(restarts > 0, "need at least one restart");
-    let _span = ams_trace::span("sizing.anneal_restarts");
-    let counter_base = ams_ckpt::counters_now();
-
-    // (counter_delta, chains_done, best_x, best_cost, evaluations, accepted)
-    type RestartsState = (Vec<(String, u64)>, usize, Vec<f64>, f64, usize, usize);
-    let decode = |payload: &[u8]| -> Result<RestartsState, DecodeError> {
-        let mut d = Dec::new(payload);
-        let delta = d.counter_delta()?;
-        let done = d.usize()?;
-        let best_x = d.f64_vec()?;
-        let best_c = d.f64()?;
-        let evaluations = d.usize()?;
-        let accepted = d.usize()?;
-        d.finish()?;
-        Ok((delta, done, best_x, best_c, evaluations, accepted))
-    };
-
-    let (done, mut best_x, mut best_c, mut evaluations, mut accepted) =
-        match ck.store.find(RESTARTS_TAG) {
-            Some(payload) => {
-                let (delta, done, bx, bc, ev, acc) = decode(payload)
-                    .map_err(|e| SizingCkptError::Store(e.tagged(RESTARTS_TAG).into()))?;
-                ams_ckpt::restore_delta(&delta);
-                (done, bx, bc, ev, acc)
-            }
-            None => (0, Vec::new(), f64::INFINITY, 0, 0),
-        };
-
-    let store = ck.store;
-    for i in done..restarts {
-        let seed = config
-            .seed
-            .wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        if ams_trace::stream_enabled() {
-            ams_trace::emit(ams_trace::TelemetryEvent::OptimizerRestart {
-                algorithm: "anneal".to_string(),
-                restart: i as u64,
-                seed,
-            });
-        }
-        let chain = AnnealConfig {
-            seed,
-            ..config.clone()
-        };
-        let r = anneal(params, &chain, &cost);
-        evaluations += r.evaluations;
-        accepted += r.accepted;
-        // Strict `<` keeps the lowest-index winner on ties, matching the
-        // parallel reduction (whose running best starts at chain 0 even
-        // when every chain is infeasible — hence the `i == 0` arm).
-        if i == 0 || r.cost < best_c {
-            best_c = r.cost;
-            best_x = r.x;
-        }
-        let delta = ams_ckpt::delta_since(&counter_base);
-        let mut e = Enc::new();
-        e.counter_delta(&delta);
-        e.usize(i + 1);
-        e.f64_slice(&best_x);
-        e.f64(best_c);
-        e.usize(evaluations);
-        e.usize(accepted);
-        store.commit(RESTARTS_TAG, e.finish())?;
-        if ck.halt_after == Some(i) {
-            return Err(SizingCkptError::Halted { boundary: i });
-        }
-    }
-
-    Ok(AnnealResult {
         x: best_x,
         cost: best_c,
         evaluations,
         accepted,
-    })
+    }
+}
+
+/// Records one optimizer boundary (an anneal stage, a GA generation): a
+/// point on the `series` best-cost curve and an `OptimizerGeneration`
+/// event on the telemetry stream.
+pub(crate) fn record_generation(
+    algorithm: &str,
+    series: &'static str,
+    generation: usize,
+    evals: u64,
+    best_cost: f64,
+) {
+    ams_trace::series_push(series, best_cost);
+    if ams_trace::stream_enabled() {
+        ams_trace::emit(ams_trace::TelemetryEvent::OptimizerGeneration {
+            algorithm: algorithm.to_string(),
+            generation: generation as u64,
+            evals,
+            best_cost,
+        });
+    }
 }
 
 #[cfg(test)]
@@ -729,7 +318,7 @@ mod tests {
             ParamDef::linear("x", -10.0, 10.0),
             ParamDef::linear("y", -10.0, 10.0),
         ];
-        let r = anneal(&params, &AnnealConfig::default(), |v| {
+        let r = anneal(&params, &AnnealConfig::default(), None, |v| {
             (v[0] - 3.0).powi(2) + (v[1] + 2.0).powi(2)
         });
         assert!(r.cost < 1e-2, "cost = {}", r.cost);
@@ -751,6 +340,7 @@ mod tests {
                 stages: 80,
                 ..Default::default()
             },
+            None,
             |v| {
                 20.0 + v
                     .iter()
@@ -765,7 +355,7 @@ mod tests {
     #[test]
     fn log_parameters_stay_in_bounds() {
         let params = vec![ParamDef::log("w", 1e-6, 1e-3)];
-        let r = anneal(&params, &AnnealConfig::quick(), |v| {
+        let r = anneal(&params, &AnnealConfig::quick(), None, |v| {
             (v[0].ln() + 10.0).abs()
         });
         assert!(r.x[0] >= 1e-6 && r.x[0] <= 1e-3);
@@ -777,8 +367,8 @@ mod tests {
     fn deterministic_for_fixed_seed() {
         let params = vec![ParamDef::linear("x", 0.0, 1.0)];
         let cfg = AnnealConfig::quick();
-        let a = anneal(&params, &cfg, |v| (v[0] - 0.5).abs());
-        let b = anneal(&params, &cfg, |v| (v[0] - 0.5).abs());
+        let a = anneal(&params, &cfg, None, |v| (v[0] - 0.5).abs());
+        let b = anneal(&params, &cfg, None, |v| (v[0] - 0.5).abs());
         assert_eq!(a.x, b.x);
         assert_eq!(a.cost, b.cost);
     }
@@ -786,7 +376,7 @@ mod tests {
     #[test]
     fn infinite_cost_points_are_avoided() {
         let params = vec![ParamDef::linear("x", -1.0, 1.0)];
-        let r = anneal(&params, &AnnealConfig::quick(), |v| {
+        let r = anneal(&params, &AnnealConfig::quick(), None, |v| {
             if v[0] < 0.0 {
                 f64::INFINITY
             } else {
@@ -802,7 +392,7 @@ mod tests {
         // A candidate that panics must be isolated and treated exactly like
         // an infinite-cost point, not abort the whole run.
         let params = vec![ParamDef::linear("x", -1.0, 1.0)];
-        let r = anneal(&params, &AnnealConfig::quick(), |v| {
+        let r = anneal(&params, &AnnealConfig::quick(), None, |v| {
             if v[0] < 0.0 {
                 panic!("poisoned candidate");
             }
@@ -820,7 +410,7 @@ mod tests {
             stages: 5,
             ..Default::default()
         };
-        let r = anneal(&params, &cfg, |v| v[0]);
+        let r = anneal(&params, &cfg, None, |v| v[0]);
         assert_eq!(r.evaluations, 21 + 50);
     }
 
@@ -842,88 +432,31 @@ mod tests {
     }
 
     #[test]
-    fn ckpt_fresh_run_matches_plain_anneal() {
+    fn memo_never_moves_the_trajectory() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
         let cfg = AnnealConfig::quick();
-        let plain = anneal(&bowl_params(), &cfg, bowl);
-        let mut store = ams_ckpt::CkptStore::in_memory();
-        let ck = anneal_ckpt(&bowl_params(), &cfg, CkptRun::new(&mut store), bowl).unwrap();
-        assert_eq!(plain.x, ck.x);
-        assert_eq!(plain.cost, ck.cost);
-        assert_eq!(plain.evaluations, ck.evaluations);
-        assert_eq!(plain.accepted, ck.accepted);
-        // init + one record per stage
-        assert_eq!(store.len(), cfg.stages + 1);
-    }
-
-    #[test]
-    fn halted_and_resumed_run_is_byte_identical() {
-        let cfg = AnnealConfig::quick();
-        let uninterrupted = anneal(&bowl_params(), &cfg, bowl);
-        for halt_at in [0usize, 7, cfg.stages - 2] {
-            let mut store = ams_ckpt::CkptStore::in_memory();
-            let err = anneal_ckpt(
-                &bowl_params(),
-                &cfg,
-                CkptRun::halting_after(&mut store, halt_at),
-                bowl,
-            )
-            .unwrap_err();
-            assert_eq!(err, SizingCkptError::Halted { boundary: halt_at });
-            let resumed =
-                anneal_ckpt(&bowl_params(), &cfg, CkptRun::new(&mut store), bowl).unwrap();
-            assert_eq!(uninterrupted.x, resumed.x, "halt at {halt_at}");
-            assert_eq!(uninterrupted.cost.to_bits(), resumed.cost.to_bits());
-            assert_eq!(uninterrupted.evaluations, resumed.evaluations);
-            assert_eq!(uninterrupted.accepted, resumed.accepted);
+        let tag = ams_exec::cache_tag("bowl");
+        let calls = AtomicUsize::new(0);
+        let counted = |v: &[f64]| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            bowl(v)
+        };
+        let plain = anneal(&bowl_params(), &cfg, None, counted);
+        let disabled = EvalCache::disabled();
+        let off = anneal(&bowl_params(), &cfg, Some((tag, &disabled)), counted);
+        let cache = EvalCache::new();
+        let cold = anneal(&bowl_params(), &cfg, Some((tag, &cache)), counted);
+        let before_warm = calls.load(Ordering::Relaxed);
+        let warm = anneal(&bowl_params(), &cfg, Some((tag, &cache)), counted);
+        // The warm run revisits exactly the cold run's candidates, so the
+        // memo answers every one of them.
+        assert_eq!(calls.load(Ordering::Relaxed), before_warm);
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (name, r) in [("disabled", &off), ("cold", &cold), ("warm", &warm)] {
+            assert_eq!(bits(&plain.x), bits(&r.x), "{name}");
+            assert_eq!(plain.cost.to_bits(), r.cost.to_bits(), "{name}");
+            assert_eq!(plain.evaluations, r.evaluations, "{name}");
+            assert_eq!(plain.accepted, r.accepted, "{name}");
         }
-    }
-
-    #[test]
-    fn resume_of_completed_run_returns_same_result() {
-        let cfg = AnnealConfig::quick();
-        let mut store = ams_ckpt::CkptStore::in_memory();
-        let first = anneal_ckpt(&bowl_params(), &cfg, CkptRun::new(&mut store), bowl).unwrap();
-        let again = anneal_ckpt(&bowl_params(), &cfg, CkptRun::new(&mut store), bowl).unwrap();
-        assert_eq!(first.x, again.x);
-        assert_eq!(first.evaluations, again.evaluations);
-    }
-
-    #[test]
-    fn restarts_ckpt_matches_parallel_restarts_across_halts() {
-        let cfg = AnnealConfig::quick();
-        let reference = anneal_restarts(&bowl_params(), &cfg, 3, bowl);
-        let mut store = ams_ckpt::CkptStore::in_memory();
-        let err = anneal_restarts_ckpt(
-            &bowl_params(),
-            &cfg,
-            3,
-            CkptRun::halting_after(&mut store, 1),
-            bowl,
-        )
-        .unwrap_err();
-        assert_eq!(err, SizingCkptError::Halted { boundary: 1 });
-        let resumed =
-            anneal_restarts_ckpt(&bowl_params(), &cfg, 3, CkptRun::new(&mut store), bowl).unwrap();
-        assert_eq!(reference.x, resumed.x);
-        assert_eq!(reference.cost.to_bits(), resumed.cost.to_bits());
-        assert_eq!(reference.evaluations, resumed.evaluations);
-        assert_eq!(reference.accepted, resumed.accepted);
-    }
-
-    #[test]
-    fn corrupt_chain_record_is_a_structured_error() {
-        let mut store = ams_ckpt::CkptStore::in_memory();
-        store.commit(super::ANNEAL_TAG, vec![0xFF; 7]).unwrap();
-        let err = anneal_ckpt(
-            &bowl_params(),
-            &AnnealConfig::quick(),
-            CkptRun::new(&mut store),
-            bowl,
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            SizingCkptError::Store(ams_ckpt::CkptError::Decode { .. })
-        ));
     }
 }

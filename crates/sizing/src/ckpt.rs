@@ -1,23 +1,21 @@
 //! Shared vocabulary for checkpointed optimizer runs.
 //!
-//! The annealer checkpoints at temperature-stage boundaries
-//! ([`anneal_ckpt`](crate::anneal::anneal_ckpt)), the multi-start wrapper
-//! at chain boundaries
-//! ([`anneal_restarts_ckpt`](crate::anneal::anneal_restarts_ckpt)), and the
-//! GA at generation boundaries ([`evolve_ckpt`](crate::genetic::evolve_ckpt)).
-//! All three share the same contract:
+//! The GA checkpoints at generation and polish-round boundaries
+//! ([`evolve_ckpt`](crate::genetic::evolve_ckpt)). An anneal is not
+//! checkpointed on its own; `ams-core`'s resumable flow journals the
+//! sized cell it produces as one phase. The contract:
 //!
-//! * Every boundary commits the complete optimizer state — parameter
-//!   vectors, incumbent/best costs, loop counters, the serialized
-//!   xoshiro256++ RNG state, and the trace-counter delta accrued since the
-//!   run began — to the caller's [`CkptStore`].
+//! * Every boundary commits the complete optimizer state — population,
+//!   per-species elites, loop counters, the serialized xoshiro256++ RNG
+//!   state, the eval-cache entries, and the trace-counter delta accrued
+//!   since the run began — to the caller's [`CkptStore`].
 //! * A resumed run restores that state, re-applies the counter delta, and
 //!   continues the exact RNG stream, so its final result **and** its final
 //!   trace counters are byte-identical to an uninterrupted same-seed run
 //!   (modulo `exec.steals`, which is scheduling-dependent and exempted
 //!   repo-wide).
 //! * A run started with a checkpoint store but no prior records behaves
-//!   exactly like the plain un-checkpointed function.
+//!   exactly like the plain [`evolve`](crate::genetic::evolve).
 //!
 //! [`CkptRun::halt_after`] is the deterministic in-process crash hook: the
 //! run commits boundary `n` and then returns
@@ -35,8 +33,7 @@ pub struct CkptRun<'a> {
     /// Journal to resume from and commit to.
     pub store: &'a mut CkptStore,
     /// If set, halt (deterministically) right after committing this
-    /// boundary index — stage for the annealer, chain for the restart
-    /// wrapper, generation for the GA.
+    /// generation boundary of the GA.
     pub halt_after: Option<usize>,
 }
 

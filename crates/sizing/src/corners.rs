@@ -121,7 +121,7 @@ pub fn optimize_worst_case<M: CornerAware>(
     let params = model.params();
     let compiler = CostCompiler::new(spec.clone());
 
-    let result = anneal(&params, config, |x| {
+    let result = anneal(&params, config, None, |x| {
         let per: Vec<Perf> = corner_models.iter().map(|m| m.evaluate(x)).collect();
         compiler.cost(&worst_case(compiler.spec(), &per))
     });

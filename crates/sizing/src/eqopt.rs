@@ -6,7 +6,7 @@
 //! optimization". A [`PerfModel`] is such an equation set; [`optimize`]
 //! couples it to the shared annealing engine.
 
-use crate::anneal::{anneal_cached, AnnealConfig, AnnealResult, ParamDef};
+use crate::anneal::{anneal, AnnealConfig, ParamDef};
 use crate::cost::{eval_tag, CostCompiler, Perf};
 use ams_exec::{EvalCacheHandle, EvalCachePolicy};
 use ams_netlist::Technology;
@@ -63,23 +63,40 @@ pub struct SizingResult {
 /// default — or `disk`). In disk mode the accumulated entries are
 /// committed when the run completes, so a repeated run warm-starts.
 pub fn optimize<M: PerfModel>(model: &M, spec: &Spec, config: &AnnealConfig) -> SizingResult {
-    let params = model.params();
+    size_by_annealing(model.params(), config, &model.cache_identity(), spec, |x| {
+        Some(model.evaluate(x))
+    })
+}
+
+/// The annealing loop behind [`optimize`] and [`crate::synthesize`]:
+/// anneals `params` against `spec` through the eval cache that
+/// `AMS_EVAL_CACHE` selects, keyed by `(identity, spec)`, and commits the
+/// cache when the run completes. `perf_at` returns `None` for a point it
+/// cannot measure, which scores infinite cost.
+pub(crate) fn size_by_annealing<P>(
+    params: Vec<ParamDef>,
+    config: &AnnealConfig,
+    identity: &str,
+    spec: &Spec,
+    perf_at: P,
+) -> SizingResult
+where
+    P: Fn(&[f64]) -> Option<Perf> + Sync,
+{
     let compiler = CostCompiler::new(spec.clone());
-    let identity = model.cache_identity();
     let spec_repr = format!("{spec:?}");
     let handle = EvalCacheHandle::open(
         &EvalCachePolicy::FromEnv,
-        ams_exec::workload_fingerprint(&[identity.as_str(), spec_repr.as_str()]),
+        ams_exec::workload_fingerprint(&[identity, spec_repr.as_str()]),
     );
-    let result: AnnealResult = anneal_cached(
+    let result = anneal(
         &params,
         config,
-        eval_tag(&identity, spec),
-        handle.cache(),
-        |x| compiler.cost(&model.evaluate(x)),
+        Some((eval_tag(identity, spec), handle.cache())),
+        |x| perf_at(x).map_or(f64::INFINITY, |perf| compiler.cost(&perf)),
     );
     handle.commit();
-    let perf = model.evaluate(&result.x);
+    let perf = perf_at(&result.x).unwrap_or_default();
     SizingResult {
         params: params
             .iter()

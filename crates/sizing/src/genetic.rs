@@ -16,7 +16,7 @@
 //! updates and reductions run in index order, keeping the whole GA
 //! bit-reproducible regardless of worker count.
 
-use crate::anneal::ParamDef;
+use crate::anneal::{record_generation, ParamDef};
 use crate::ckpt::{CkptRun, SizingCkptError};
 use crate::cost::{eval_tag, CostCompiler};
 use crate::eqopt::{PerfModel, SizingResult};
@@ -125,7 +125,7 @@ const PHASE_GENERATIONS: u8 = 0;
 const PHASE_POLISH: u8 = 1;
 
 struct GaState {
-    rng: [u64; 4],
+    rng: SmallRng,
     phase: u8,
     /// Next generation (phase 0) or next polish round (phase 1) to run.
     next: usize,
@@ -153,7 +153,7 @@ fn decode_chromosome(d: &mut Dec<'_>) -> Result<Chromosome, DecodeError> {
 fn encode_ga(st: &GaState, cache: &EvalCache, delta: &[(String, u64)]) -> Vec<u8> {
     let mut e = Enc::new();
     e.counter_delta(delta);
-    e.u64_slice(&st.rng);
+    e.u64_slice(&st.rng.state());
     e.u8(st.phase);
     e.usize(st.next);
     e.usize(st.pop.len());
@@ -216,7 +216,7 @@ fn decode_ga(payload: &[u8]) -> Result<GaCkptState, DecodeError> {
     let entries = ams_exec::decode_entries_from(&mut d)?;
     d.finish()?;
     let st = GaState {
-        rng,
+        rng: SmallRng::from_state(rng),
         phase,
         next,
         pop,
@@ -236,11 +236,9 @@ fn evolve_inner(
 ) -> Result<GaResult, SizingCkptError> {
     assert!(!models.is_empty(), "no candidate topologies");
     let _span = ams_trace::span("sizing.ga");
-    if ams_trace::enabled() {
-        // Fitness-vs-evals curve: one trajectory per run, one point per
-        // generation.
-        ams_trace::series_begin("sizing.ga.best_cost");
-    }
+    // Fitness-vs-evals curve: one trajectory per run, one point per
+    // generation.
+    ams_trace::series_begin("sizing.ga.best_cost");
     if ams_trace::stream_enabled() {
         ams_trace::emit(ams_trace::TelemetryEvent::OptimizerRestart {
             algorithm: "ga".to_string(),
@@ -299,6 +297,27 @@ fn evolve_inner(
         None => None,
     };
 
+    // Every boundary (post-init, each generation, each polish round)
+    // persists the eval cache (a no-op outside disk mode) and, under a
+    // checkpoint run, commits the state record with the counter delta
+    // accrued so far. `halt_after` counts generation boundaries only:
+    // generation `n` has just committed when the state reads phase 0
+    // with `next == n + 1`.
+    let mut boundary = |st: &GaState| -> Result<(), SizingCkptError> {
+        handle.commit();
+        let Some(ck) = ck.as_mut() else {
+            return Ok(());
+        };
+        let delta = ams_ckpt::delta_since(&counter_base);
+        ck.store.commit(GA_TAG, encode_ga(st, cache, &delta))?;
+        match ck.halt_after {
+            Some(n) if st.phase == PHASE_GENERATIONS && st.next.checked_sub(1) == Some(n) => {
+                Err(SizingCkptError::Halted { boundary: n })
+            }
+            _ => Ok(()),
+        }
+    };
+
     let mut st = match resumed {
         Some(st) => st,
         None => {
@@ -344,7 +363,7 @@ fn evolve_inner(
             }
             let evals_requested = pop.len() as u64;
             let st = GaState {
-                rng: rng.state(),
+                rng,
                 phase: PHASE_GENERATIONS,
                 next: 0,
                 pop,
@@ -355,21 +374,10 @@ fn evolve_inner(
             };
             // Commit the post-init state so a crash during generation 0
             // does not repeat the seeding batch.
-            handle.commit();
-            if let Some(ck) = ck.as_mut() {
-                let delta = ams_ckpt::delta_since(&counter_base);
-                ck.store.commit(GA_TAG, encode_ga(&st, cache, &delta))?;
-            }
+            boundary(&st)?;
             st
         }
     };
-
-    let mut rng = SmallRng::from_state(st.rng);
-    let mut pop = std::mem::take(&mut st.pop);
-    let mut species_best = std::mem::take(&mut st.species_best);
-    let mut elitism_updates = st.elitism_updates;
-    let mut polish_improvements = st.polish_improvements;
-    let mut evals_requested = st.evals_requested;
 
     let start_gen = if st.phase == PHASE_GENERATIONS {
         st.next
@@ -387,62 +395,42 @@ fn evolve_inner(
         // evaluate the generation as a single parallel batch and fold the
         // costs back in index order — identical results at any thread
         // count, since selection only reads the previous generation.
-        let mut next: Vec<Chromosome> = species_best.iter().flatten().cloned().collect();
+        let mut next: Vec<Chromosome> = st.species_best.iter().flatten().cloned().collect();
         let mut children: Vec<Chromosome> = Vec::new();
-        while next.len() + children.len() < pop.len() {
-            let a = tournament(&pop, config.tournament, &mut rng);
-            let b = tournament(&pop, config.tournament, &mut rng);
-            let mut child = crossover(a, b, &mut rng);
-            mutate(&mut child, models.len(), &param_defs, config, &mut rng);
+        while next.len() + children.len() < st.pop.len() {
+            let a = tournament(&st.pop, config.tournament, &mut st.rng);
+            let b = tournament(&st.pop, config.tournament, &mut st.rng);
+            let mut child = crossover(a, b, &mut st.rng);
+            mutate(&mut child, models.len(), &param_defs, config, &mut st.rng);
             children.push(child);
         }
-        evals_requested += children.len() as u64;
+        st.evals_requested += children.len() as u64;
         let costs = eval_batch(&children);
         for (mut child, cost) in children.into_iter().zip(costs) {
             child.cost = cost;
-            let slot = &mut species_best[child.topology];
+            let slot = &mut st.species_best[child.topology];
             if slot.as_ref().is_none_or(|s| child.cost < s.cost) {
                 *slot = Some(child.clone());
-                elitism_updates += 1;
+                st.elitism_updates += 1;
             }
             next.push(child);
         }
-        pop = next;
-        let best_cost = species_best
+        st.pop = next;
+        let best_cost = st
+            .species_best
             .iter()
             .flatten()
             .map(|c| c.cost)
             .fold(f64::INFINITY, f64::min);
-        if ams_trace::enabled() {
-            ams_trace::series_push("sizing.ga.best_cost", best_cost);
-        }
-        if ams_trace::stream_enabled() {
-            ams_trace::emit(ams_trace::TelemetryEvent::OptimizerGeneration {
-                algorithm: "ga".to_string(),
-                generation: gen as u64,
-                evals: evals_requested,
-                best_cost,
-            });
-        }
-        // Generation boundary: persist the accumulated cache (no-op
-        // outside disk mode).
-        handle.commit();
-        if let Some(ck) = ck.as_mut() {
-            st.rng = rng.state();
-            st.phase = PHASE_GENERATIONS;
-            st.next = gen + 1;
-            st.pop = pop;
-            st.species_best = species_best;
-            st.elitism_updates = elitism_updates;
-            st.evals_requested = evals_requested;
-            let delta = ams_ckpt::delta_since(&counter_base);
-            ck.store.commit(GA_TAG, encode_ga(&st, cache, &delta))?;
-            pop = std::mem::take(&mut st.pop);
-            species_best = std::mem::take(&mut st.species_best);
-            if ck.halt_after == Some(gen) {
-                return Err(SizingCkptError::Halted { boundary: gen });
-            }
-        }
+        record_generation(
+            "ga",
+            "sizing.ga.best_cost",
+            gen,
+            st.evals_requested,
+            best_cost,
+        );
+        st.next = gen + 1;
+        boundary(&st)?;
     }
 
     // Polish each species' champion with a mutation-only hill climb.
@@ -461,12 +449,18 @@ fn evolve_inner(
         if !ams_guard::budget::check_in() {
             break;
         }
-        let trials: Vec<Chromosome> = species_best
+        let trials: Vec<Chromosome> = st
+            .species_best
             .iter()
             .flatten()
             .map(|champ| {
                 let mut trial = champ.clone();
-                perturb_genes(&mut trial.genes, &param_defs[trial.topology], 0.5, &mut rng);
+                perturb_genes(
+                    &mut trial.genes,
+                    &param_defs[trial.topology],
+                    0.5,
+                    &mut st.rng,
+                );
                 trial
             })
             .collect();
@@ -476,35 +470,24 @@ fn evolve_inner(
         let costs = eval_batch(&trials);
         for (mut trial, cost) in trials.into_iter().zip(costs) {
             trial.cost = cost;
-            let slot = &mut species_best[trial.topology];
+            let slot = &mut st.species_best[trial.topology];
             if slot.as_ref().is_some_and(|champ| trial.cost < champ.cost) {
                 *slot = Some(trial);
-                polish_improvements += 1;
+                st.polish_improvements += 1;
             }
         }
-        handle.commit();
-        if let Some(ck) = ck.as_mut() {
-            st.rng = rng.state();
-            st.phase = PHASE_POLISH;
-            st.next = round + 1;
-            st.pop = pop;
-            st.species_best = species_best;
-            st.elitism_updates = elitism_updates;
-            st.polish_improvements = polish_improvements;
-            st.evals_requested = evals_requested;
-            let delta = ams_ckpt::delta_since(&counter_base);
-            ck.store.commit(GA_TAG, encode_ga(&st, cache, &delta))?;
-            pop = std::mem::take(&mut st.pop);
-            species_best = std::mem::take(&mut st.species_best);
-        }
+        st.phase = PHASE_POLISH;
+        st.next = round + 1;
+        boundary(&st)?;
     }
     handle.commit();
     ams_trace::counter_add("sizing.ga_runs", 1);
     ams_trace::counter_add("sizing.ga_generations", config.generations as u64);
-    ams_trace::counter_add("sizing.ga_elitism_updates", elitism_updates);
-    ams_trace::counter_add("sizing.ga_polish_improvements", polish_improvements);
+    ams_trace::counter_add("sizing.ga_elitism_updates", st.elitism_updates);
+    ams_trace::counter_add("sizing.ga_polish_improvements", st.polish_improvements);
 
-    let best = species_best
+    let best = st
+        .species_best
         .iter()
         .flatten()
         .min_by(|a, b| {
@@ -515,8 +498,12 @@ fn evolve_inner(
         .expect("non-empty population")
         .clone();
 
-    let consensus =
-        pop.iter().filter(|c| c.topology == best.topology).count() as f64 / pop.len() as f64;
+    let consensus = st
+        .pop
+        .iter()
+        .filter(|c| c.topology == best.topology)
+        .count() as f64
+        / st.pop.len() as f64;
     let model = models[best.topology];
     let perf = model.evaluate(&best.genes);
     Ok(GaResult {
@@ -532,7 +519,7 @@ fn evolve_inner(
             perf,
             cost: best.cost,
             evaluations: config.population * (config.generations + 1)
-                + species_best.iter().flatten().count() * polish_iters,
+                + st.species_best.iter().flatten().count() * polish_iters,
         },
     })
 }
@@ -752,6 +739,55 @@ mod tests {
                 ga_canon(&uninterrupted),
                 ga_canon(&resumed),
                 "halt at {halt_at}"
+            );
+        }
+    }
+
+    #[test]
+    fn corrupt_state_record_is_a_structured_error() {
+        let (two, ota) = models();
+        let spec = Spec::new()
+            .require("gain_db", Bound::AtLeast(60.0))
+            .minimizing("power_w");
+        let cfg = GaConfig {
+            population: 8,
+            generations: 2,
+            ..Default::default()
+        };
+        let mut real = ams_ckpt::CkptStore::in_memory();
+        let halted = evolve_ckpt(
+            &[&two, &ota],
+            &spec,
+            &cfg,
+            CkptRun::halting_after(&mut real, 0),
+        );
+        assert!(halted.is_err());
+        let record = real.find(GA_TAG).expect("committed state").to_vec();
+        let bad_phase = GaState {
+            rng: SmallRng::seed_from_u64(1),
+            phase: PHASE_POLISH + 1,
+            next: 0,
+            pop: Vec::new(),
+            species_best: Vec::new(),
+            elitism_updates: 0,
+            polish_improvements: 0,
+            evals_requested: 0,
+        };
+        for (what, payload) in [
+            ("garbage", vec![0xFF; 7]),
+            ("truncated", record[..record.len() / 2].to_vec()),
+            ("phase 2", encode_ga(&bad_phase, &EvalCache::new(), &[])),
+        ] {
+            let mut store = ams_ckpt::CkptStore::in_memory();
+            store.commit(GA_TAG, payload).unwrap();
+            let err =
+                evolve_ckpt(&[&two, &ota], &spec, &cfg, CkptRun::new(&mut store)).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SizingCkptError::Store(ams_ckpt::CkptError::Decode { .. })
+                ),
+                "{what}: {err}"
             );
         }
     }

@@ -43,10 +43,7 @@ pub mod plan;
 pub mod redesign;
 pub mod simopt;
 
-pub use anneal::{
-    anneal, anneal_cached, anneal_ckpt, anneal_restarts, anneal_restarts_cached,
-    anneal_restarts_ckpt, AnnealConfig, AnnealResult, ParamDef,
-};
+pub use anneal::{anneal, AnnealConfig, AnnealResult, ParamDef};
 pub use ckpt::{CkptRun, SizingCkptError};
 pub use corners::{optimize_worst_case, worst_case, CornerAware, CornerResult};
 pub use cost::{eval_tag, CostCompiler, MetricReport, Perf};
@@ -56,6 +53,4 @@ pub use genetic::{evolve, evolve_ckpt, GaConfig, GaResult};
 pub use oblx::{synthesize_dc_free, CommonSourceDcFree, DcFreeResult, DcFreeTemplate};
 pub use plan::{DesignPlan, HierarchicalPlan, PlanError, PlanResult, TwoStagePlan};
 pub use redesign::{redesign, DesignDatabase, StoredDesign};
-pub use simopt::{
-    synthesize, synthesize_restarts, AcEvaluator, SimulatedTemplate, TwoStageCircuit,
-};
+pub use simopt::{synthesize, AcEvaluator, SimulatedTemplate, TwoStageCircuit};

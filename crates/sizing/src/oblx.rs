@@ -109,7 +109,7 @@ pub fn synthesize_dc_free<T: DcFreeTemplate>(
         (perf, residual)
     };
 
-    let result = anneal(&params, config, |x| {
+    let result = anneal(&params, config, None, |x| {
         let (perf, residual) = eval(x);
         // Residual normalized to the 10 µA scale of cell bias branches so
         // claiming an inconsistent bias always costs more than it buys.

@@ -9,11 +9,10 @@
 //! strategies inside the same loop, so experiment E2/E7 can quantify the
 //! trade-off directly.
 
-use crate::anneal::{anneal_restarts_cached, AnnealConfig, ParamDef};
-use crate::cost::{eval_tag, CostCompiler, Perf};
-use crate::eqopt::SizingResult;
+use crate::anneal::{AnnealConfig, ParamDef};
+use crate::cost::Perf;
+use crate::eqopt::{size_by_annealing, SizingResult};
 use ams_awe::AweModel;
-use ams_exec::{EvalCacheHandle, EvalCachePolicy};
 use ams_guard::Retry;
 use ams_netlist::{Circuit, Technology};
 use ams_sim::{log_frequencies, BatchSession, SimError, SimSession};
@@ -66,77 +65,20 @@ pub trait SimulatedTemplate: Sync {
 
 /// Sizes a simulated template against a spec by annealing, calling the
 /// simulator at every iteration (the Fig. 1b loop with a simulator in the
-/// "evaluate performance" box).
+/// "evaluate performance" box). A candidate the simulator cannot measure
+/// scores infeasible. Evaluations are memoized as in [`crate::optimize`].
 pub fn synthesize<T: SimulatedTemplate>(
     template: &T,
     spec: &Spec,
     ac: AcEvaluator,
     config: &AnnealConfig,
 ) -> SizingResult {
-    synthesize_restarts(template, spec, ac, config, 1)
-}
-
-/// Multi-start variant of [`synthesize`]: runs `restarts` independent
-/// annealing chains (restart `i` anneals with a seed derived from
-/// `config.seed` and `i`; restart 0 uses `config.seed` unchanged, so one
-/// restart reproduces [`synthesize`] exactly) and keeps the best result.
-/// Chains are evaluated in parallel through `ams-exec`; the winner is
-/// chosen in restart order, so the outcome is thread-count independent.
-///
-/// # Panics
-///
-/// Panics if `restarts` is zero.
-pub fn synthesize_restarts<T: SimulatedTemplate>(
-    template: &T,
-    spec: &Spec,
-    ac: AcEvaluator,
-    config: &AnnealConfig,
-    restarts: usize,
-) -> SizingResult {
-    let params = template.params();
-    let compiler = CostCompiler::new(spec.clone());
     // The AC evaluator changes what `measure` reports, so it is part of
     // the evaluator identity alongside the template's own knobs.
     let identity = format!("{}|ac={:?}", template.cache_identity(), ac);
-    let spec_repr = format!("{spec:?}");
-    let handle = EvalCacheHandle::open(
-        &EvalCachePolicy::FromEnv,
-        ams_exec::workload_fingerprint(&[identity.as_str(), spec_repr.as_str()]),
-    );
-    // Chains memoize against private caches seeded from the persistent
-    // snapshot (never a shared mutable cache — that would make hit/miss
-    // splits scheduling-dependent); the merged exports come back for the
-    // restart-boundary commit below.
-    let seed_entries = handle.cache().export_entries();
-    let (result, exports) = anneal_restarts_cached(
-        &params,
-        config,
-        restarts,
-        eval_tag(&identity, spec),
-        &seed_entries,
-        |x| {
-            let ckt = template.build(x);
-            match template.measure(&ckt, ac) {
-                Ok(perf) => compiler.cost(&perf),
-                Err(_) => f64::INFINITY,
-            }
-        },
-    );
-    handle.absorb(&exports);
-    handle.commit();
-    let ckt = template.build(&result.x);
-    let perf = template.measure(&ckt, ac).unwrap_or_default();
-    SizingResult {
-        params: params
-            .iter()
-            .zip(&result.x)
-            .map(|(p, &v)| (p.name.clone(), v))
-            .collect(),
-        feasible: compiler.feasible(&perf),
-        perf,
-        cost: result.cost,
-        evaluations: result.evaluations,
-    }
+    size_by_annealing(template.params(), config, &identity, spec, |x| {
+        template.measure(&template.build(x), ac).ok()
+    })
 }
 
 /// Two-stage Miller opamp as a simulated template: the netlist is rebuilt

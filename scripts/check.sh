@@ -47,6 +47,11 @@ for mode in off memory disk; do
         cargo test --offline -q -p ams-sizing
 done
 rm -rf "$evalcache_tmp"
+# Off mode also runs the 1/2/8-worker determinism suite, whose synthesize
+# leg asserts that nothing is memoized. Not under disk: there the three
+# runs share one journal, so warm reruns move the compared cache counters.
+echo "--  AMS_EVAL_CACHE=off: exec determinism"
+AMS_EVAL_CACHE=off cargo test --offline -q --test exec_determinism
 
 echo "== batched evaluation + persistent cache contracts =="
 cargo test --offline -q --test batched_eval

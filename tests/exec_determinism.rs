@@ -16,7 +16,7 @@
 
 use ams::prelude::*;
 use ams_core::table1_spec;
-use ams_sizing::{evolve, optimize, SizingResult};
+use ams_sizing::{evolve, optimize, SizingResult, TwoStageCircuit};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -140,6 +140,54 @@ fn anneal_run_is_identical_at_1_2_and_8_threads() {
     let eight = run(8);
     assert_eq!(serial, two, "anneal run differs between 1 and 2 workers");
     assert_eq!(serial, eight, "anneal run differs between 1 and 8 workers");
+}
+
+/// Simulation-in-the-loop annealing through `synthesize`: the memoized
+/// multi-start batch and chain over a simulated opamp.
+#[test]
+fn synthesize_run_is_identical_at_1_2_and_8_threads() {
+    let _guard = LOCK.lock().unwrap();
+    ams::trace::set_enabled(true);
+    let spec = Spec::new()
+        .require("gain_db", Bound::AtLeast(55.0))
+        .require("ugf_hz", Bound::AtLeast(2e6))
+        .require("phase_margin_deg", Bound::AtLeast(45.0))
+        .minimizing("power_w");
+    let config = AnnealConfig {
+        moves_per_stage: 10,
+        stages: 8,
+        seed: 7,
+        ..Default::default()
+    };
+    let run = |threads: usize| {
+        ams::exec::set_threads(Some(threads));
+        // A fresh template per run: each instance captures its
+        // `BatchSession` once, which the `sim.batch.*` counters see.
+        let template = TwoStageCircuit::new(Technology::generic_1p2um(), 5e-12);
+        let mut out = None;
+        let counters = counters_of(|| {
+            out = Some(synthesize(
+                &template,
+                &spec,
+                AcEvaluator::Awe { order: 3 },
+                &config,
+            ))
+        });
+        ams::exec::set_threads(None);
+        fingerprint(&out.unwrap(), counters)
+    };
+    let serial = run(1);
+    let two = run(2);
+    let eight = run(8);
+    assert_eq!(serial, two, "synthesize differs between 1 and 2 workers");
+    assert_eq!(serial, eight, "synthesize differs between 1 and 8 workers");
+    if ams::exec::mode_from_env() == ams::exec::EvalCacheMode::Off {
+        assert_eq!(
+            serial.counters.get("exec.cache.hit").copied().unwrap_or(0),
+            0,
+            "AMS_EVAL_CACHE=off must memoize nothing"
+        );
+    }
 }
 
 /// An evaluation budget shared across workers: exhaustion mid-run must be
