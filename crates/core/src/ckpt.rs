@@ -35,8 +35,9 @@ use ams_sizing::SizingResult;
 use ams_topology::Spec;
 
 use crate::flow::{
-    self, DegradeReason, FlowConfig, FlowError, FlowEvent, FlowOutcome, FlowReport, RecoveryPolicy,
+    self, DegradeReason, FlowConfig, FlowError, FlowOutcome, FlowReport, RecoveryPolicy,
 };
+use ams_trace::TelemetryEvent;
 
 /// Journal record holding the symbolic-factorization pattern fingerprint
 /// captured when the bias ladder first bound a [`ams_sim::SimSession`];
@@ -135,9 +136,12 @@ pub fn supervised_synthesize(
                 let reason = DegradeReason::SupervisedRetry {
                     attempts: report.attempts.len(),
                 };
-                rep.events.push(FlowEvent::Degraded {
-                    reason: reason.to_string(),
-                });
+                flow::emit(
+                    &mut rep.events,
+                    TelemetryEvent::Degraded {
+                        reason: reason.to_string(),
+                    },
+                );
                 rep.outcome = match rep.outcome {
                     FlowOutcome::Nominal => FlowOutcome::Degraded {
                         reasons: vec![reason],
@@ -152,6 +156,15 @@ pub fn supervised_synthesize(
         })
     });
     (result, report)
+}
+
+/// Emits the `stage_replayed` event for a journal hit.
+fn stage_replayed(tag: &str) {
+    if ams_trace::enabled() {
+        ams_trace::emit(TelemetryEvent::StageReplayed {
+            tag: tag.to_string(),
+        });
+    }
 }
 
 fn ck_decode(tag: &str, e: DecodeError) -> FlowError {
@@ -190,9 +203,7 @@ pub(crate) fn stage<T>(
         if newton > 0 {
             budget::charge_newton(newton);
         }
-        if ams_trace::enabled() {
-            ams_trace::instant(&format!("ckpt.replay.{tag}"));
-        }
+        stage_replayed(tag);
         return Ok(v);
     }
     let counters_before = ams_ckpt::counters_now();
@@ -260,9 +271,7 @@ pub(crate) fn bias_stage(
         if newton > 0 {
             budget::charge_newton(newton);
         }
-        if ams_trace::enabled() {
-            ams_trace::instant("ckpt.pattern_recaptured");
-        }
+        stage_replayed(TAG);
         return Ok(assumed);
     }
     let counters_before = ams_ckpt::counters_now();

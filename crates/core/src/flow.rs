@@ -26,86 +26,15 @@ use ams_sizing::{
     optimize, AnnealConfig, Perf, PerfModel, SizingResult, SymmetricalOtaModel, TwoStageModel,
 };
 use ams_topology::{select, BlockClass, Bound, Spec, TopologyLibrary};
+use ams_trace::TelemetryEvent;
 use std::fmt;
 
-/// One logged event of the flow for post-mortem inspection.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FlowEvent {
-    /// Topology selection finished.
-    TopologySelected {
-        /// Winning topology name.
-        name: String,
-        /// Candidates that survived screening.
-        candidates: usize,
-    },
-    /// A sizing pass finished.
-    Sized {
-        /// Redesign iteration number (0 = first pass).
-        iteration: usize,
-        /// Whether the pre-layout spec was met.
-        feasible: bool,
-        /// Power of the sized design.
-        power_w: f64,
-    },
-    /// Static electrical-rule check ran over the sized device-level circuit
-    /// before any simulation or layout was attempted.
-    LintChecked {
-        /// Error-severity ERC diagnostics (0 for a clean gate).
-        errors: usize,
-        /// Warning-severity ERC diagnostics.
-        warnings: usize,
-        /// Whether the structural analyzer proved the MNA pattern
-        /// nonsingular (maximum-transversal perfect matching).
-        structurally_sound: bool,
-    },
-    /// Layout was generated.
-    LayoutDone {
-        /// Cell area in µm².
-        area_um2: f64,
-        /// Whether every net routed.
-        complete: bool,
-    },
-    /// Post-extraction verification verdict.
-    PostLayoutVerified {
-        /// Whether the spec still holds with parasitics.
-        passed: bool,
-        /// UGF degradation fraction caused by parasitics.
-        ugf_degradation: f64,
-    },
-    /// A recovery policy accepted a degradation instead of failing.
-    Degraded {
-        /// Human-readable degradation reason.
-        reason: String,
-    },
-    /// The loop gave up.
-    Failed(String),
-}
-
-impl FlowEvent {
-    /// Short event-kind name (stable across payload changes), used for the
-    /// structured `flow.<kind>` trace instants mirrored into `ams-trace`.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            FlowEvent::TopologySelected { .. } => "topology_selected",
-            FlowEvent::Sized { .. } => "sized",
-            FlowEvent::LintChecked { .. } => "lint_checked",
-            FlowEvent::LayoutDone { .. } => "layout_done",
-            FlowEvent::PostLayoutVerified { .. } => "post_layout_verified",
-            FlowEvent::Degraded { .. } => "degraded",
-            FlowEvent::Failed(_) => "failed",
-        }
-    }
-}
-
-/// Appends `event` to the flow log and mirrors it as a `flow.<kind>`
-/// instant in the global trace sink, so the ad-hoc event log and the
-/// flight recorder tell the same story.
 /// Builds the forensics snapshot attached to a degraded report: prefers
 /// the deepest failure stashed by the sim layer (via
 /// `ams_trace::record_failure`), falling back to a fresh capture at the
-/// accept site. `None` while tracing and the event stream are both off.
+/// accept site. `None` while tracing is off.
 fn degraded_forensics(reasons: &[DegradeReason]) -> Option<ams_trace::ForensicsSnapshot> {
-    if !ams_trace::enabled() && !ams_trace::stream_enabled() {
+    if !ams_trace::enabled() {
         return None;
     }
     let ctx = format!(
@@ -128,26 +57,17 @@ fn degraded_forensics(reasons: &[DegradeReason]) -> Option<ams_trace::ForensicsS
 /// Stashes a terminal flow error in the global forensics slot so callers
 /// that only see the `Err` can still pull the flight recorder.
 fn note_flow_failure(e: &FlowError) -> FlowError {
-    if ams_trace::enabled() || ams_trace::stream_enabled() {
+    if ams_trace::enabled() {
         ams_trace::record_failure(&format!("FlowError: {e}"));
     }
     e.clone()
 }
 
-fn emit(events: &mut Vec<FlowEvent>, event: FlowEvent) {
+/// Appends `event` to the flow log and emits it into the trace ring, so
+/// `FlowReport.events`, the JSONL stream and forensics tell one story.
+pub(crate) fn emit(events: &mut Vec<TelemetryEvent>, event: TelemetryEvent) {
     if ams_trace::enabled() {
-        ams_trace::instant(&format!("flow.{}", event.kind()));
-    }
-    if ams_trace::stream_enabled() {
-        ams_trace::emit(ams_trace::TelemetryEvent::FlowPhase {
-            phase: event.kind().to_string(),
-            detail: format!("{event:?}"),
-        });
-        if let FlowEvent::Degraded { reason } = &event {
-            ams_trace::emit(ams_trace::TelemetryEvent::Degraded {
-                reason: reason.clone(),
-            });
-        }
+        ams_trace::emit(event.clone());
     }
     events.push(event);
 }
@@ -436,14 +356,15 @@ pub struct FlowReport {
     pub post_layout_perf: Perf,
     /// Redesign iterations consumed.
     pub iterations: usize,
-    /// Event log.
-    pub events: Vec<FlowEvent>,
+    /// The flow-phase events this run emitted, in order; the same events
+    /// enter the trace ring when tracing is on.
+    pub events: Vec<TelemetryEvent>,
     /// Nominal or degraded, with the recovery rungs taken.
     pub outcome: FlowOutcome,
     /// Flight-recorder snapshot attached when the outcome is degraded
-    /// (and tracing or the event stream is on): the deepest recorded
-    /// failure context, last-K structured events, span stack, and counter
-    /// totals at capture time. `None` for nominal runs.
+    /// (and tracing is on): the deepest recorded failure context, the
+    /// ring's last events, span stack, and counter totals at capture
+    /// time. `None` for nominal runs.
     pub forensics: Option<ams_trace::ForensicsSnapshot>,
 }
 
@@ -523,9 +444,9 @@ pub(crate) fn synthesize_opamp_inner(
     };
     emit(
         &mut events,
-        FlowEvent::TopologySelected {
+        TelemetryEvent::TopologySelected {
             name: first.clone(),
-            candidates: ranked.len(),
+            candidates: ranked.len() as u64,
         },
     );
 
@@ -551,7 +472,7 @@ pub(crate) fn synthesize_opamp_inner(
             };
             emit(
                 &mut events,
-                FlowEvent::Degraded {
+                TelemetryEvent::Degraded {
                     reason: reason.to_string(),
                 },
             );
@@ -569,7 +490,12 @@ pub(crate) fn synthesize_opamp_inner(
             if let Some(e) = budget::exhausted() {
                 budget::emit_exhaustion_event();
                 if !policy.accept_degraded {
-                    emit(&mut events, FlowEvent::Failed(e.to_string()));
+                    emit(
+                        &mut events,
+                        TelemetryEvent::Failed {
+                            reason: e.to_string(),
+                        },
+                    );
                     return Err(note_flow_failure(&FlowError::Budget(e)));
                 }
                 let reason = DegradeReason::BudgetExhausted {
@@ -577,7 +503,7 @@ pub(crate) fn synthesize_opamp_inner(
                 };
                 emit(
                     &mut events,
-                    FlowEvent::Degraded {
+                    TelemetryEvent::Degraded {
                         reason: reason.to_string(),
                     },
                 );
@@ -592,7 +518,7 @@ pub(crate) fn synthesize_opamp_inner(
                         };
                         emit(
                             &mut events,
-                            FlowEvent::Degraded {
+                            TelemetryEvent::Degraded {
                                 reason: reason.to_string(),
                             },
                         );
@@ -602,7 +528,7 @@ pub(crate) fn synthesize_opamp_inner(
                         let reason = DegradeReason::SpecMissedPostLayout;
                         emit(
                             &mut events,
-                            FlowEvent::Degraded {
+                            TelemetryEvent::Degraded {
                                 reason: reason.to_string(),
                             },
                         );
@@ -643,8 +569,8 @@ pub(crate) fn synthesize_opamp_inner(
             )?;
             emit(
                 &mut events,
-                FlowEvent::Sized {
-                    iteration: iterations,
+                TelemetryEvent::Sized {
+                    iteration: iterations as u64,
                     feasible: sizing.feasible,
                     power_w: sizing.perf.get("power_w").copied().unwrap_or(f64::NAN),
                 },
@@ -654,7 +580,12 @@ pub(crate) fn synthesize_opamp_inner(
                     fallback = Some((topology.clone(), sizing));
                 }
                 if !policy.topology_fallback && !policy.accept_degraded {
-                    emit(&mut events, FlowEvent::Failed("sizing infeasible".into()));
+                    emit(
+                        &mut events,
+                        TelemetryEvent::Failed {
+                            reason: "sizing infeasible".into(),
+                        },
+                    );
                     return Err(FlowError::SizingInfeasible { iterations });
                 }
                 continue 'topologies;
@@ -673,9 +604,9 @@ pub(crate) fn synthesize_opamp_inner(
                     erc_check_two_stage(tech, load_f, &sizing.params);
                 emit(
                     &mut events,
-                    FlowEvent::LintChecked {
-                        errors: report.errors().count(),
-                        warnings: report.warnings().count(),
+                    TelemetryEvent::LintChecked {
+                        errors: report.errors().count() as u64,
+                        warnings: report.warnings().count() as u64,
                         structurally_sound,
                     },
                 );
@@ -684,7 +615,12 @@ pub(crate) fn synthesize_opamp_inner(
                     .next()
                     .map(|diag| format!("[{}] {}", diag.code, diag.message));
                 if let Some(msg) = first_error {
-                    emit(&mut events, FlowEvent::Failed(msg.clone()));
+                    emit(
+                        &mut events,
+                        TelemetryEvent::Failed {
+                            reason: msg.clone(),
+                        },
+                    );
                     return Err(FlowError::Erc(msg));
                 }
             }
@@ -718,7 +654,7 @@ pub(crate) fn synthesize_opamp_inner(
                 if !reasons.contains(&DegradeReason::RouterRelaxed) {
                     emit(
                         &mut events,
-                        FlowEvent::Degraded {
+                        TelemetryEvent::Degraded {
                             reason: DegradeReason::RouterRelaxed.to_string(),
                         },
                     );
@@ -727,7 +663,7 @@ pub(crate) fn synthesize_opamp_inner(
             }
             emit(
                 &mut events,
-                FlowEvent::LayoutDone {
+                TelemetryEvent::LayoutDone {
                     area_um2: layout.area_um2,
                     complete: layout.is_complete(),
                 },
@@ -743,7 +679,7 @@ pub(crate) fn synthesize_opamp_inner(
             drop(_verify_span);
             emit(
                 &mut events,
-                FlowEvent::PostLayoutVerified {
+                TelemetryEvent::PostLayoutVerified {
                     passed,
                     ugf_degradation: degradation,
                 },
@@ -787,7 +723,7 @@ pub(crate) fn synthesize_opamp_inner(
                         };
                         emit(
                             &mut events,
-                            FlowEvent::Degraded {
+                            TelemetryEvent::Degraded {
                                 reason: reason.to_string(),
                             },
                         );
@@ -797,7 +733,7 @@ pub(crate) fn synthesize_opamp_inner(
                         let reason = DegradeReason::SpecMissedPostLayout;
                         emit(
                             &mut events,
-                            FlowEvent::Degraded {
+                            TelemetryEvent::Degraded {
                                 reason: reason.to_string(),
                             },
                         );
@@ -818,7 +754,9 @@ pub(crate) fn synthesize_opamp_inner(
                 }
                 emit(
                     &mut events,
-                    FlowEvent::Failed("post-layout spec failure after redesign budget".into()),
+                    TelemetryEvent::Failed {
+                        reason: "post-layout spec failure after redesign budget".into(),
+                    },
                 );
                 return Err(note_flow_failure(&FlowError::SizingInfeasible {
                     iterations,
@@ -848,7 +786,7 @@ pub(crate) fn synthesize_opamp_inner(
             };
             emit(
                 &mut events,
-                FlowEvent::Degraded {
+                TelemetryEvent::Degraded {
                     reason: reason.to_string(),
                 },
             );
@@ -880,7 +818,7 @@ pub(crate) fn synthesize_opamp_inner(
                 if !reasons.contains(&DegradeReason::RouterRelaxed) {
                     emit(
                         &mut events,
-                        FlowEvent::Degraded {
+                        TelemetryEvent::Degraded {
                             reason: DegradeReason::RouterRelaxed.to_string(),
                         },
                     );
@@ -889,7 +827,7 @@ pub(crate) fn synthesize_opamp_inner(
             }
             emit(
                 &mut events,
-                FlowEvent::LayoutDone {
+                TelemetryEvent::LayoutDone {
                     area_um2: layout.area_um2,
                     complete: layout.is_complete(),
                 },
@@ -900,7 +838,7 @@ pub(crate) fn synthesize_opamp_inner(
                 };
                 emit(
                     &mut events,
-                    FlowEvent::Degraded {
+                    TelemetryEvent::Degraded {
                         reason: reason.to_string(),
                     },
                 );
@@ -913,7 +851,7 @@ pub(crate) fn synthesize_opamp_inner(
                 let reason = DegradeReason::AssumedBias;
                 emit(
                     &mut events,
-                    FlowEvent::Degraded {
+                    TelemetryEvent::Degraded {
                         reason: reason.to_string(),
                     },
                 );
@@ -927,7 +865,7 @@ pub(crate) fn synthesize_opamp_inner(
             drop(_verify_span);
             emit(
                 &mut events,
-                FlowEvent::PostLayoutVerified {
+                TelemetryEvent::PostLayoutVerified {
                     passed: false,
                     ugf_degradation: degradation,
                 },
@@ -948,11 +886,21 @@ pub(crate) fn synthesize_opamp_inner(
         // point: there is nothing to degrade to.
         if let Some(e) = budget::exhausted() {
             budget::emit_exhaustion_event();
-            emit(&mut events, FlowEvent::Failed(e.to_string()));
+            emit(
+                &mut events,
+                TelemetryEvent::Failed {
+                    reason: e.to_string(),
+                },
+            );
             return Err(note_flow_failure(&FlowError::Budget(e)));
         }
     }
-    emit(&mut events, FlowEvent::Failed("sizing infeasible".into()));
+    emit(
+        &mut events,
+        TelemetryEvent::Failed {
+            reason: "sizing infeasible".into(),
+        },
+    );
     Err(note_flow_failure(&FlowError::SizingInfeasible {
         iterations,
     }))
@@ -1180,16 +1128,16 @@ mod tests {
         // The event log tells the §2.1 story in order.
         assert!(matches!(
             report.events[0],
-            FlowEvent::TopologySelected { .. }
+            TelemetryEvent::TopologySelected { .. }
         ));
         assert!(report
             .events
             .iter()
-            .any(|e| matches!(e, FlowEvent::LayoutDone { .. })));
+            .any(|e| matches!(e, TelemetryEvent::LayoutDone { .. })));
         assert!(report
             .events
             .iter()
-            .any(|e| matches!(e, FlowEvent::PostLayoutVerified { passed: true, .. })));
+            .any(|e| matches!(e, TelemetryEvent::PostLayoutVerified { passed: true, .. })));
     }
 
     #[test]
@@ -1240,7 +1188,7 @@ mod tests {
                 report
                     .events
                     .iter()
-                    .any(|e| matches!(e, FlowEvent::LintChecked { errors: 0, .. })),
+                    .any(|e| matches!(e, TelemetryEvent::LintChecked { errors: 0, .. })),
                 "events: {:?}",
                 report.events
             );
@@ -1304,12 +1252,12 @@ mod tests {
         assert!(report
             .events
             .iter()
-            .any(|e| matches!(e, FlowEvent::Degraded { .. })));
+            .any(|e| matches!(e, TelemetryEvent::Degraded { .. })));
         // The degraded report still went through post-layout verification.
         assert!(report
             .events
             .iter()
-            .any(|e| matches!(e, FlowEvent::PostLayoutVerified { passed: false, .. })));
+            .any(|e| matches!(e, TelemetryEvent::PostLayoutVerified { passed: false, .. })));
     }
 
     #[test]

@@ -40,8 +40,7 @@ mod rf;
 
 pub use ckpt::{supervised_synthesize, synthesize_opamp_resumable, FlowCkpt, SIM_PATTERN_TAG};
 pub use flow::{
-    synthesize_opamp, DegradeReason, FlowConfig, FlowError, FlowEvent, FlowOutcome, FlowReport,
-    RecoveryPolicy,
+    synthesize_opamp, DegradeReason, FlowConfig, FlowError, FlowOutcome, FlowReport, RecoveryPolicy,
 };
 pub use pulse_detector::{table1_spec, PulseDetectorModel, SimulatedPulseDetectorModel};
 pub use rf::{rf_spec, RfFrontEndModel};

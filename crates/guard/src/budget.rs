@@ -318,10 +318,10 @@ pub fn check_in() -> bool {
 /// Deliberately *not* emitted from the crossing charge: that runs on
 /// whichever worker thread happens to cross, so its stream position would
 /// depend on scheduling. Call this from a serial checkpoint (the flow's
-/// budget observation sites) instead — one relaxed atomic load when the
-/// stream is disarmed.
+/// budget observation sites) instead — one relaxed atomic load when
+/// tracing is off.
 pub fn emit_exhaustion_event() {
-    if !ams_trace::stream_enabled() {
+    if !ams_trace::enabled() {
         return;
     }
     if let Some(e) = exhausted() {
@@ -351,15 +351,18 @@ pub fn spent_newton_iters() -> u64 {
     NEWTON.load(Ordering::Relaxed)
 }
 
+/// Serializes every unit test in this crate that installs or clears the
+/// process-global budget.
+#[cfg(test)]
+pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    static LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn no_budget_never_exhausts() {
-        let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _l = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         clear();
         assert!(charge_evals(1_000_000));
         assert!(charge_newton(1_000_000));
@@ -368,7 +371,7 @@ mod tests {
 
     #[test]
     fn eval_budget_exhausts_at_limit() {
-        let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _l = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         install(Budget::default().evals(3));
         assert!(charge_evals(1));
         assert!(charge_evals(1));
@@ -386,7 +389,7 @@ mod tests {
 
     #[test]
     fn newton_budget_is_independent_of_evals() {
-        let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _l = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         install(Budget::default().newton_iters(10));
         assert!(charge_evals(1_000));
         assert!(charge_newton(10));
@@ -397,7 +400,7 @@ mod tests {
 
     #[test]
     fn deadline_exhausts() {
-        let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _l = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         install(Budget::default().deadline(Duration::from_millis(0)));
         std::thread::sleep(Duration::from_millis(2));
         assert!(!check_in());
@@ -407,7 +410,7 @@ mod tests {
 
     #[test]
     fn concurrent_unit_charges_record_deterministic_crossing() {
-        let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _l = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         install(Budget::default().evals(100));
         std::thread::scope(|s| {
             for _ in 0..8 {
@@ -429,7 +432,7 @@ mod tests {
 
     #[test]
     fn clear_resets_state() {
-        let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _l = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         install(Budget::default().evals(0));
         assert!(!charge_evals(1));
         clear();

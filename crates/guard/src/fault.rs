@@ -256,16 +256,18 @@ pub fn total_injected() -> u64 {
     state().injected.iter().sum()
 }
 
+/// Serializes every unit test in this crate that arms or disarms the
+/// process-global fault plan.
+#[cfg(test)]
+pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // Guard state is process-global; tests in this module serialize on it.
-    static LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn disarmed_never_trips() {
-        let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _l = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         disarm();
         for kind in FaultKind::ALL {
             assert!(!trip(kind));
@@ -274,7 +276,7 @@ mod tests {
 
     #[test]
     fn at_trigger_fires_on_exact_indices() {
-        let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _l = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         arm(FaultPlan::new().fault(FaultKind::LuPivot, Trigger::At(vec![1, 3])));
         let hits: Vec<bool> = (0..5).map(|_| trip(FaultKind::LuPivot)).collect();
         assert_eq!(hits, vec![false, true, false, true, false]);
@@ -286,7 +288,7 @@ mod tests {
 
     #[test]
     fn every_trigger_is_periodic() {
-        let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _l = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         arm(FaultPlan::new().fault(
             FaultKind::EvalPanic,
             Trigger::Every {
@@ -304,7 +306,7 @@ mod tests {
 
     #[test]
     fn seeded_plans_are_reproducible() {
-        let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _l = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let a = FaultPlan::seeded(42, FaultKind::NanResidual, 4, 100);
         let b = FaultPlan::seeded(42, FaultKind::NanResidual, 4, 100);
         assert_eq!(a, b);
@@ -314,7 +316,7 @@ mod tests {
 
     #[test]
     fn rearming_resets_counters() {
-        let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _l = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         arm(FaultPlan::new().fault(FaultKind::TranHalving, Trigger::Always));
         assert!(trip(FaultKind::TranHalving));
         assert_eq!(injected_count(FaultKind::TranHalving), 1);

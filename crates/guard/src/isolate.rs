@@ -65,21 +65,18 @@ pub fn guarded_eval<F: FnOnce() -> f64>(f: F) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{arm, disarm, FaultPlan, Trigger};
-    use std::sync::Mutex;
-
-    static LOCK: Mutex<()> = Mutex::new(());
+    use crate::fault::{arm, disarm, FaultPlan, Trigger, TEST_LOCK};
 
     #[test]
     fn clean_eval_passes_through() {
-        let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _l = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         disarm();
         assert_eq!(guarded_eval(|| 3.5), 3.5);
     }
 
     #[test]
     fn panicking_eval_scores_infinite() {
-        let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _l = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         disarm();
         let v = guarded_eval(|| panic!("boom"));
         assert!(v.is_infinite() && v > 0.0);
@@ -89,7 +86,7 @@ mod tests {
 
     #[test]
     fn injected_eval_panic_is_isolated() {
-        let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _l = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         arm(FaultPlan::new().fault(FaultKind::EvalPanic, Trigger::At(vec![1])));
         assert_eq!(guarded_eval(|| 2.0), 2.0); // call 0: clean
         assert!(guarded_eval(|| 2.0).is_infinite()); // call 1: injected

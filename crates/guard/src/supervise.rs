@@ -285,11 +285,7 @@ impl Supervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::budget::{self, Budget};
-    use std::sync::Mutex;
-
-    // Budget state is process-global; serialize tests that touch it.
-    static LOCK: Mutex<()> = Mutex::new(());
+    use crate::budget::{self, Budget, TEST_LOCK};
 
     #[test]
     fn backoff_schedule_is_exponential_and_capped() {
@@ -307,7 +303,7 @@ mod tests {
 
     #[test]
     fn succeeds_first_try() {
-        let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _g = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let mut sup = Supervisor::new(SuperviseConfig::default());
         let (res, report) = sup.run("job", |_e: &String| true, |_| Ok::<_, String>(42));
         assert_eq!(res, Some(Ok(42)));
@@ -321,7 +317,7 @@ mod tests {
 
     #[test]
     fn retries_then_succeeds_with_bounded_attempts() {
-        let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _g = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let mut sup = Supervisor::new(SuperviseConfig::default());
         let (res, report) = sup.run(
             "flaky",
@@ -343,7 +339,7 @@ mod tests {
 
     #[test]
     fn non_retryable_fails_immediately() {
-        let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _g = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let mut sup = Supervisor::new(SuperviseConfig::default());
         let (res, report) = sup.run(
             "fatal",
@@ -357,7 +353,7 @@ mod tests {
 
     #[test]
     fn retry_budget_is_bounded() {
-        let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _g = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let cfg = SuperviseConfig {
             max_retries: 2,
             ..SuperviseConfig::default()
@@ -379,7 +375,7 @@ mod tests {
 
     #[test]
     fn repeat_failures_quarantine_the_key() {
-        let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _g = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let cfg = SuperviseConfig {
             max_retries: 1,
             quarantine_after: 3,
@@ -414,7 +410,7 @@ mod tests {
 
     #[test]
     fn backoff_burns_the_installed_budget() {
-        let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _g = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         budget::clear();
         budget::install(Budget::default().evals(100));
         let cfg = SuperviseConfig {

@@ -371,7 +371,7 @@ impl Router {
         let mut routed = Vec::new();
         let mut failed = Vec::new();
         for (ni, p) in paths.into_iter().enumerate() {
-            if ams_trace::stream_enabled() {
+            if ams_trace::enabled() {
                 // Serial summary point in net order — deterministic at any
                 // thread count and across rip-up passes.
                 ams_trace::emit(ams_trace::TelemetryEvent::RouteNet {

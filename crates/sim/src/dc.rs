@@ -345,16 +345,9 @@ fn newton(
 ) -> Result<(), SimError> {
     let ckt = ses.circuit();
     let layout = ses.layout();
-    if ams_trace::enabled() {
-        ams_trace::series_begin("sim.newton.residual");
-        ams_trace::series_begin("sim.newton.damping");
-    }
-    if ams_trace::stream_enabled() {
-        ams_trace::emit(ams_trace::TelemetryEvent::NewtonStart {
-            analysis: "dc".to_string(),
-            unknowns: layout.dim() as u64,
-        });
-    }
+    ams_trace::emit(ams_trace::TelemetryEvent::NewtonStart {
+        unknowns: layout.dim() as u64,
+    });
     // Injection site: force this whole solve to report non-convergence, as
     // if it burned its full iteration budget without settling.
     if fault::trip(FaultKind::NewtonDiverge) {
@@ -390,11 +383,9 @@ fn newton(
         };
         // Damped update and convergence check.
         let mut converged = true;
-        let mut max_raw_dx = 0.0_f64;
         let mut max_dx = 0.0_f64;
         for i in 0..x.len() {
             let mut dx = new_x[i] - x[i];
-            max_raw_dx = max_raw_dx.max(dx.abs());
             if i < layout.n_signal_nodes() {
                 dx = dx.clamp(-MAX_STEP, MAX_STEP);
             }
@@ -403,17 +394,6 @@ fn newton(
                 converged = false;
             }
             x[i] += dx;
-        }
-        if ams_trace::enabled() {
-            ams_trace::series_push("sim.newton.residual", max_dx);
-            ams_trace::series_push(
-                "sim.newton.damping",
-                if max_raw_dx > 0.0 {
-                    max_dx / max_raw_dx
-                } else {
-                    1.0
-                },
-            );
         }
         // Injection site: poison the iterate so the finite-value check
         // below rejects the solve exactly as a real NaN residual would.
@@ -441,16 +421,13 @@ fn newton(
     })
 }
 
-/// Emits the `newton_end` stream event (one atomic load when disarmed).
+/// Emits the `newton_end` event (one atomic load when tracing is off).
 fn newton_end(iterations: usize, converged: bool, residual: f64) {
-    if ams_trace::stream_enabled() {
-        ams_trace::emit(ams_trace::TelemetryEvent::NewtonEnd {
-            analysis: "dc".to_string(),
-            iterations: iterations as u64,
-            converged,
-            residual,
-        });
-    }
+    ams_trace::emit(ams_trace::TelemetryEvent::NewtonEnd {
+        iterations: iterations as u64,
+        converged,
+        residual,
+    });
 }
 
 /// Stamps all devices for a DC Newton iteration linearized at `x`.

@@ -391,10 +391,10 @@ impl<'c> SimSession<'c> {
 
 /// Stamps a failing analysis into the global forensics slot so flow-level
 /// reports can attach the flight recorder. No cost on the Ok path; no-op
-/// while both the collector and the event stream are off.
+/// while the collector is off.
 fn note_failure<T>(r: Result<T, SimError>) -> Result<T, SimError> {
     if let Err(e) = &r {
-        if ams_trace::enabled() || ams_trace::stream_enabled() {
+        if ams_trace::enabled() {
             ams_trace::record_failure(&format!("SimError: {e}"));
         }
     }

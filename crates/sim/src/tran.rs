@@ -118,10 +118,6 @@ pub(crate) fn run(ses: &SimSession<'_>, tstop: f64, dt: f64) -> Result<TranResul
         ));
     }
     let _span = ams_trace::span("sim.transient");
-    if ams_trace::enabled() {
-        ams_trace::series_begin("sim.tran.step_size");
-        ams_trace::series_begin("sim.tran.lte");
-    }
     let mut stats = TranStats::default();
     let ckt = ses.circuit();
     let op = ses.op()?;
@@ -257,18 +253,6 @@ fn advance(
     ) {
         Ok(new_x) => {
             stats.accepted += 1;
-            if ams_trace::enabled() {
-                // LTE proxy: largest solution change over the step. The
-                // integrator halves on Newton failure rather than on a
-                // formal LTE bound, so this is the per-step activity trace.
-                let lte = x
-                    .iter()
-                    .zip(new_x.iter())
-                    .map(|(a, b)| (b - a).abs())
-                    .fold(0.0_f64, f64::max);
-                ams_trace::series_push("sim.tran.step_size", h);
-                ams_trace::series_push("sim.tran.lte", lte);
-            }
             tran_step_event(t_new, h, true, stats.newton_iters - iters_before);
             // Commit: update reactive states from the accepted solution.
             let mut new_states = states.clone();
@@ -341,16 +325,14 @@ fn advance(
     }
 }
 
-/// Emits the `tran_step` stream event (one atomic load when disarmed).
+/// Emits the `tran_step` event (one atomic load when tracing is off).
 fn tran_step_event(time_s: f64, dt_s: f64, accepted: bool, newton_iters: u64) {
-    if ams_trace::stream_enabled() {
-        ams_trace::emit(ams_trace::TelemetryEvent::TranStep {
-            time_s,
-            dt_s,
-            accepted,
-            newton_iters,
-        });
-    }
+    ams_trace::emit(ams_trace::TelemetryEvent::TranStep {
+        time_s,
+        dt_s,
+        accepted,
+        newton_iters,
+    });
 }
 
 fn mos_op_at(m: &ams_netlist::MosInstance, layout: &MnaLayout, x: &[f64]) -> ams_netlist::MosOp {

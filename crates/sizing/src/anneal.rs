@@ -171,9 +171,7 @@ where
 {
     assert!(!params.is_empty(), "no parameters to optimize");
     let _span = ams_trace::span("sizing.anneal");
-    // Fitness-vs-evals curve: one trajectory per chain, one point per
-    // cooling stage.
-    ams_trace::series_begin("sizing.anneal.best_cost");
+    record_start("anneal", config.seed);
 
     // Every candidate evaluation is panic-isolated: a poisoned candidate
     // scores infeasible (infinite cost) instead of killing the run.
@@ -266,13 +264,7 @@ where
                 (accepted - stage_accepted_before) as f64 / config.moves_per_stage as f64,
             );
         }
-        record_generation(
-            "anneal",
-            "sizing.anneal.best_cost",
-            stage,
-            evaluations as u64,
-            best_c,
-        );
+        record_generation("anneal", stage, evaluations as u64, best_c);
     }
 
     ams_trace::counter_add("sizing.anneal_runs", 1);
@@ -287,18 +279,21 @@ where
     }
 }
 
-/// Records one optimizer boundary (an anneal stage, a GA generation): a
-/// point on the `series` best-cost curve and an `OptimizerGeneration`
-/// event on the telemetry stream.
-pub(crate) fn record_generation(
-    algorithm: &str,
-    series: &'static str,
-    generation: usize,
-    evals: u64,
-    best_cost: f64,
-) {
-    ams_trace::series_push(series, best_cost);
-    if ams_trace::stream_enabled() {
+/// Opens an optimizer's best-cost curve with an `OptimizerStart` event
+/// carrying its seed; [`record_generation`] adds the points.
+pub(crate) fn record_start(algorithm: &str, seed: u64) {
+    if ams_trace::enabled() {
+        ams_trace::emit(ams_trace::TelemetryEvent::OptimizerStart {
+            algorithm: algorithm.to_string(),
+            seed,
+        });
+    }
+}
+
+/// Records one optimizer boundary (an anneal stage, a GA generation) as
+/// an `OptimizerGeneration` event: one point on the best-cost curve.
+pub(crate) fn record_generation(algorithm: &str, generation: usize, evals: u64, best_cost: f64) {
+    if ams_trace::enabled() {
         ams_trace::emit(ams_trace::TelemetryEvent::OptimizerGeneration {
             algorithm: algorithm.to_string(),
             generation: generation as u64,

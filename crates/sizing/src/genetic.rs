@@ -16,7 +16,7 @@
 //! updates and reductions run in index order, keeping the whole GA
 //! bit-reproducible regardless of worker count.
 
-use crate::anneal::{record_generation, ParamDef};
+use crate::anneal::{record_generation, record_start, ParamDef};
 use crate::ckpt::{CkptRun, SizingCkptError};
 use crate::cost::{eval_tag, CostCompiler};
 use crate::eqopt::{PerfModel, SizingResult};
@@ -236,16 +236,7 @@ fn evolve_inner(
 ) -> Result<GaResult, SizingCkptError> {
     assert!(!models.is_empty(), "no candidate topologies");
     let _span = ams_trace::span("sizing.ga");
-    // Fitness-vs-evals curve: one trajectory per run, one point per
-    // generation.
-    ams_trace::series_begin("sizing.ga.best_cost");
-    if ams_trace::stream_enabled() {
-        ams_trace::emit(ams_trace::TelemetryEvent::OptimizerRestart {
-            algorithm: "ga".to_string(),
-            restart: 0,
-            seed: config.seed,
-        });
-    }
+    record_start("ga", config.seed);
     let counter_base = if ck.is_some() {
         ams_ckpt::counters_now()
     } else {
@@ -422,13 +413,7 @@ fn evolve_inner(
             .flatten()
             .map(|c| c.cost)
             .fold(f64::INFINITY, f64::min);
-        record_generation(
-            "ga",
-            "sizing.ga.best_cost",
-            gen,
-            st.evals_requested,
-            best_cost,
-        );
+        record_generation("ga", gen, st.evals_requested, best_cost);
         st.next = gen + 1;
         boundary(&st)?;
     }

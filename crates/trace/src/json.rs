@@ -4,7 +4,9 @@
 //!
 //! Supported: objects (key order preserved), arrays, strings with the
 //! standard escapes (including `\uXXXX` with surrogate pairs), numbers
-//! (parsed as `f64`), booleans, and `null`.
+//! (parsed as `f64`), booleans, and `null`. [`members`] splits an object
+//! without converting its values, for callers that need a number's exact
+//! literal (a `u64` above 2^53 does not survive `f64`).
 
 use std::fmt::Write as _;
 
@@ -89,17 +91,20 @@ pub fn escape_str(s: &str) -> String {
 
 /// Parses a complete JSON document.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
-    Ok(v)
+    Parser::whole(text, Parser::value)
+}
+
+/// Splits a complete JSON document whose top level is an object into its
+/// members, in order, each value kept as its exact source text (already
+/// checked to be valid JSON).
+pub fn members(text: &str) -> Result<Vec<(String, &str)>, String> {
+    Parser::whole(text, |p| {
+        p.members_with(|p| {
+            let start = p.pos;
+            p.value()?;
+            Ok(&text[start..p.pos])
+        })
+    })
 }
 
 struct Parser<'a> {
@@ -107,7 +112,25 @@ struct Parser<'a> {
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    /// Runs `top` over all of `text`, which may only add whitespace.
+    fn whole<T>(
+        text: &'a str,
+        top: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let mut p = Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        p.skip_ws();
+        let v = top(&mut p)?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(format!("trailing data at byte {}", p.pos));
+        }
+        Ok(v)
+    }
+
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
@@ -161,24 +184,33 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<Value, String> {
+        self.members_with(Self::value).map(Value::Object)
+    }
+
+    /// Parses an object, reading each member's value with `val`.
+    fn members_with<T>(
+        &mut self,
+        mut val: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<(String, T)>, String> {
         self.expect(b'{')?;
         let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Object(members));
+            return Ok(members);
         }
         loop {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
-            let val = self.value()?;
-            members.push((key, val));
+            self.skip_ws();
+            let v = val(self)?;
+            members.push((key, v));
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b'}') => return Ok(Value::Object(members)),
+                Some(b'}') => return Ok(members),
                 _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
             }
         }
@@ -335,6 +367,21 @@ mod tests {
         let original = "a\"b\\c\nd\te\u{0001}é";
         let quoted = format!("\"{}\"", escape_str(original));
         assert_eq!(parse(&quoted).unwrap().as_str(), Some(original));
+    }
+
+    #[test]
+    fn members_keep_exact_literals() {
+        let m = members(r#" {"a":18446744073709551615, "b":[1, 2],"c":"x"} "#).unwrap();
+        assert_eq!(
+            m,
+            [
+                ("a".to_string(), "18446744073709551615"),
+                ("b".to_string(), "[1, 2]"),
+                ("c".to_string(), "\"x\"")
+            ]
+        );
+        assert!(members("[1]").is_err());
+        assert!(members(r#"{"a":01x}"#).is_err());
     }
 
     #[test]

@@ -17,18 +17,23 @@
 //!   produce identical counter values.
 //! * **Histograms** — named `f64` distributions via [`record`], summarized
 //!   as count/min/max/mean and p50/p95 percentiles.
-//! * **Flight recorder** — a bounded ring buffer of the most recent raw
-//!   span and instant events, exported as Chrome trace-event JSON for
-//!   `chrome://tracing` / Perfetto.
+//! * **Events** — typed [`TelemetryEvent`]s via [`emit`] (see
+//!   [`telemetry`]), each given the next sequence number.
+//! * **Flight recorder** — one bounded ring of the most recent closed
+//!   spans and events, in the order they were recorded. It has three
+//!   renderings: Chrome trace-event JSON for `chrome://tracing` /
+//!   Perfetto ([`Snapshot::to_chrome_json`]), JSON Lines of the events
+//!   ([`Snapshot::to_jsonl`]), and the last [`FORENSICS_EVENTS`] events of
+//!   a failure snapshot ([`forensics`]).
 //!
 //! # Cost model
 //!
-//! A single global collector store sits behind a `Mutex`, guarded
-//! by an `AtomicBool` fast path: when tracing is disabled (the default)
-//! every API call is one relaxed atomic load and an immediate return, so
-//! instrumented hot loops cost nothing measurable. Hot inner loops should
-//! still aggregate locally and call [`counter_add`] once per coarse
-//! operation rather than per iteration.
+//! A single global collector store sits behind a `Mutex`, guarded by one
+//! `AtomicBool` switch, [`set_enabled`]: when tracing is disabled (the
+//! default) every API call is one relaxed atomic load and an immediate
+//! return, so instrumented hot loops cost nothing measurable. Hot inner
+//! loops should still aggregate locally and call [`counter_add`] once per
+//! coarse operation rather than per iteration.
 //!
 //! # Example
 //!
@@ -40,14 +45,20 @@
 //!     let _inner = ams_trace::span("demo.inner");
 //!     ams_trace::counter_add("demo.iterations", 42);
 //!     ams_trace::record("demo.residual", 1e-9);
-//!     ams_trace::instant("demo.converged");
+//!     ams_trace::emit(ams_trace::TelemetryEvent::NewtonEnd {
+//!         iterations: 42,
+//!         converged: true,
+//!         residual: 1e-9,
+//!     });
 //! }
 //! let snap = ams_trace::snapshot();
 //! assert_eq!(snap.counters["demo.iterations"], 42);
 //! assert!(snap.spans.contains_key("demo.outer/demo.inner"));
+//! assert!(snap.to_jsonl().starts_with("{\"seq\":0,\"type\":\"newton_end\""));
 //! let json = snap.to_chrome_json();
 //! let stats = ams_trace::validate_chrome_trace(&json).unwrap();
 //! assert!(stats.complete_events >= 2);
+//! assert_eq!(stats.instant_events, 1);
 //! ams_trace::set_enabled(false);
 //! ```
 
@@ -57,10 +68,7 @@
 pub mod json;
 pub mod telemetry;
 
-pub use telemetry::{
-    capture, emit, recent_events, replay, reset_stream, set_stream_enabled, stream_enabled,
-    subscribe, unsubscribe, JsonlSink, Subscriber, SubscriberId, TelemetryEvent,
-};
+pub use telemetry::{capture, emit, replay, TelemetryEvent};
 
 use std::cell::RefCell;
 // det-lint: allow(hash-collection): hot-path aggregation keyed by name; snapshots sort into BTreeMaps
@@ -77,11 +85,8 @@ pub const DEFAULT_RING_CAPACITY: usize = 16_384;
 /// Cap on stored per-histogram samples (aggregates stay exact beyond it).
 const HIST_SAMPLE_CAP: usize = 4_096;
 
-/// Trajectories retained per convergence-series name (oldest drop first).
-pub const SERIES_RING_CAPACITY: usize = 32;
-
-/// Points retained per trajectory (later points drop, count stays exact).
-pub const SERIES_POINT_CAP: usize = 512;
+/// Events a [`forensics`] snapshot copies from the end of the flight ring.
+pub const FORENSICS_EVENTS: usize = 256;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -103,14 +108,16 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turns the global collector on or off. Off (the default) makes every
-/// tracing call a single atomic load.
+/// Turns the global collector on or off: spans, counters, histograms and
+/// events alike. Off (the default) makes every tracing call a single
+/// atomic load.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Clears all counters, histograms, span statistics, and the flight ring,
-/// and restarts the trace clock. Does not change the enabled flag.
+/// restarts event sequence numbers at 0 and the trace clock. Does not
+/// change the enabled flag.
 pub fn reset() {
     let mut c = collector();
     let cap = c.ring_capacity;
@@ -208,38 +215,6 @@ pub fn record(name: &'static str, value: f64) {
     c.hists.entry(name).or_default().push(value);
 }
 
-/// Starts a new trajectory for the named convergence series.
-///
-/// A *series* is a family of per-solve trajectories — e.g. the Newton
-/// residual per iteration, recorded once per solve. Each `series_begin`
-/// opens a fresh trajectory; subsequent [`series_push`]es append to it.
-/// The last [`SERIES_RING_CAPACITY`] trajectories per name are retained.
-///
-/// Like span timings, series are diagnostic and **outside** the
-/// byte-determinism contract: parallel evaluations may interleave
-/// trajectories of the same name in scheduling order.
-#[inline]
-pub fn series_begin(name: &'static str) {
-    if !enabled() {
-        return;
-    }
-    let mut c = collector();
-    c.series.entry(name).or_default().begin();
-}
-
-/// Appends one point to the named series' current trajectory.
-///
-/// A push with no preceding [`series_begin`] opens a trajectory
-/// implicitly.
-#[inline]
-pub fn series_push(name: &'static str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    let mut c = collector();
-    c.series.entry(name).or_default().push(value);
-}
-
 /// The calling thread's currently-open span names, outermost first.
 ///
 /// Used by failure forensics to record *where* in the flow an error
@@ -247,24 +222,6 @@ pub fn series_push(name: &'static str, value: f64) {
 /// disabled or no spans are open.
 pub fn current_span_stack() -> Vec<String> {
     SPAN_STACK.with(|s| s.borrow().iter().map(|n| n.to_string()).collect())
-}
-
-/// Records an instant (point-in-time) event into the flight recorder.
-///
-/// Takes `&str` (not `&'static str`) so callers can format event names,
-/// but should check [`enabled`] before formatting anything expensive.
-pub fn instant(name: &str) {
-    if !enabled() {
-        return;
-    }
-    let mut c = collector();
-    let ts_us = us_since(c.origin, Instant::now());
-    let tid = c.tid();
-    c.push_ring(FlightEvent::Instant {
-        name: name.to_string(),
-        ts_us,
-        tid,
-    });
 }
 
 /// Takes a consistent copy of everything recorded so far.
@@ -282,11 +239,6 @@ pub fn snapshot() -> Snapshot {
             .map(|(&k, h)| (k.to_string(), h.summary()))
             .collect(),
         spans: c.spans.iter().map(|(k, a)| (k.clone(), a.stat())).collect(),
-        series: c
-            .series
-            .iter()
-            .map(|(&k, r)| (k.to_string(), r.export()))
-            .collect(),
         flight: c.ring.iter().cloned().collect(),
         dropped_events: c.dropped,
     }
@@ -312,7 +264,7 @@ fn us_since(origin: Instant, t: Instant) -> f64 {
     t.saturating_duration_since(origin).as_secs_f64() * 1e6
 }
 
-/// One raw event in the flight-recorder ring.
+/// One entry in the flight-recorder ring.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FlightEvent {
     /// A closed span: full path, start timestamp, and duration.
@@ -326,15 +278,27 @@ pub enum FlightEvent {
         /// Small per-thread integer id.
         tid: u32,
     },
-    /// A point-in-time event.
-    Instant {
-        /// Event name.
-        name: String,
-        /// Timestamp in microseconds since collector reset.
+    /// An emitted [`TelemetryEvent`].
+    Event {
+        /// Sequence number, counted from 0 at [`reset`].
+        seq: u64,
+        /// Time it entered the ring, microseconds since collector reset.
         ts_us: f64,
-        /// Small per-thread integer id.
+        /// Small per-thread integer id of the thread that pushed it.
         tid: u32,
+        /// The event.
+        event: TelemetryEvent,
     },
+}
+
+impl FlightEvent {
+    /// The sequence number and event, if this entry is an event.
+    fn event(&self) -> Option<(u64, &TelemetryEvent)> {
+        match self {
+            FlightEvent::Event { seq, event, .. } => Some((*seq, event)),
+            FlightEvent::Span { .. } => None,
+        }
+    }
 }
 
 /// Aggregated statistics for one span path.
@@ -367,16 +331,6 @@ pub struct HistSummary {
     pub p95: f64,
 }
 
-/// Exported state of one convergence series: the retained trajectories
-/// plus how many were begun in total (ring evictions included).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SeriesExport {
-    /// Trajectories begun since reset (including ring-evicted ones).
-    pub total_trajectories: u64,
-    /// The retained trajectories, oldest first.
-    pub trajectories: Vec<Vec<f64>>,
-}
-
 /// A consistent copy of the collector state, ready for export.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
@@ -386,16 +340,31 @@ pub struct Snapshot {
     pub histograms: BTreeMap<String, HistSummary>,
     /// Span statistics by `/`-joined path.
     pub spans: BTreeMap<String, SpanStat>,
-    /// Convergence series by name: the retained trajectories, oldest
-    /// first, each a vector of pushed points.
-    pub series: BTreeMap<String, SeriesExport>,
     /// The flight-recorder ring contents, oldest first.
     pub flight: Vec<FlightEvent>,
-    /// Events evicted from the ring because it was full.
+    /// Ring entries (spans and events) evicted because it was full.
     pub dropped_events: u64,
 }
 
 impl Snapshot {
+    /// The telemetry events in the ring, oldest first, with their
+    /// sequence numbers.
+    pub fn events(&self) -> impl Iterator<Item = (u64, &TelemetryEvent)> {
+        self.flight.iter().filter_map(FlightEvent::event)
+    }
+
+    /// Renders the ring's events as JSON Lines: one
+    /// [`TelemetryEvent::to_json_line`] object per line, oldest first.
+    /// No line carries a wall-clock field.
+    pub fn to_jsonl(&self) -> String {
+        let mut out = String::new();
+        for (seq, event) in self.events() {
+            out.push_str(&event.to_json_line(seq));
+            out.push('\n');
+        }
+        out
+    }
+
     /// Renders a human-readable summary: span tree (indented by nesting
     /// depth), counters, and histogram percentiles.
     pub fn render_summary(&self) -> String {
@@ -445,9 +414,11 @@ impl Snapshot {
     /// Exports the snapshot as Chrome trace-event JSON (the
     /// `chrome://tracing` / Perfetto "JSON Object Format").
     ///
-    /// Flight-recorder spans become `ph:"X"` complete events, instants
-    /// become `ph:"i"` events, and final counter values become one
-    /// `ph:"C"` counter event each at the trailing timestamp.
+    /// Flight-recorder spans become `ph:"X"` complete events, telemetry
+    /// events become `ph:"i"` instants named by their kind with their JSONL
+    /// object (sequence number and fields) as `args`, and final counter
+    /// values become one `ph:"C"` counter event each at the trailing
+    /// timestamp.
     pub fn to_chrome_json(&self) -> String {
         let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
         let mut first = true;
@@ -485,14 +456,20 @@ impl Snapshot {
                         ),
                     );
                 }
-                FlightEvent::Instant { name, ts_us, tid } => {
+                FlightEvent::Event {
+                    seq,
+                    ts_us,
+                    tid,
+                    event,
+                } => {
                     end_ts = end_ts.max(*ts_us);
                     push(
                         &mut out,
                         format!(
-                            "{{\"name\":\"{}\",\"cat\":\"instant\",\"ph\":\"i\",\"s\":\"t\",\
-                             \"pid\":0,\"tid\":{tid},\"ts\":{ts_us:.3}}}",
-                            json::escape_str(name),
+                            "{{\"name\":\"{}\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\",\
+                             \"pid\":0,\"tid\":{tid},\"ts\":{ts_us:.3},\"args\":{}}}",
+                            event.kind(),
+                            event.to_json_line(*seq),
                         ),
                     );
                 }
@@ -509,44 +486,6 @@ impl Snapshot {
             );
         }
         out.push_str("]}");
-        out
-    }
-
-    /// Exports the convergence series as JSON, suitable for writing
-    /// alongside the Chrome trace:
-    /// `{"series":{"<name>":{"total":N,"trajectories":[[...],...]}}}`.
-    pub fn to_series_json(&self) -> String {
-        let mut out = String::from("{\"series\":{");
-        for (i, (name, s)) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{}\":{{\"total\":{},\"trajectories\":[",
-                json::escape_str(name),
-                s.total_trajectories
-            );
-            for (j, traj) in s.trajectories.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                for (k, v) in traj.iter().enumerate() {
-                    if k > 0 {
-                        out.push(',');
-                    }
-                    if v.is_finite() {
-                        let _ = write!(out, "{v}");
-                    } else {
-                        out.push_str("null");
-                    }
-                }
-                out.push(']');
-            }
-            out.push_str("]}");
-        }
-        out.push_str("}}");
         out
     }
 
@@ -739,8 +678,8 @@ pub struct ForensicsSnapshot {
     pub span_stack: Vec<String>,
     /// Counter totals at capture time.
     pub counters: BTreeMap<String, u64>,
-    /// The most recent telemetry events (oldest first) with sequence
-    /// numbers, from the built-in stream ring.
+    /// The last [`FORENSICS_EVENTS`] telemetry events of the flight ring
+    /// (oldest first), with their sequence numbers.
     pub recent_events: Vec<(u64, TelemetryEvent)>,
 }
 
@@ -819,8 +758,8 @@ fn last_failure_slot() -> MutexGuard<'static, Option<ForensicsSnapshot>> {
 
 /// Captures a forensics snapshot right now, tagged with `context`.
 ///
-/// Works whenever either the base collector or the event stream is on;
-/// with both off it returns an empty snapshot carrying only `context`.
+/// With the collector off it returns an empty snapshot carrying only
+/// `context`.
 pub fn forensics(context: &str) -> ForensicsSnapshot {
     let mut snap = ForensicsSnapshot {
         context: context.to_string(),
@@ -834,9 +773,16 @@ pub fn forensics(context: &str) -> ForensicsSnapshot {
             .iter()
             .map(|(&k, &v)| (k.to_string(), v))
             .collect();
-    }
-    if stream_enabled() {
-        snap.recent_events = recent_events();
+        let mut recent: Vec<_> = c
+            .ring
+            .iter()
+            .rev()
+            .filter_map(FlightEvent::event)
+            .take(FORENSICS_EVENTS)
+            .map(|(seq, event)| (seq, event.clone()))
+            .collect();
+        recent.reverse();
+        snap.recent_events = recent;
     }
     snap
 }
@@ -845,10 +791,9 @@ pub fn forensics(context: &str) -> ForensicsSnapshot {
 /// last-failure slot (overwriting any previous one), for callers — like
 /// `FlowReport` assembly — that see the error only after it propagated.
 ///
-/// No-op (two relaxed atomic loads) when both the collector and the
-/// stream are off.
+/// No-op (one relaxed atomic load) when the collector is off.
 pub fn record_failure(context: &str) {
-    if !enabled() && !stream_enabled() {
+    if !enabled() {
         return;
     }
     let snap = forensics(context);
@@ -914,41 +859,6 @@ impl Hist {
     }
 }
 
-/// Ring of per-solve trajectories for one series name.
-#[derive(Debug, Default)]
-struct SeriesRing {
-    ring: VecDeque<Vec<f64>>,
-    total_begun: u64,
-}
-
-impl SeriesRing {
-    fn begin(&mut self) {
-        if self.ring.len() >= SERIES_RING_CAPACITY {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(Vec::new());
-        self.total_begun += 1;
-    }
-
-    fn push(&mut self, v: f64) {
-        if self.ring.is_empty() {
-            self.begin();
-        }
-        if let Some(t) = self.ring.back_mut() {
-            if t.len() < SERIES_POINT_CAP {
-                t.push(v);
-            }
-        }
-    }
-
-    fn export(&self) -> SeriesExport {
-        SeriesExport {
-            total_trajectories: self.total_begun,
-            trajectories: self.ring.iter().cloned().collect(),
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct SpanAgg {
     count: u64,
@@ -973,11 +883,11 @@ struct Store {
     origin: Instant,
     counters: BTreeMap<&'static str, u64>,
     hists: BTreeMap<&'static str, Hist>,
-    series: BTreeMap<&'static str, SeriesRing>,
     spans: HashMap<String, SpanAgg>,
     ring: VecDeque<FlightEvent>,
     ring_capacity: usize,
     dropped: u64,
+    next_seq: u64,
     tids: HashMap<ThreadId, u32>,
 }
 
@@ -987,11 +897,11 @@ impl Store {
             origin: Instant::now(),
             counters: BTreeMap::new(),
             hists: BTreeMap::new(),
-            series: BTreeMap::new(),
             spans: HashMap::new(),
             ring: VecDeque::new(),
             ring_capacity,
             dropped: 0,
+            next_seq: 0,
             tids: HashMap::new(),
         }
     }
@@ -1007,6 +917,20 @@ impl Store {
             self.dropped += 1;
         }
         self.ring.push_back(ev);
+    }
+
+    /// Gives `event` the next sequence number and pushes it into the ring.
+    fn push_event(&mut self, event: TelemetryEvent) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let ts_us = us_since(self.origin, Instant::now());
+        let tid = self.tid();
+        self.push_ring(FlightEvent::Event {
+            seq,
+            ts_us,
+            tid,
+            event,
+        });
     }
 
     fn close_span(&mut self, path: String, ts_us: f64, dur: Duration, tid: u32) {
@@ -1034,24 +958,32 @@ impl Store {
     }
 }
 
+/// Serializes this crate's unit tests that toggle or reset the
+/// process-global collector.
+#[cfg(test)]
+fn test_lock() -> MutexGuard<'static, ()> {
+    static TEST_LOCK: Mutex<()> = Mutex::new(());
+    TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Serializes tests that touch the process-global collector.
-    fn lock() -> MutexGuard<'static, ()> {
-        static TEST_LOCK: Mutex<()> = Mutex::new(());
-        TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    fn degraded(reason: &str) -> TelemetryEvent {
+        TelemetryEvent::Degraded {
+            reason: reason.into(),
+        }
     }
 
     #[test]
     fn disabled_calls_are_noops() {
-        let _g = lock();
+        let _g = test_lock();
         set_enabled(false);
         reset();
         counter_add("t.noop", 5);
         record("t.noop_hist", 1.0);
-        instant("t.noop_instant");
+        emit(degraded("t.noop_event"));
         let _s = span("t.noop_span");
         drop(_s);
         let snap = snapshot();
@@ -1063,7 +995,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate_and_reset_clears() {
-        let _g = lock();
+        let _g = test_lock();
         set_enabled(true);
         reset();
         counter_add("t.iters", 3);
@@ -1079,7 +1011,7 @@ mod tests {
 
     #[test]
     fn spans_nest_into_paths() {
-        let _g = lock();
+        let _g = test_lock();
         set_enabled(true);
         reset();
         {
@@ -1097,7 +1029,7 @@ mod tests {
 
     #[test]
     fn histogram_percentiles() {
-        let _g = lock();
+        let _g = test_lock();
         set_enabled(true);
         reset();
         for i in 1..=100 {
@@ -1115,34 +1047,67 @@ mod tests {
 
     #[test]
     fn flight_ring_is_bounded() {
-        let _g = lock();
+        let _g = test_lock();
         set_enabled(true);
         reset();
         set_ring_capacity(8);
         for i in 0..20 {
-            instant(&format!("t.ev{i}"));
+            emit(degraded(&format!("t.ev{i}")));
         }
         let snap = snapshot();
         assert_eq!(snap.flight.len(), 8);
         assert_eq!(snap.dropped_events, 12);
         // Oldest evicted first: the ring holds the 8 most recent events.
-        match &snap.flight[0] {
-            FlightEvent::Instant { name, .. } => assert_eq!(name, "t.ev12"),
-            other => panic!("unexpected event {other:?}"),
-        }
+        let first = snap.events().next();
+        assert_eq!(first, Some((12, &degraded("t.ev12"))));
         set_ring_capacity(DEFAULT_RING_CAPACITY);
         set_enabled(false);
     }
 
     #[test]
+    fn ring_order_is_seq_order_and_reset_restarts_seq() {
+        let _g = test_lock();
+        set_enabled(true);
+        reset();
+        emit(degraded("a"));
+        {
+            let _s = span("t.between");
+            emit(degraded("b"));
+        }
+        emit(degraded("c"));
+        let snap = snapshot();
+        // The span closes after `b` was pushed, so it sits between b and c.
+        let order: Vec<_> = snap
+            .flight
+            .iter()
+            .map(|entry| match entry {
+                FlightEvent::Event { seq, .. } => format!("e{seq}"),
+                FlightEvent::Span { path, .. } => path.clone(),
+            })
+            .collect();
+        assert_eq!(order, ["e0", "e1", "t.between", "e2"]);
+        assert_eq!(
+            snap.to_jsonl(),
+            "{\"seq\":0,\"type\":\"degraded\",\"reason\":\"a\"}\n\
+             {\"seq\":1,\"type\":\"degraded\",\"reason\":\"b\"}\n\
+             {\"seq\":2,\"type\":\"degraded\",\"reason\":\"c\"}\n"
+        );
+        reset();
+        emit(degraded("d"));
+        assert_eq!(snapshot().events().next().map(|(seq, _)| seq), Some(0));
+        set_enabled(false);
+        reset();
+    }
+
+    #[test]
     fn chrome_export_validates() {
-        let _g = lock();
+        let _g = test_lock();
         set_enabled(true);
         reset();
         {
             let _a = span("t.phase \"quoted\"");
             counter_add("t.count", 11);
-            instant("t.mark");
+            emit(degraded("t.mark"));
         }
         let snap = snapshot();
         let json_text = snap.to_chrome_json();
@@ -1150,12 +1115,25 @@ mod tests {
         assert_eq!(stats.complete_events, 1);
         assert_eq!(stats.instant_events, 1);
         assert_eq!(stats.counter_events, 1);
+        let root = json::parse(&json_text).expect("well-formed");
+        fn str_of<'a>(v: &'a json::Value, key: &str) -> Option<&'a str> {
+            v.get(key).and_then(json::Value::as_str)
+        }
+        let instant = root
+            .get("traceEvents")
+            .and_then(json::Value::as_array)
+            .and_then(|evs| evs.iter().find(|e| str_of(e, "ph") == Some("i")))
+            .expect("the event is an instant");
+        assert_eq!(str_of(instant, "name"), Some("degraded"));
+        let args = instant.get("args").expect("instant carries args");
+        assert_eq!(str_of(args, "reason"), Some("t.mark"));
+        assert_eq!(args.get("seq").and_then(json::Value::as_f64), Some(0.0));
         set_enabled(false);
     }
 
     #[test]
     fn summary_lists_all_sections() {
-        let _g = lock();
+        let _g = test_lock();
         set_enabled(true);
         reset();
         {
@@ -1174,35 +1152,8 @@ mod tests {
     }
 
     #[test]
-    fn series_ring_and_export() {
-        let _g = lock();
-        set_enabled(true);
-        reset();
-        for t in 0..(SERIES_RING_CAPACITY + 2) {
-            series_begin("t.newton_residual");
-            for i in 0..4 {
-                series_push("t.newton_residual", 1.0 / (t * 4 + i + 1) as f64);
-            }
-        }
-        // Implicit begin on bare push.
-        series_push("t.orphan", 7.0);
-        let snap = snapshot();
-        let s = &snap.series["t.newton_residual"];
-        assert_eq!(s.total_trajectories, (SERIES_RING_CAPACITY + 2) as u64);
-        assert_eq!(s.trajectories.len(), SERIES_RING_CAPACITY);
-        assert_eq!(s.trajectories.last().unwrap().len(), 4);
-        assert_eq!(snap.series["t.orphan"].trajectories, vec![vec![7.0]]);
-        let json_text = snap.to_series_json();
-        let v = json::parse(&json_text).expect("series json parses");
-        let series = v.get("series").unwrap();
-        assert!(series.get("t.newton_residual").is_some());
-        set_enabled(false);
-        reset();
-    }
-
-    #[test]
     fn prometheus_exposition_renders_all_families() {
-        let _g = lock();
+        let _g = test_lock();
         set_enabled(true);
         reset();
         {
@@ -1227,15 +1178,11 @@ mod tests {
 
     #[test]
     fn forensics_snapshot_captures_context() {
-        let _g = lock();
+        let _g = test_lock();
         set_enabled(true);
-        telemetry::reset_stream();
-        set_stream_enabled(true);
         reset();
         counter_add("t.fail_iters", 9);
-        emit(TelemetryEvent::Degraded {
-            reason: "t_forensics".into(),
-        });
+        emit(degraded("t_forensics"));
         let snap;
         {
             let _a = span("t.failing_phase");
@@ -1256,8 +1203,27 @@ mod tests {
             parsed.get("context").and_then(json::Value::as_str),
             Some("SimError::NoConvergence after 150 iterations")
         );
-        set_stream_enabled(false);
-        telemetry::reset_stream();
+        set_enabled(false);
+        reset();
+    }
+
+    #[test]
+    fn forensics_copies_the_last_events_of_the_ring() {
+        let _g = test_lock();
+        set_enabled(true);
+        reset();
+        for i in 0..(FORENSICS_EVENTS + 5) {
+            let _s = span("t.noise");
+            emit(degraded(&format!("e{i}")));
+        }
+        let recent = forensics("t").recent_events;
+        assert_eq!(recent.len(), FORENSICS_EVENTS);
+        assert_eq!(recent[0].0, 5);
+        let last = FORENSICS_EVENTS + 4;
+        assert_eq!(
+            recent.last(),
+            Some(&(last as u64, degraded(&format!("e{last}"))))
+        );
         set_enabled(false);
         reset();
     }

@@ -1,77 +1,186 @@
-//! Structured event streaming — the live counterpart to the post-mortem
-//! counter snapshot.
+//! The one event model: typed [`TelemetryEvent`]s in the flight ring.
 //!
-//! Every solver in the workspace can [`emit`] a typed [`TelemetryEvent`]
-//! (flow phase, Newton solve, transient step, optimizer generation, route
-//! commit, degradation, budget exhaustion). Events flow through a global
-//! subscriber registry to any number of [`Subscriber`]s — the bundled
-//! [`JsonlSink`] buffers them as JSON Lines for streaming to a file or a
-//! service endpoint — and the most recent events are always retained in a
-//! bounded in-registry ring for failure forensics.
+//! Every layer of the workspace can [`emit`] a typed [`TelemetryEvent`]
+//! (flow phase, checkpoint replay, Newton solve, transient step, optimizer
+//! start and generation, route commit, budget exhaustion). While the
+//! collector is on ([`set_enabled`](crate::set_enabled)), `emit` assigns
+//! the next sequence number and pushes the event into the same flight ring
+//! as closed spans, both under the collector's one lock, so ring order is
+//! sequence order. The ring has three renderings: Chrome trace instants
+//! ([`Snapshot::to_chrome_json`](crate::Snapshot::to_chrome_json)), JSON
+//! Lines ([`Snapshot::to_jsonl`](crate::Snapshot::to_jsonl)) and the last
+//! [`FORENSICS_EVENTS`](crate::FORENSICS_EVENTS) events of a
+//! [`forensics`](crate::forensics) snapshot.
 //!
 //! # Determinism contract
 //!
 //! Events carry **no wall-clock fields**: every payload is a pure function
 //! of the seeded computation, so two same-seed runs produce byte-identical
-//! JSONL streams. Events emitted inside `ams_exec::par_map_indexed` workers
-//! are buffered per item via [`capture`] and [`replay`]ed on the calling
+//! JSONL. Events emitted inside `ams_exec::par_map_indexed` workers are
+//! buffered per item via [`capture`] and [`replay`]ed on the calling
 //! thread in item-index order, so the stream is also byte-identical at any
 //! worker count.
 //!
 //! # Cost model
 //!
-//! The registry is armed by [`set_stream_enabled`] (or implicitly by the
-//! first [`subscribe`]). While disarmed — the default — [`emit`] is a
-//! single relaxed atomic load, the same contract the base collector keeps.
+//! While the collector is off — the default — [`emit`] is one relaxed
+//! atomic load, like every other collector call.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-use crate::json::{self, Value};
+use crate::json;
 
-/// Events retained in the built-in forensics ring (last-K).
-pub const RECENT_EVENT_CAPACITY: usize = 256;
+/// Declares [`TelemetryEvent`] from one table of variants, each with its
+/// JSONL `type` tag and its fields. The enum, [`TelemetryEvent::kind`],
+/// the JSONL writer and the JSONL reader are all generated from that
+/// table, so a field is named once.
+macro_rules! telemetry_events {
+    ($(
+        $(#[doc = $doc:literal])*
+        $variant:ident = $kind:literal {
+            $($(#[doc = $fdoc:literal])* $field:ident: $ty:ty,)*
+        }
+    )*) => {
+        /// One structured event of a run.
+        ///
+        /// The variants cover the §2.1 flow phases and the solver
+        /// milestones under them. All fields are deterministic under the
+        /// seeded-run contract: counts, names, residuals, never wall-clock
+        /// times.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum TelemetryEvent {
+            $(
+                $(#[doc = $doc])*
+                $variant {
+                    $($(#[doc = $fdoc])* $field: $ty,)*
+                },
+            )*
+        }
 
-/// Whether the event stream is armed. Mirrors the base collector's
-/// `ENABLED` flag so a disarmed [`emit`] stays one relaxed atomic load.
-static STREAM_ARMED: AtomicBool = AtomicBool::new(false);
+        impl TelemetryEvent {
+            /// Stable snake_case tag used as the JSONL `type` field.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(TelemetryEvent::$variant { .. } => $kind,)*
+                }
+            }
 
-/// One structured event in the synthesis-flow stream.
-///
-/// Variants cover the phase transitions and solver milestones the ROADMAP's
-/// streaming-progress item needs. All fields are deterministic under the
-/// seeded-run contract: counts, names, residuals — never wall-clock times.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TelemetryEvent {
-    /// A top-level flow phase transition (mirrors `FlowEvent`).
-    FlowPhase {
-        /// Phase kind, e.g. `topology_selected` or `layout_done`.
-        phase: String,
-        /// Human-readable detail line for the phase.
-        detail: String,
-    },
-    /// A Newton solve is starting.
-    NewtonStart {
-        /// Analysis that owns the solve (`dc`, `tran`, ...).
-        analysis: String,
+            /// Serializes the event as one JSON object (no trailing
+            /// newline).
+            ///
+            /// `seq` is the sequence number [`emit`] assigned; floats use
+            /// Rust's shortest round-trip formatting so `parse ∘ render` is
+            /// lossless.
+            pub fn to_json_line(&self, seq: u64) -> String {
+                let mut s = format!("{{\"seq\":{seq},\"type\":\"{}\"", self.kind());
+                match self {
+                    $(TelemetryEvent::$variant { $($field,)* } => {
+                        $(
+                            s.push_str(concat!(",\"", stringify!($field), "\":"));
+                            Field::write($field, &mut s);
+                        )*
+                    })*
+                }
+                s.push('}');
+                s
+            }
+
+            /// Parses one JSONL line back into `(seq, event)`.
+            ///
+            /// # Errors
+            ///
+            /// Malformed JSON, an unknown `type`, or a missing or mistyped
+            /// field. An integer field must be a plain non-negative integer
+            /// literal that fits in `u64`; it is read exactly, never through
+            /// `f64`.
+            pub fn parse_json_line(line: &str) -> Result<(u64, TelemetryEvent), String> {
+                let members = json::members(line.trim())?;
+                let seq = read(&members, "seq")?;
+                let ev = match read::<String>(&members, "type")?.as_str() {
+                    $($kind => TelemetryEvent::$variant {
+                        $($field: read(&members, stringify!($field))?,)*
+                    },)*
+                    other => return Err(format!("unknown event type {other:?}")),
+                };
+                Ok((seq, ev))
+            }
+        }
+    };
+}
+
+telemetry_events! {
+    /// Topology selection finished.
+    TopologySelected = "topology_selected" {
+        /// Winning topology name.
+        name: String,
+        /// Candidates that survived screening.
+        candidates: u64,
+    }
+    /// A sizing pass finished.
+    Sized = "sized" {
+        /// Redesign iteration number (0 = first pass).
+        iteration: u64,
+        /// Whether the pre-layout spec was met.
+        feasible: bool,
+        /// Power of the sized design, watts.
+        power_w: f64,
+    }
+    /// The static electrical-rule check ran over the sized device-level
+    /// circuit before any simulation or layout was attempted.
+    LintChecked = "lint_checked" {
+        /// Error-severity ERC diagnostics (0 for a clean gate).
+        errors: u64,
+        /// Warning-severity ERC diagnostics.
+        warnings: u64,
+        /// Whether the structural analyzer proved the MNA pattern
+        /// nonsingular (maximum-transversal perfect matching).
+        structurally_sound: bool,
+    }
+    /// Layout was generated.
+    LayoutDone = "layout_done" {
+        /// Cell area in µm².
+        area_um2: f64,
+        /// Whether every net routed.
+        complete: bool,
+    }
+    /// Post-extraction verification verdict.
+    PostLayoutVerified = "post_layout_verified" {
+        /// Whether the spec still holds with parasitics.
+        passed: bool,
+        /// UGF degradation fraction caused by parasitics.
+        ugf_degradation: f64,
+    }
+    /// A recovery policy accepted a degradation instead of failing.
+    Degraded = "degraded" {
+        /// The rendered degradation reason.
+        reason: String,
+    }
+    /// The flow gave up.
+    Failed = "failed" {
+        /// Why the flow stopped.
+        reason: String,
+    }
+    /// A resumed flow replayed a checkpointed stage instead of computing it.
+    StageReplayed = "stage_replayed" {
+        /// Journal tag of the replayed stage.
+        tag: String,
+    }
+    /// A DC Newton solve is starting.
+    NewtonStart = "newton_start" {
         /// System size (MNA unknowns).
         unknowns: u64,
-    },
-    /// A Newton solve finished.
-    NewtonEnd {
-        /// Analysis that owns the solve.
-        analysis: String,
+    }
+    /// A DC Newton solve finished.
+    NewtonEnd = "newton_end" {
         /// Iterations consumed.
         iterations: u64,
         /// Whether the solve converged.
         converged: bool,
-        /// Final max-norm residual (delta-x norm for DC Newton).
+        /// Final max-norm residual (the damped delta-x norm).
         residual: f64,
-    },
+    }
     /// A transient integration step was accepted or rejected.
-    TranStep {
+    TranStep = "tran_step" {
         /// Step end time, seconds.
         time_s: f64,
         /// Step size attempted, seconds.
@@ -80,9 +189,17 @@ pub enum TelemetryEvent {
         accepted: bool,
         /// Newton iterations spent on the step.
         newton_iters: u64,
-    },
+    }
+    /// An optimizer started a search; its best-cost curve follows as
+    /// `OptimizerGeneration` events.
+    OptimizerStart = "optimizer_start" {
+        /// Algorithm name (`ga`, `anneal`).
+        algorithm: String,
+        /// Seed driving the search.
+        seed: u64,
+    }
     /// An optimizer finished one generation / stage.
-    OptimizerGeneration {
+    OptimizerGeneration = "optimizer_generation" {
         /// Algorithm name (`ga`, `anneal`).
         algorithm: String,
         /// Generation (GA) or stage (anneal) index, 0-based.
@@ -91,223 +208,82 @@ pub enum TelemetryEvent {
         evals: u64,
         /// Best cost seen so far (lower is better).
         best_cost: f64,
-    },
-    /// An optimizer (re)started a search chain.
-    OptimizerRestart {
-        /// Algorithm name (`ga`, `anneal`).
-        algorithm: String,
-        /// Restart index, 0-based (0 = initial chain).
-        restart: u64,
-        /// Seed driving the chain.
-        seed: u64,
-    },
+    }
     /// A net was committed (or abandoned) by the router.
-    RouteNet {
+    RouteNet = "route_net" {
         /// Net name.
         net: String,
         /// Whether a path was committed.
         routed: bool,
         /// Maze expansions spent on this net.
         expansions: u64,
-    },
-    /// The flow accepted a degraded result.
-    Degraded {
-        /// Degradation reason, e.g. `router_relaxed`.
-        reason: String,
-    },
+    }
     /// A cooperative budget was exhausted.
-    Budget {
+    Budget = "budget" {
         /// Resource name (`evals`, `newton_iters`, `wall_clock`).
         resource: String,
         /// Configured limit.
         limit: u64,
         /// Amount spent at the crossing.
         spent: u64,
-    },
+    }
 }
 
-impl TelemetryEvent {
-    /// Stable snake_case tag used as the JSONL `type` field.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TelemetryEvent::FlowPhase { .. } => "flow_phase",
-            TelemetryEvent::NewtonStart { .. } => "newton_start",
-            TelemetryEvent::NewtonEnd { .. } => "newton_end",
-            TelemetryEvent::TranStep { .. } => "tran_step",
-            TelemetryEvent::OptimizerGeneration { .. } => "optimizer_generation",
-            TelemetryEvent::OptimizerRestart { .. } => "optimizer_restart",
-            TelemetryEvent::RouteNet { .. } => "route_net",
-            TelemetryEvent::Degraded { .. } => "degraded",
-            TelemetryEvent::Budget { .. } => "budget",
-        }
-    }
+/// How one event field is written to, and read back from, its JSONL text.
+trait Field: Sized {
+    fn write(&self, out: &mut String);
+    /// Decodes a member's raw JSON text; `None` when it is not a `Self`.
+    fn decode(raw: &str) -> Option<Self>;
+}
 
-    /// Serializes the event as one JSON object (no trailing newline).
-    ///
-    /// `seq` is the registry-assigned delivery index; floats use Rust's
-    /// shortest round-trip formatting so `parse ∘ render` is lossless.
-    pub fn to_json_line(&self, seq: u64) -> String {
-        let mut s = format!("{{\"seq\":{seq},\"type\":\"{}\"", self.kind());
-        match self {
-            TelemetryEvent::FlowPhase { phase, detail } => {
-                let _ = write!(
-                    s,
-                    ",\"phase\":\"{}\",\"detail\":\"{}\"",
-                    json::escape_str(phase),
-                    json::escape_str(detail)
-                );
-            }
-            TelemetryEvent::NewtonStart { analysis, unknowns } => {
-                let _ = write!(
-                    s,
-                    ",\"analysis\":\"{}\",\"unknowns\":{unknowns}",
-                    json::escape_str(analysis)
-                );
-            }
-            TelemetryEvent::NewtonEnd {
-                analysis,
-                iterations,
-                converged,
-                residual,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"analysis\":\"{}\",\"iterations\":{iterations},\
-                     \"converged\":{converged},\"residual\":{}",
-                    json::escape_str(analysis),
-                    fmt_f64(*residual)
-                );
-            }
-            TelemetryEvent::TranStep {
-                time_s,
-                dt_s,
-                accepted,
-                newton_iters,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"time_s\":{},\"dt_s\":{},\"accepted\":{accepted},\
-                     \"newton_iters\":{newton_iters}",
-                    fmt_f64(*time_s),
-                    fmt_f64(*dt_s)
-                );
-            }
-            TelemetryEvent::OptimizerGeneration {
-                algorithm,
-                generation,
-                evals,
-                best_cost,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"algorithm\":\"{}\",\"generation\":{generation},\
-                     \"evals\":{evals},\"best_cost\":{}",
-                    json::escape_str(algorithm),
-                    fmt_f64(*best_cost)
-                );
-            }
-            TelemetryEvent::OptimizerRestart {
-                algorithm,
-                restart,
-                seed,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"algorithm\":\"{}\",\"restart\":{restart},\"seed\":{seed}",
-                    json::escape_str(algorithm)
-                );
-            }
-            TelemetryEvent::RouteNet {
-                net,
-                routed,
-                expansions,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"net\":\"{}\",\"routed\":{routed},\"expansions\":{expansions}",
-                    json::escape_str(net)
-                );
-            }
-            TelemetryEvent::Degraded { reason } => {
-                let _ = write!(s, ",\"reason\":\"{}\"", json::escape_str(reason));
-            }
-            TelemetryEvent::Budget {
-                resource,
-                limit,
-                spent,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"resource\":\"{}\",\"limit\":{limit},\"spent\":{spent}",
-                    json::escape_str(resource)
-                );
-            }
-        }
-        s.push('}');
-        s
-    }
+/// Decodes the member `key` of a JSONL line split by [`json::members`].
+fn read<T: Field>(members: &[(String, &str)], key: &str) -> Result<T, String> {
+    let raw = members
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, raw)| *raw)
+        .ok_or_else(|| format!("missing field {key:?}"))?;
+    T::decode(raw).ok_or_else(|| format!("field {key:?}: unexpected value {raw}"))
+}
 
-    /// Parses one JSONL line back into `(seq, event)`.
-    pub fn parse_json_line(line: &str) -> Result<(u64, TelemetryEvent), String> {
-        let v = json::parse(line.trim())?;
-        let seq = field_u64(&v, "seq")?;
-        let ev = TelemetryEvent::from_json(&v)?;
-        Ok((seq, ev))
+impl Field for String {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "\"{}\"", json::escape_str(self));
     }
+    fn decode(raw: &str) -> Option<Self> {
+        json::parse(raw).ok()?.as_str().map(str::to_string)
+    }
+}
 
-    /// Decodes an already-parsed JSON object into an event.
-    pub fn from_json(v: &Value) -> Result<TelemetryEvent, String> {
-        let kind = v
-            .get("type")
-            .and_then(Value::as_str)
-            .ok_or("missing type field")?;
-        match kind {
-            "flow_phase" => Ok(TelemetryEvent::FlowPhase {
-                phase: field_str(v, "phase")?,
-                detail: field_str(v, "detail")?,
-            }),
-            "newton_start" => Ok(TelemetryEvent::NewtonStart {
-                analysis: field_str(v, "analysis")?,
-                unknowns: field_u64(v, "unknowns")?,
-            }),
-            "newton_end" => Ok(TelemetryEvent::NewtonEnd {
-                analysis: field_str(v, "analysis")?,
-                iterations: field_u64(v, "iterations")?,
-                converged: field_bool(v, "converged")?,
-                residual: field_f64(v, "residual")?,
-            }),
-            "tran_step" => Ok(TelemetryEvent::TranStep {
-                time_s: field_f64(v, "time_s")?,
-                dt_s: field_f64(v, "dt_s")?,
-                accepted: field_bool(v, "accepted")?,
-                newton_iters: field_u64(v, "newton_iters")?,
-            }),
-            "optimizer_generation" => Ok(TelemetryEvent::OptimizerGeneration {
-                algorithm: field_str(v, "algorithm")?,
-                generation: field_u64(v, "generation")?,
-                evals: field_u64(v, "evals")?,
-                best_cost: field_f64(v, "best_cost")?,
-            }),
-            "optimizer_restart" => Ok(TelemetryEvent::OptimizerRestart {
-                algorithm: field_str(v, "algorithm")?,
-                restart: field_u64(v, "restart")?,
-                seed: field_u64(v, "seed")?,
-            }),
-            "route_net" => Ok(TelemetryEvent::RouteNet {
-                net: field_str(v, "net")?,
-                routed: field_bool(v, "routed")?,
-                expansions: field_u64(v, "expansions")?,
-            }),
-            "degraded" => Ok(TelemetryEvent::Degraded {
-                reason: field_str(v, "reason")?,
-            }),
-            "budget" => Ok(TelemetryEvent::Budget {
-                resource: field_str(v, "resource")?,
-                limit: field_u64(v, "limit")?,
-                spent: field_u64(v, "spent")?,
-            }),
-            other => Err(format!("unknown event type {other:?}")),
+impl Field for u64 {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+    /// Exact: a negative, fractional or exponent literal is an error, not
+    /// a cast.
+    fn decode(raw: &str) -> Option<Self> {
+        raw.parse().ok()
+    }
+}
+
+impl Field for f64 {
+    fn write(&self, out: &mut String) {
+        out.push_str(&fmt_f64(*self));
+    }
+    fn decode(raw: &str) -> Option<Self> {
+        if raw == "null" {
+            return Some(f64::NAN);
         }
+        raw.parse().ok()
+    }
+}
+
+impl Field for bool {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+    fn decode(raw: &str) -> Option<Self> {
+        raw.parse().ok()
     }
 }
 
@@ -330,154 +306,20 @@ fn fmt_f64(x: f64) -> String {
     }
 }
 
-fn field_str(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field {key:?}"))
-}
-
-fn field_f64(v: &Value, key: &str) -> Result<f64, String> {
-    match v.get(key) {
-        Some(Value::Null) => Ok(f64::NAN),
-        other => other
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("missing numeric field {key:?}")),
-    }
-}
-
-fn field_u64(v: &Value, key: &str) -> Result<u64, String> {
-    field_f64(v, key).map(|x| x as u64)
-}
-
-fn field_bool(v: &Value, key: &str) -> Result<bool, String> {
-    match v.get(key) {
-        Some(Value::Bool(b)) => Ok(*b),
-        _ => Err(format!("missing bool field {key:?}")),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Subscriber registry
-// ---------------------------------------------------------------------------
-
-/// Receives every delivered event, in delivery order, with its sequence
-/// number. Called with the registry lock held — keep `on_event` cheap and
-/// never re-enter telemetry from inside it.
-pub trait Subscriber: Send {
-    /// Handles one delivered event.
-    fn on_event(&mut self, seq: u64, ev: &TelemetryEvent);
-}
-
-/// Opaque handle returned by [`subscribe`], used to [`unsubscribe`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SubscriberId(u64);
-
-struct Registry {
-    next_seq: u64,
-    next_id: u64,
-    subscribers: Vec<(u64, Box<dyn Subscriber>)>,
-    recent: VecDeque<(u64, TelemetryEvent)>,
-    /// Whether `set_stream_enabled(true)` was called explicitly (keeps the
-    /// stream armed even with zero subscribers, so the forensics ring fills).
-    explicit_on: bool,
-}
-
-impl Registry {
-    fn deliver(&mut self, ev: TelemetryEvent) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        for (_, sub) in &mut self.subscribers {
-            sub.on_event(seq, &ev);
-        }
-        if self.recent.len() >= RECENT_EVENT_CAPACITY {
-            self.recent.pop_front();
-        }
-        self.recent.push_back((seq, ev));
-    }
-
-    fn rearm(&self) {
-        STREAM_ARMED.store(
-            self.explicit_on || !self.subscribers.is_empty(),
-            Ordering::Relaxed,
-        );
-    }
-}
-
-fn registry() -> MutexGuard<'static, Registry> {
-    static REG: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REG.get_or_init(|| {
-        Mutex::new(Registry {
-            next_seq: 0,
-            next_id: 0,
-            subscribers: Vec::new(),
-            recent: VecDeque::new(),
-            explicit_on: false,
-        })
-    })
-    .lock()
-    .unwrap_or_else(|p| p.into_inner())
-}
-
 thread_local! {
     /// Per-thread capture buffer stack; non-empty while inside [`capture`].
     static CAPTURE: std::cell::RefCell<Vec<Vec<TelemetryEvent>>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Whether the event stream is armed (explicitly, or by a subscriber).
-#[inline]
-pub fn stream_enabled() -> bool {
-    STREAM_ARMED.load(Ordering::Relaxed)
-}
-
-/// Arms or disarms the event stream independently of subscribers. While
-/// armed the built-in forensics ring fills even with no subscriber
-/// attached. Disarming only takes effect once no subscribers remain.
-pub fn set_stream_enabled(on: bool) {
-    let mut r = registry();
-    r.explicit_on = on;
-    r.rearm();
-}
-
-/// Clears the stream state: sequence numbers, the forensics ring, and all
-/// subscribers. The armed flag follows `explicit_on` (kept as-is).
-pub fn reset_stream() {
-    let mut r = registry();
-    r.next_seq = 0;
-    r.subscribers.clear();
-    r.recent.clear();
-    r.rearm();
-}
-
-/// Registers a subscriber; arms the stream. Returns a handle for
-/// [`unsubscribe`].
-pub fn subscribe(sub: Box<dyn Subscriber>) -> SubscriberId {
-    let mut r = registry();
-    let id = r.next_id;
-    r.next_id += 1;
-    r.subscribers.push((id, sub));
-    r.rearm();
-    SubscriberId(id)
-}
-
-/// Removes a subscriber. Disarms the stream when the last subscriber
-/// leaves and the stream was not explicitly enabled.
-pub fn unsubscribe(id: SubscriberId) {
-    let mut r = registry();
-    r.subscribers.retain(|(sid, _)| *sid != id.0);
-    r.rearm();
-}
-
-/// Emits one event into the stream.
+/// Emits one event.
 ///
-/// Disarmed: a single relaxed atomic load. Armed: the event is either
-/// appended to the calling thread's [`capture`] buffer (inside a parallel
-/// worker) or delivered immediately to all subscribers and the forensics
-/// ring.
+/// Off: a single relaxed atomic load. On: the event is either appended to
+/// the calling thread's [`capture`] buffer (inside a parallel worker) or
+/// given the next sequence number and pushed into the flight ring.
 #[inline]
 pub fn emit(ev: TelemetryEvent) {
-    if !stream_enabled() {
+    if !crate::enabled() {
         return;
     }
     emit_armed(ev);
@@ -485,17 +327,15 @@ pub fn emit(ev: TelemetryEvent) {
 
 #[cold]
 fn emit_armed(ev: TelemetryEvent) {
-    let buffered = CAPTURE.with(|c| {
-        let mut stack = c.borrow_mut();
-        if let Some(buf) = stack.last_mut() {
-            buf.push(ev.clone());
-            true
-        } else {
-            false
+    let ev = CAPTURE.with(|c| match c.borrow_mut().last_mut() {
+        Some(buf) => {
+            buf.push(ev);
+            None
         }
+        None => Some(ev),
     });
-    if !buffered {
-        registry().deliver(ev);
+    if let Some(ev) = ev {
+        crate::collector().push_event(ev);
     }
 }
 
@@ -504,10 +344,10 @@ fn emit_armed(ev: TelemetryEvent) {
 ///
 /// This is the worker-side half of the thread-count determinism contract:
 /// `ams_exec::par_map_indexed` captures per item and [`replay`]s the
-/// buffers on the calling thread in item-index order. Disarmed, this is
-/// one atomic load plus a direct call.
+/// buffers on the calling thread in item-index order. Off, this is one
+/// atomic load plus a direct call.
 pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Vec<TelemetryEvent>) {
-    if !stream_enabled() {
+    if !crate::enabled() {
         return (f(), Vec::new());
     }
     CAPTURE.with(|c| c.borrow_mut().push(Vec::new()));
@@ -516,123 +356,31 @@ pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Vec<TelemetryEvent>) {
     (out, events)
 }
 
-/// Delivers previously [`capture`]d events, in order, on this thread.
+/// Emits previously [`capture`]d events, in order, on this thread.
 pub fn replay(events: Vec<TelemetryEvent>) {
-    if events.is_empty() || !stream_enabled() {
+    if events.is_empty() || !crate::enabled() {
         return;
     }
     // If the calling thread is itself inside a capture (nested parallel
-    // sections), forward into the outer buffer instead of delivering.
+    // sections), this forwards into the outer buffer.
     for ev in events {
         emit_armed(ev);
-    }
-}
-
-/// The most recent delivered events (oldest first), with sequence numbers.
-pub fn recent_events() -> Vec<(u64, TelemetryEvent)> {
-    registry().recent.iter().cloned().collect()
-}
-
-// ---------------------------------------------------------------------------
-// Bounded JSONL sink
-// ---------------------------------------------------------------------------
-
-struct JsonlBuffer {
-    lines: VecDeque<String>,
-    max_lines: usize,
-    dropped: u64,
-}
-
-/// A bounded JSON Lines sink. Cloneable handle: register one clone with
-/// [`subscribe`], keep another to read [`JsonlSink::lines`] / flush.
-///
-/// When the buffer is full the **oldest** line drops first (it is a
-/// flight recorder, not a lossless log) and `dropped` counts evictions.
-#[derive(Clone)]
-pub struct JsonlSink {
-    buf: Arc<Mutex<JsonlBuffer>>,
-}
-
-impl JsonlSink {
-    /// Creates a sink retaining at most `max_lines` lines.
-    pub fn bounded(max_lines: usize) -> JsonlSink {
-        JsonlSink {
-            buf: Arc::new(Mutex::new(JsonlBuffer {
-                lines: VecDeque::new(),
-                max_lines: max_lines.max(1),
-                dropped: 0,
-            })),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, JsonlBuffer> {
-        self.buf.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// The buffered lines, oldest first.
-    pub fn lines(&self) -> Vec<String> {
-        self.lock().lines.iter().cloned().collect()
-    }
-
-    /// All buffered lines joined with `\n` (plus trailing newline).
-    pub fn dump(&self) -> String {
-        let mut out = String::new();
-        for line in self.lock().lines.iter() {
-            out.push_str(line);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Lines evicted because the buffer was full.
-    pub fn dropped(&self) -> u64 {
-        self.lock().dropped
-    }
-
-    /// Writes the buffered lines to `path` and clears the buffer.
-    pub fn flush_to(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let text = self.dump();
-        std::fs::write(path, text)?;
-        let mut b = self.lock();
-        b.lines.clear();
-        Ok(())
-    }
-}
-
-impl Subscriber for JsonlSink {
-    fn on_event(&mut self, seq: u64, ev: &TelemetryEvent) {
-        let line = ev.to_json_line(seq);
-        let mut b = self.lock();
-        if b.lines.len() >= b.max_lines {
-            b.lines.pop_front();
-            b.dropped += 1;
-        }
-        b.lines.push_back(line);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serializes tests that touch the process-global registry.
-    fn lock() -> MutexGuard<'static, ()> {
-        static TEST_LOCK: Mutex<()> = Mutex::new(());
-        TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
+    use crate::{reset, set_enabled, snapshot, test_lock};
 
     fn sample_events() -> Vec<TelemetryEvent> {
         vec![
-            TelemetryEvent::FlowPhase {
-                phase: "topology_selected".into(),
-                detail: "two_stage \"miller\"".into(),
+            TelemetryEvent::TopologySelected {
+                name: "two_stage \"miller\"".into(),
+                candidates: 3,
             },
-            TelemetryEvent::NewtonStart {
-                analysis: "dc".into(),
-                unknowns: 7,
-            },
+            TelemetryEvent::NewtonStart { unknowns: 7 },
             TelemetryEvent::NewtonEnd {
-                analysis: "dc".into(),
                 iterations: 12,
                 converged: true,
                 residual: 3.0517578125e-10,
@@ -649,10 +397,9 @@ mod tests {
                 evals: 144,
                 best_cost: 0.015625,
             },
-            TelemetryEvent::OptimizerRestart {
+            TelemetryEvent::OptimizerStart {
                 algorithm: "anneal".into(),
-                restart: 2,
-                seed: 0x9E37_79B9,
+                seed: u64::MAX,
             },
             TelemetryEvent::RouteNet {
                 net: "net\\7".into(),
@@ -681,6 +428,17 @@ mod tests {
     }
 
     #[test]
+    fn integer_fields_reject_what_u64_cannot_hold() {
+        for bad in ["-1", "1.5", "1e3", "18446744073709551616", "\"7\"", "null"] {
+            let line = format!("{{\"seq\":0,\"type\":\"newton_start\",\"unknowns\":{bad}}}");
+            let err = TelemetryEvent::parse_json_line(&line).expect_err(bad);
+            assert!(err.contains("unknowns"), "{bad}: {err}");
+        }
+        let missing = TelemetryEvent::parse_json_line("{\"seq\":0,\"type\":\"newton_start\"}");
+        assert!(missing.is_err());
+    }
+
+    #[test]
     fn f64_formatting_round_trips() {
         for x in [
             0.0,
@@ -702,97 +460,34 @@ mod tests {
 
     #[test]
     fn disarmed_emit_records_nothing() {
-        let _g = lock();
-        set_stream_enabled(false);
-        reset_stream();
+        let _g = test_lock();
+        set_enabled(false);
+        reset();
         emit(TelemetryEvent::Degraded { reason: "x".into() });
-        assert!(recent_events().is_empty());
-    }
-
-    #[test]
-    fn subscriber_receives_in_order_with_seq() {
-        let _g = lock();
-        reset_stream();
-        let sink = JsonlSink::bounded(16);
-        let id = subscribe(Box::new(sink.clone()));
-        for ev in sample_events() {
-            emit(ev);
-        }
-        unsubscribe(id);
-        let lines = sink.lines();
-        assert_eq!(lines.len(), 9);
-        for (i, line) in lines.iter().enumerate() {
-            let (seq, _) = TelemetryEvent::parse_json_line(line).unwrap();
-            assert_eq!(seq, i as u64);
-        }
-        assert!(!stream_enabled());
-        reset_stream();
+        assert!(snapshot().flight.is_empty());
     }
 
     #[test]
     fn capture_defers_and_replay_delivers_in_order() {
-        let _g = lock();
-        reset_stream();
-        set_stream_enabled(true);
-        let sink = JsonlSink::bounded(16);
-        let id = subscribe(Box::new(sink.clone()));
+        let _g = test_lock();
+        set_enabled(true);
+        reset();
         let ((), buffered) = capture(|| {
-            emit(TelemetryEvent::NewtonStart {
-                analysis: "dc".into(),
-                unknowns: 3,
-            });
+            emit(TelemetryEvent::NewtonStart { unknowns: 3 });
             emit(TelemetryEvent::NewtonEnd {
-                analysis: "dc".into(),
                 iterations: 4,
                 converged: true,
                 residual: 1e-12,
             });
         });
-        // Nothing delivered while captured.
-        assert_eq!(sink.lines().len(), 0);
+        // Nothing reaches the ring while captured.
+        assert_eq!(snapshot().events().count(), 0);
         assert_eq!(buffered.len(), 2);
         replay(buffered);
-        assert_eq!(sink.lines().len(), 2);
-        unsubscribe(id);
-        set_stream_enabled(false);
-        reset_stream();
-    }
-
-    #[test]
-    fn jsonl_sink_is_bounded_oldest_first() {
-        let mut sink = JsonlSink::bounded(3);
-        for i in 0..10u64 {
-            let ev = TelemetryEvent::Degraded {
-                reason: format!("r{i}"),
-            };
-            Subscriber::on_event(&mut sink, i, &ev);
-        }
-        let lines = sink.lines();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(sink.dropped(), 7);
-        assert!(lines[0].contains("\"r7\""));
-        assert!(lines[2].contains("\"r9\""));
-    }
-
-    #[test]
-    fn forensics_ring_retains_recent_events() {
-        let _g = lock();
-        reset_stream();
-        set_stream_enabled(true);
-        for i in 0..(RECENT_EVENT_CAPACITY + 5) {
-            emit(TelemetryEvent::Degraded {
-                reason: format!("e{i}"),
-            });
-        }
-        let recent = recent_events();
-        assert_eq!(recent.len(), RECENT_EVENT_CAPACITY);
-        match &recent.last().unwrap().1 {
-            TelemetryEvent::Degraded { reason } => {
-                assert_eq!(reason, &format!("e{}", RECENT_EVENT_CAPACITY + 4));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        set_stream_enabled(false);
-        reset_stream();
+        let snap = snapshot();
+        let kinds: Vec<_> = snap.events().map(|(seq, e)| (seq, e.kind())).collect();
+        assert_eq!(kinds, [(0, "newton_start"), (1, "newton_end")]);
+        set_enabled(false);
+        reset();
     }
 }

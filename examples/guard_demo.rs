@@ -8,14 +8,14 @@
 
 use ams::guard::fault;
 use ams::prelude::*;
-use ams_core::{FlowEvent, FlowOutcome};
+use ams::trace::TelemetryEvent;
+use ams_core::FlowOutcome;
 use ams_sizing::{SimulatedTemplate, TwoStageCircuit};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // One switch arms spans, counters and events: the flight ring the
+    // events enter is what the forensics snapshot below replays.
     ams::trace::set_enabled(true);
-    // Arm the structured event stream too: the flight-recorder ring it
-    // feeds is what the forensics snapshot below replays.
-    ams::trace::set_stream_enabled(true);
 
     let spec = Spec::new()
         .require("gain_db", Bound::AtLeast(60.0))
@@ -58,8 +58,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== flow events under fault injection ==");
     for event in &report.events {
         match event {
-            FlowEvent::Degraded { reason } => println!("  [recovery] {reason}"),
-            FlowEvent::Failed(reason) => println!("  [flow] failed: {reason}"),
+            TelemetryEvent::Degraded { reason } => println!("  [recovery] {reason}"),
+            TelemetryEvent::Failed { reason } => println!("  [flow] failed: {reason}"),
             other => println!("  [{}]", other.kind()),
         }
     }

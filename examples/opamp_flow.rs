@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example opamp_flow`
 
 use ams::prelude::*;
-use ams_core::FlowEvent;
+use ams::trace::TelemetryEvent;
 use ams_netlist::units::format_eng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -27,10 +27,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== performance-driven flow (DAC'96 §2.1) ==");
     for event in &report.events {
         match event {
-            FlowEvent::TopologySelected { name, candidates } => {
+            TelemetryEvent::TopologySelected { name, candidates } => {
                 println!("[top-down] topology selection: {name} ({candidates} candidates survived screening)");
             }
-            FlowEvent::Sized {
+            TelemetryEvent::Sized {
                 iteration,
                 feasible,
                 power_w,
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     format_eng(*power_w, "W")
                 );
             }
-            FlowEvent::LintChecked {
+            TelemetryEvent::LintChecked {
                 errors,
                 warnings,
                 structurally_sound,
@@ -50,10 +50,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                      structurally nonsingular: {structurally_sound}"
                 );
             }
-            FlowEvent::LayoutDone { area_um2, complete } => {
+            TelemetryEvent::LayoutDone { area_um2, complete } => {
                 println!("[bottom-up] layout: {area_um2:.0} um2, fully routed: {complete}");
             }
-            FlowEvent::PostLayoutVerified {
+            TelemetryEvent::PostLayoutVerified {
                 passed,
                 ugf_degradation,
             } => {
@@ -62,8 +62,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     ugf_degradation * 100.0
                 );
             }
-            FlowEvent::Degraded { reason } => println!("[recovery] degraded: {reason}"),
-            FlowEvent::Failed(reason) => println!("[flow] FAILED: {reason}"),
+            TelemetryEvent::Degraded { reason } => println!("[recovery] degraded: {reason}"),
+            TelemetryEvent::Failed { reason } => println!("[flow] FAILED: {reason}"),
+            other => println!("[{}]", other.kind()),
         }
     }
 

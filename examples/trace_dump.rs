@@ -1,11 +1,13 @@
 //! Observability demo: run the full opamp synthesis flow with the
 //! `ams-trace` collector enabled, print the human-readable summary tree,
-//! and dump a Chrome trace-event file.
+//! and write the flight ring's two file renderings: a Chrome trace-event
+//! file and the JSON Lines event stream.
 //!
 //! Run with: `cargo run --release --example trace_dump`
 //!
 //! Then open `trace.json` in `chrome://tracing` (or https://ui.perfetto.dev)
-//! to see the span timeline, instants, and counter tracks.
+//! to see the span timeline, the flow's events as instants, and counter
+//! tracks; `events.jsonl` holds the same events, one JSON object a line.
 
 use ams::prelude::*;
 
@@ -45,6 +47,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "wrote trace.json ({} events: {} spans, {} instants, {} counters)",
         stats.total_events, stats.complete_events, stats.instant_events, stats.counter_events
     );
+    let jsonl = snap.to_jsonl();
+    std::fs::write("events.jsonl", &jsonl)?;
+    println!("wrote events.jsonl ({} events)", jsonl.lines().count());
     println!("open it in chrome://tracing or https://ui.perfetto.dev");
     Ok(())
 }

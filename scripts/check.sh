@@ -59,7 +59,7 @@ cargo test --offline -q --test batched_eval
 echo "== trace schema golden test + disabled-path overhead smoke =="
 cargo test --offline -q --test trace_schema
 
-echo "== telemetry stream: JSONL round-trip + thread-count byte-identity =="
+echo "== telemetry events: one ring, JSONL round-trip, 1/2/8-worker byte-identity =="
 cargo test --offline -q --test telemetry_stream
 
 echo "== trace counter determinism =="
@@ -77,6 +77,9 @@ cargo test --offline -q --release --test kill_resume
 echo "== structural analysis: singularity proofs, fill forecast, lint corpus =="
 cargo test --offline -q --test structural_props
 cargo test --offline -q --test lint_corpus
+
+echo "== perfbench smoke: every workload untraced and traced, digests must match =="
+cargo test --offline --release --manifest-path perfbench/Cargo.toml
 
 echo "== workspace determinism lint (det-lint) =="
 cargo run --offline -q -p ams-detlint

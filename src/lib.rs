@@ -32,7 +32,9 @@
 //! * [`sim`] — MNA simulator (DC/AC/transient/noise).
 //! * [`awe`] — asymptotic waveform evaluation.
 //! * [`trace`] — zero-dependency structured tracing: spans, counters,
-//!   histograms, a flight-recorder ring, and Chrome trace-event export.
+//!   histograms and typed events behind one switch, kept in one
+//!   flight-recorder ring rendered as a Chrome trace, JSON Lines or a
+//!   failure forensics snapshot.
 //! * [`guard`] — robustness layer: deterministic fault injection,
 //!   evaluation budgets/deadlines, panic isolation, retry policies
 //!   backing the flow's graceful-degradation ladder, and the supervised

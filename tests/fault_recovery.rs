@@ -392,6 +392,59 @@ fn exhausted_budget_is_an_error_under_strict_policy() {
     );
 }
 
+/// A degraded flow explains itself: its report carries forensics whose
+/// context names every recovery rung taken and whose events, the tail of
+/// the flight ring, include each rung's `degraded` event in seq order.
+#[test]
+fn degraded_flow_report_carries_forensics() {
+    let _l = lock();
+    let _ = ams::trace::take_last_failure();
+    ams::trace::reset();
+    ams::trace::set_enabled(true);
+    // Every first-attempt route fails: the relaxed router re-routes and
+    // the flow accepts the incomplete result.
+    fault::arm(FaultPlan::new().fault(FaultKind::RouterRipup, Trigger::Always));
+    let result = synthesize_opamp(
+        &opamp_spec(),
+        &Technology::generic_1p2um(),
+        5e-12,
+        &quick_config(),
+    );
+    fault::disarm();
+    ams::trace::set_enabled(false);
+    let report = result.expect("router faults degrade the flow, not fail it");
+    let FlowOutcome::Degraded { reasons } = &report.outcome else {
+        panic!("expected a degraded outcome, got {:?}", report.outcome);
+    };
+    assert!(!reasons.is_empty());
+    let forensics = report
+        .forensics
+        .as_ref()
+        .expect("a degraded report carries forensics");
+    let seqs: Vec<u64> = forensics
+        .recent_events
+        .iter()
+        .map(|(seq, _)| *seq)
+        .collect();
+    assert!(!seqs.is_empty(), "forensics must carry events");
+    assert!(seqs.windows(2).all(|w| w[0] < w[1]), "seqs: {seqs:?}");
+    for reason in reasons {
+        let reason = reason.to_string();
+        assert!(
+            forensics.context.contains(&reason),
+            "context {:?} does not name {reason:?}",
+            forensics.context
+        );
+        assert!(
+            forensics.recent_events.iter().any(|(_, e)| matches!(
+                e,
+                ams::trace::TelemetryEvent::Degraded { reason: r } if *r == reason
+            )),
+            "no degraded event for {reason:?}"
+        );
+    }
+}
+
 #[test]
 fn dc_retry_recovers_from_injected_divergence() {
     let _l = lock();

@@ -1,21 +1,24 @@
-//! The structured telemetry stream (Telemetry v2), end to end:
+//! The telemetry event stream, end to end:
 //!
-//! * every event variant survives a JSONL round-trip and re-parses with
-//!   the in-tree `ams::trace::json` parser;
-//! * the same seeded GA run produces a byte-identical event stream at 1,
-//!   2 and 8 exec workers (worker-side events are captured per item and
+//! * every event variant survives a JSONL round-trip to identical bytes
+//!   and re-parses with the in-tree `ams::trace::json` parser, with
+//!   `u64` fields exact up to `u64::MAX`;
+//! * the same seeded GA run renders a byte-identical `to_jsonl()` at 1, 2
+//!   and 8 exec workers (worker-side events are captured per item and
 //!   replayed in item-index order);
-//! * with the stream disarmed, the subscriber hook stays a single atomic
-//!   load — smoke-checked like the collector's disabled path;
+//! * with the collector off, `emit` stays a single atomic load —
+//!   smoke-checked like the collector's disabled path;
 //! * failure forensics snapshots capture and clear through the
-//!   last-failure slot.
+//!   last-failure slot;
+//! * the degradation a supervised retry adds reaches the stream.
 //!
-//! The stream and the exec worker count are process-global, so every
+//! The collector and the exec worker count are process-global, so every
 //! test serializes on one mutex.
 
 use ams::core::{table1_spec, SimulatedPulseDetectorModel};
-use ams::trace::{JsonlSink, TelemetryEvent};
-use ams_sizing::{evolve, GaConfig, PerfModel};
+use ams::prelude::*;
+use ams::trace::TelemetryEvent;
+use ams_sizing::{evolve, GaConfig};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -26,17 +29,40 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 }
 
 fn every_variant() -> Vec<TelemetryEvent> {
-    vec![
-        TelemetryEvent::FlowPhase {
-            phase: "sized".into(),
-            detail: "Sized { cost: -1.5 }".into(),
+    let mut events = vec![
+        TelemetryEvent::TopologySelected {
+            name: "two_stage".into(),
+            candidates: 3,
         },
-        TelemetryEvent::NewtonStart {
-            analysis: "dc".into(),
-            unknowns: 17,
+        TelemetryEvent::Sized {
+            iteration: 1,
+            feasible: false,
+            power_w: 1.5e-4,
         },
+        TelemetryEvent::LintChecked {
+            errors: 0,
+            warnings: 2,
+            structurally_sound: true,
+        },
+        TelemetryEvent::LayoutDone {
+            area_um2: 12_345.5,
+            complete: false,
+        },
+        TelemetryEvent::PostLayoutVerified {
+            passed: true,
+            ugf_degradation: 0.0625,
+        },
+        TelemetryEvent::Degraded {
+            reason: "router configuration relaxed".into(),
+        },
+        TelemetryEvent::Failed {
+            reason: "[E001] node \"out\" floats".into(),
+        },
+        TelemetryEvent::StageReplayed {
+            tag: "layout.0.0.rx1".into(),
+        },
+        TelemetryEvent::NewtonStart { unknowns: 17 },
         TelemetryEvent::NewtonEnd {
-            analysis: "dc".into(),
             iterations: 9,
             converged: true,
             residual: 3.25e-13,
@@ -53,25 +79,26 @@ fn every_variant() -> Vec<TelemetryEvent> {
             evals: 2400,
             best_cost: -7.25,
         },
-        TelemetryEvent::OptimizerRestart {
-            algorithm: "ga".into(),
-            restart: 2,
-            seed: 99,
-        },
         TelemetryEvent::RouteNet {
             net: "\"vdd\"\n".into(),
             routed: true,
             expansions: 4096,
-        },
-        TelemetryEvent::Degraded {
-            reason: "router configuration relaxed".into(),
         },
         TelemetryEvent::Budget {
             resource: "evaluations".into(),
             limit: 1000,
             spent: 1001,
         },
-    ]
+    ];
+    // Seeds drawn with `next_u64()` use the whole range; f64 holds
+    // integers exactly only up to 2^53.
+    for seed in [99, (1 << 53) + 1, 0xDEAD_BEEF_CAFE_F00D, u64::MAX] {
+        events.push(TelemetryEvent::OptimizerStart {
+            algorithm: "ga".into(),
+            seed,
+        });
+    }
+    events
 }
 
 #[test]
@@ -100,13 +127,12 @@ fn jsonl_round_trip_through_json_parser() {
     }
 }
 
-/// The dump of one seeded GA run with the stream armed.
+/// The JSONL rendering of one seeded GA run, asserting the ring dropped
+/// nothing while it ran.
 fn streamed_ga_run(threads: usize) -> String {
     ams_exec::set_threads(Some(threads));
-    ams::trace::reset_stream();
-    ams::trace::set_stream_enabled(true);
-    let sink = JsonlSink::bounded(100_000);
-    let id = ams::trace::subscribe(Box::new(sink.clone()));
+    ams::trace::set_enabled(true);
+    ams::trace::reset();
 
     let model = SimulatedPulseDetectorModel::new(Technology::generic_1p2um());
     let models: [&dyn PerfModel; 1] = [&model];
@@ -119,14 +145,12 @@ fn streamed_ga_run(threads: usize) -> String {
     let r = evolve(&models, &table1_spec(), &ga);
     assert!(r.sizing.cost.is_finite());
 
-    ams::trace::unsubscribe(id);
-    ams::trace::set_stream_enabled(false);
+    ams::trace::set_enabled(false);
     ams_exec::set_threads(None);
-    assert_eq!(sink.dropped(), 0, "bounded sink must not drop in this run");
-    sink.dump()
+    let snap = ams::trace::snapshot();
+    assert_eq!(snap.dropped_events, 0, "the ring must not drop in this run");
+    snap.to_jsonl()
 }
-
-use ams::prelude::Technology;
 
 #[test]
 fn event_stream_byte_identical_across_worker_counts() {
@@ -137,41 +161,51 @@ fn event_stream_byte_identical_across_worker_counts() {
     assert!(one.lines().count() > 2, "stream must carry events:\n{one}");
     assert_eq!(one, two, "1-thread vs 2-thread event streams differ");
     assert_eq!(one, eight, "1-thread vs 8-thread event streams differ");
-    // Spot-check the stream is the documented JSONL schema end to end.
-    for line in one.lines() {
-        let (_, ev) = TelemetryEvent::parse_json_line(line).expect("schema line");
-        assert!(!ev.kind().is_empty());
+    // The documented JSONL schema end to end: consecutive seqs from 0,
+    // and each line is exactly its event re-rendered, so it carries no
+    // field (such as a timestamp) beyond the event's own.
+    for (i, line) in one.lines().enumerate() {
+        let (seq, ev) = TelemetryEvent::parse_json_line(line).expect("schema line");
+        assert_eq!(seq, i as u64, "{line}");
+        assert_eq!(ev.to_json_line(seq), line);
+        for key in ["ts", "ts_us", "dur", "tid"] {
+            assert!(!line.contains(&format!("\"{key}\":")), "{line}");
+        }
     }
+    assert!(one.starts_with("{\"seq\":0,\"type\":\"optimizer_start\""));
 }
 
 #[test]
-fn disarmed_subscriber_hook_is_cheap() {
+fn disarmed_emit_is_cheap() {
     let _guard = lock();
-    ams::trace::set_stream_enabled(false);
+    ams::trace::set_enabled(false);
+    ams::trace::reset();
 
     let start = Instant::now();
-    for _ in 0..1_000_000u64 {
-        // The call-site pattern: gate on stream_enabled() before building
-        // an event. Both the gate and a direct emit of a pre-armed check
-        // must stay on the atomic-load fast path.
-        if ams::trace::stream_enabled() {
+    for i in 0..1_000_000u64 {
+        // The call-site pattern: gate on enabled() before building an
+        // event that allocates, and emit allocation-free events directly.
+        // Both must stay on the atomic-load fast path.
+        if ams::trace::enabled() {
             ams::trace::emit(TelemetryEvent::Degraded {
                 reason: "never built".into(),
             });
         }
+        ams::trace::emit(TelemetryEvent::NewtonStart { unknowns: i });
     }
     let elapsed = start.elapsed();
     assert!(
         elapsed.as_secs_f64() < 5.0,
-        "disarmed stream gate too slow: {elapsed:?} for 1M checks"
+        "disarmed emit too slow: {elapsed:?} for 1M checks"
     );
+    assert_eq!(ams::trace::snapshot().events().count(), 0);
 }
 
 #[test]
 fn forensics_capture_and_clear() {
     let _guard = lock();
-    ams::trace::reset_stream();
-    ams::trace::set_stream_enabled(true);
+    ams::trace::set_enabled(true);
+    ams::trace::reset();
     ams::trace::emit(TelemetryEvent::Degraded {
         reason: "unit".into(),
     });
@@ -188,5 +222,57 @@ fn forensics_capture_and_clear() {
         ams::trace::take_last_failure().is_none(),
         "slot is take-once"
     );
-    ams::trace::set_stream_enabled(false);
+    ams::trace::set_enabled(false);
+}
+
+/// Strict recovery on a spec no topology sizes: attempts 0–2 fail and
+/// attempt 3 runs the full ladder, so the report carries the
+/// supervised-retry degradation.
+#[test]
+fn supervised_retry_degradation_reaches_the_stream() {
+    let _guard = lock();
+    let spec = Spec::new()
+        .require("gain_db", Bound::AtLeast(60.0))
+        .require("ugf_hz", Bound::AtLeast(4.9e7))
+        .require("power_w", Bound::AtMost(6e-5))
+        .minimizing("power_w");
+    let mut cfg = FlowConfig {
+        sizing: AnnealConfig {
+            moves_per_stage: 150,
+            stages: 40,
+            seed: 3,
+            ..Default::default()
+        },
+        recovery: RecoveryPolicy::strict(),
+        ..Default::default()
+    };
+    cfg.layout.placer.moves_per_stage = 80;
+    cfg.layout.placer.stages = 25;
+    let mut store = CkptStore::in_memory();
+    let mut sup = Supervisor::new(SuperviseConfig::default());
+
+    ams::trace::set_enabled(true);
+    ams::trace::reset();
+    let (result, report) = supervised_synthesize(
+        &spec,
+        &Technology::generic_1p2um(),
+        5e-12,
+        &cfg,
+        &mut store,
+        &mut sup,
+    );
+    ams::trace::set_enabled(false);
+    let rep = result
+        .expect("not quarantined")
+        .expect("final attempt succeeds");
+    assert_eq!(report.retries, 3, "{report}");
+
+    let retry = TelemetryEvent::Degraded {
+        reason: ams::core::DegradeReason::SupervisedRetry { attempts: 4 }.to_string(),
+    };
+    assert_eq!(rep.events.last(), Some(&retry));
+    let jsonl = ams::trace::snapshot().to_jsonl();
+    let last = jsonl.lines().last().expect("the stream has events");
+    let (_, streamed) = TelemetryEvent::parse_json_line(last).expect("schema line");
+    assert_eq!(streamed, retry, "the stream ends with the retry label");
 }

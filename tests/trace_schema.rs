@@ -3,6 +3,7 @@
 //! global collector, so they serialize on a local mutex.
 
 use ams::trace::json::Value;
+use ams::trace::TelemetryEvent;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -18,7 +19,7 @@ fn chrome_trace_export_matches_schema() {
     ams::trace::set_enabled(true);
     ams::trace::reset();
 
-    // Known activity: 3 span records (2 distinct paths), 2 instants,
+    // Known activity: 3 span records (2 distinct paths), 2 events,
     // 2 counters, 1 histogram.
     for i in 0..2 {
         let _outer = ams::trace::span("schema.outer");
@@ -27,10 +28,14 @@ fn chrome_trace_export_matches_schema() {
         if i == 0 {
             let _inner = ams::trace::span("schema.inner");
             ams::trace::counter_add("schema.gadgets", 1);
-            ams::trace::instant("schema.milestone");
+            ams::trace::emit(TelemetryEvent::StageReplayed {
+                tag: "schema.milestone".into(),
+            });
         }
     }
-    ams::trace::instant("schema.done");
+    ams::trace::emit(TelemetryEvent::Degraded {
+        reason: "schema.done".into(),
+    });
 
     let snap = ams::trace::snapshot();
     let text = snap.to_chrome_json();
@@ -39,7 +44,7 @@ fn chrome_trace_export_matches_schema() {
     // The exporter's own validator accepts its output...
     let stats = ams::trace::validate_chrome_trace(&text).expect("export must validate");
     assert_eq!(stats.complete_events, 3, "2 outer spans + 1 inner span");
-    assert_eq!(stats.instant_events, 2);
+    assert_eq!(stats.instant_events, 2, "one instant per event");
     assert_eq!(stats.counter_events, 2, "one C event per counter");
     assert!(stats.total_events >= 3 + 2 + 2, "plus metadata");
 
@@ -81,6 +86,14 @@ fn chrome_trace_export_matches_schema() {
             "i" => {
                 assert_eq!(e.get("s").and_then(Value::as_str), Some("t"));
                 assert!(e.get("ts").and_then(Value::as_f64).is_some());
+                // An event instant is named by its kind and carries its
+                // JSONL object, sequence number included, as args.
+                let args = e.get("args").expect("event instants carry args");
+                assert_eq!(
+                    args.get("type").and_then(Value::as_str),
+                    e.get("name").and_then(Value::as_str)
+                );
+                assert!(args.get("seq").and_then(Value::as_f64).is_some());
             }
             "C" => {
                 let v = e
@@ -103,6 +116,27 @@ fn chrome_trace_export_matches_schema() {
             == Some("schema.outer/schema.inner")
     });
     assert!(has_inner_path, "nested span path missing from export");
+
+    // Events keep their fields and their emission order.
+    let instants: Vec<_> = events
+        .iter()
+        .filter(|e| ph(e).as_deref() == Some("i"))
+        .map(|e| {
+            let args = e.get("args").expect("args");
+            let field = args.get("tag").or(args.get("reason"));
+            (
+                args.get("seq").and_then(Value::as_f64),
+                field.and_then(Value::as_str).map(str::to_string),
+            )
+        })
+        .collect();
+    assert_eq!(
+        instants,
+        [
+            (Some(0.0), Some("schema.milestone".to_string())),
+            (Some(1.0), Some("schema.done".to_string())),
+        ]
+    );
 }
 
 #[test]
