@@ -6,11 +6,9 @@
 //! in `ams-awe` is benchmarked against (experiment E7).
 
 use crate::backend::Backend;
-use crate::csc::CscLu;
 use crate::error::SimError;
-use crate::linalg::{Complex, Matrix};
-use crate::mna::LinearNet;
-use crate::sparse::{solve_cached, Triplets};
+use crate::linalg::Complex;
+use crate::mna::{LinearNet, Stamper};
 
 /// Result of an AC sweep at one output unknown.
 #[derive(Debug, Clone)]
@@ -128,38 +126,33 @@ pub(crate) fn complex_pattern(net: &LinearNet) -> Vec<(usize, usize)> {
     pattern
 }
 
-/// Assembles the `G + sC` triplets over a fixed pattern. When `transposed`,
-/// entry `(i, j)` is emitted at `(j, i)` — the adjoint-system form noise
-/// analysis solves.
-pub(crate) fn assemble_complex(
+/// Stamps `G + sC` over `pattern` with right-hand side `rhs` on `backend`.
+/// Entries outside the pattern are zero on both backends. When
+/// `transposed`, entry `(i, j)` lands at `(j, i)` — the adjoint-system form
+/// noise analysis solves.
+pub(crate) fn complex_system(
     net: &LinearNet,
     pattern: &[(usize, usize)],
     s: Complex,
     transposed: bool,
-) -> Triplets<Complex> {
-    let mut t = Triplets::new(net.dim());
+    rhs: Vec<Complex>,
+    backend: Backend,
+) -> Stamper<Complex> {
+    let mut st = Stamper::over(rhs, backend);
     for &(i, j) in pattern {
         let v = Complex::real(net.g[(i, j)]) + s * net.c[(i, j)];
         if transposed {
-            t.push(j, i, v);
+            st.add(j, i, v);
         } else {
-            t.push(i, j, v);
+            st.add(i, j, v);
         }
     }
-    t
+    st
 }
 
-/// Dense single-point solve of `(G + sC)·x = b`.
-fn solve_dense(net: &LinearNet, s: Complex) -> Result<Vec<Complex>, SimError> {
-    let n = net.dim();
-    let mut a = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..n {
-            a[(i, j)] = Complex::new(net.g[(i, j)], 0.0) + s * net.c[(i, j)];
-        }
-    }
-    let b: Vec<Complex> = net.b.iter().map(|&v| Complex::real(v)).collect();
-    Ok(a.solve(&b)?)
+/// The excitation `b` of a linear net as a complex right-hand side.
+fn excitation(net: &LinearNet) -> Vec<Complex> {
+    net.b.iter().map(|&v| Complex::real(v)).collect()
 }
 
 /// Solves the linearized network at a single complex frequency `s`, on the
@@ -169,15 +162,16 @@ fn solve_dense(net: &LinearNet, s: Complex) -> Result<Vec<Complex>, SimError> {
 ///
 /// Returns [`SimError::Singular`] if the system is singular at `s`.
 pub fn solve_at(net: &LinearNet, s: Complex) -> Result<Vec<Complex>, SimError> {
-    match Backend::auto_for(net.dim()) {
-        Backend::Dense => solve_dense(net, s),
-        Backend::Sparse => {
-            let pattern = complex_pattern(net);
-            let t = assemble_complex(net, &pattern, s, false);
-            let b: Vec<Complex> = net.b.iter().map(|&v| Complex::real(v)).collect();
-            Ok(CscLu::factor(&t, None)?.solve_refined(&t, &b))
-        }
-    }
+    let backend = Backend::auto_for(net.dim());
+    Ok(complex_system(
+        net,
+        &complex_pattern(net),
+        s,
+        false,
+        excitation(net),
+        backend,
+    )
+    .solve()?)
 }
 
 /// Runs an AC sweep and extracts one output unknown — the engine behind
@@ -193,26 +187,13 @@ pub(crate) fn sweep_net(
     if freqs.is_empty() {
         return Err(SimError::BadParameter("empty frequency list".into()));
     }
+    let pattern = complex_pattern(net);
+    let mut lu = None;
     let mut values = Vec::with_capacity(freqs.len());
-    match backend {
-        Backend::Dense => {
-            for &f in freqs {
-                let s = Complex::new(0.0, 2.0 * std::f64::consts::PI * f);
-                let x = solve_dense(net, s)?;
-                values.push(x[out_index]);
-            }
-        }
-        Backend::Sparse => {
-            let pattern = complex_pattern(net);
-            let b: Vec<Complex> = net.b.iter().map(|&v| Complex::real(v)).collect();
-            let mut lu: Option<CscLu<Complex>> = None;
-            for &f in freqs {
-                let s = Complex::new(0.0, 2.0 * std::f64::consts::PI * f);
-                let t = assemble_complex(net, &pattern, s, false);
-                let x = solve_cached(&mut lu, &t, &b, None)?;
-                values.push(x[out_index]);
-            }
-        }
+    for &f in freqs {
+        let s = Complex::new(0.0, 2.0 * std::f64::consts::PI * f);
+        let st = complex_system(net, &pattern, s, false, excitation(net), backend);
+        values.push(st.solve_in(&mut lu, || None)?[out_index]);
     }
     Ok(AcSweep {
         freqs: freqs.to_vec(),

@@ -1,18 +1,23 @@
-//! DC operating-point analysis: Newton–Raphson with homotopy fallbacks.
+//! DC operating-point analysis: Newton–Raphson with homotopy fallbacks,
+//! and the device stamps every analysis shares.
 //!
 //! The solver first tries plain Newton from a zero start, then gmin
 //! stepping, then source stepping — the classic SPICE convergence ladder.
+//! [`stamp_device`] is the one device table: the DC Newton loop stamps it
+//! at each iterate, the transient adds its integrator companions, and
+//! [`linearize`] reads the small-signal `G` off it at the operating point.
+//! [`MosBias::at`] is the one place a MOS is oriented and evaluated.
 
 use ams_guard::fault::{self, FaultKind};
 use ams_guard::{budget, Retry};
-use ams_netlist::{Circuit, Device, MosOp};
+use ams_netlist::{Circuit, Device, MosInstance, MosOp, SourceWaveform};
 // det-lint: allow(hash-collection): public OpPoint API; per-device operating points are read by instance name
 use std::collections::HashMap;
 
 use crate::backend::Backend;
 use crate::error::SimError;
 use crate::linalg::{Matrix, SingularMatrix};
-use crate::mna::{indexed_devices, LinearNet, MnaLayout, Stamper, StamperMatrix};
+use crate::mna::{LinearNet, MnaLayout, Stamper};
 use crate::session::{RealSlot, SimSession};
 use crate::sparse::Triplets;
 
@@ -195,7 +200,6 @@ fn dc_solve(
     // perfect matching fails here instead of as a mid-Newton zero pivot.
     ses.structural_gate()?;
     let layout = ses.layout().clone();
-    let devices = indexed_devices(ckt);
     // Every ladder rung starts from the caller's initial point (zeros by
     // default; a perturbed restart under `SimSession::op_retry`).
     let start = |layout: &MnaLayout| -> Vec<f64> {
@@ -207,7 +211,7 @@ fn dc_solve(
     let mut x = start(&layout);
 
     // Plain Newton, then gmin ladder, then source stepping.
-    if newton(ses, &devices, &mut x, 0.0, 1.0, iters).is_ok() {
+    if newton(ses, &mut x, 0.0, 1.0, iters).is_ok() {
         return Ok(finish(ckt, layout, x, *iters, DcStrategy::Newton));
     }
     // gmin stepping: 1e-2 → 1e-12, warm-started.
@@ -216,14 +220,14 @@ fn dc_solve(
     let mut gmin_stages = 0u64;
     for k in 2..=12 {
         let gmin = 10f64.powi(-k);
-        if newton(ses, &devices, &mut gx, gmin, 1.0, iters).is_err() {
+        if newton(ses, &mut gx, gmin, 1.0, iters).is_err() {
             ok = false;
             break;
         }
         gmin_stages += 1;
     }
     ams_trace::counter_add("sim.dc_gmin_stages", gmin_stages);
-    if ok && newton(ses, &devices, &mut gx, 0.0, 1.0, iters).is_ok() {
+    if ok && newton(ses, &mut gx, 0.0, 1.0, iters).is_ok() {
         return Ok(finish(ckt, layout, gx, *iters, DcStrategy::GminStepping));
     }
 
@@ -233,14 +237,14 @@ fn dc_solve(
     let mut source_steps = 0u64;
     for k in 1..=10 {
         let alpha = k as f64 / 10.0;
-        if newton(ses, &devices, &mut sx, 1e-9, alpha, iters).is_err() {
+        if newton(ses, &mut sx, 1e-9, alpha, iters).is_err() {
             ok = false;
             break;
         }
         source_steps += 1;
     }
     ams_trace::counter_add("sim.dc_source_steps", source_steps);
-    if ok && newton(ses, &devices, &mut sx, 0.0, 1.0, iters).is_ok() {
+    if ok && newton(ses, &mut sx, 0.0, 1.0, iters).is_ok() {
         return Ok(finish(ckt, layout, sx, *iters, DcStrategy::SourceStepping));
     }
 
@@ -300,16 +304,12 @@ fn finish(
 }
 
 fn evaluate_mos_ops(ckt: &Circuit, layout: &MnaLayout, x: &[f64]) -> HashMap<String, MosOp> {
-    let v = |id: ams_netlist::NodeId| layout.node(id).map_or(0.0, |i| x[i]);
     let mut map = HashMap::new();
     for (name, dev) in ckt.devices() {
         if let Device::Mos(m) = dev {
-            let (d, s, flipped) = orient(m, v(m.drain), v(m.source));
-            let vgs = v(m.gate) - s.1;
-            let vds = d.1 - s.1;
-            let vbs = v(m.bulk) - s.1;
-            let mut op = m.model.evaluate(vgs, vds, vbs, m.w * m.m as f64, m.l);
-            if flipped {
+            let bias = MosBias::at(m, layout, x);
+            let mut op = bias.op;
+            if bias.flipped {
                 op.ids = -op.ids;
             }
             map.insert(name.to_string(), op);
@@ -318,18 +318,71 @@ fn evaluate_mos_ops(ckt: &Circuit, layout: &MnaLayout, x: &[f64]) -> HashMap<Str
     map
 }
 
-/// Orients a MOS so the model sees a forward-biased channel: returns
-/// ((drain node, vd), (source node, vs), flipped?).
-fn orient(
-    m: &ams_netlist::MosInstance,
-    vd: f64,
-    vs: f64,
-) -> ((ams_netlist::NodeId, f64), (ams_netlist::NodeId, f64), bool) {
-    let sign = m.model.polarity.sign();
-    if sign * (vd - vs) >= 0.0 {
-        ((m.drain, vd), (m.source, vs), false)
-    } else {
-        ((m.source, vs), (m.drain, vd), true)
+/// A MOS linearized at a solution vector and oriented so the model sees a
+/// forward-biased channel: when the netlist's drain sits below its source
+/// (above, for PMOS) the two swap roles.
+pub(crate) struct MosBias {
+    /// Unknowns of the effective drain and source, the gate and the bulk.
+    pub(crate) d: Option<usize>,
+    pub(crate) s: Option<usize>,
+    pub(crate) g: Option<usize>,
+    pub(crate) b: Option<usize>,
+    /// True when the effective drain is the netlist's source.
+    pub(crate) flipped: bool,
+    /// The model's operating point in the oriented frame (`ids` signed
+    /// for polarity, not for the flip).
+    pub(crate) op: MosOp,
+    /// Newton companion current out of the effective drain.
+    pub(crate) ieq: f64,
+}
+
+impl MosBias {
+    /// Orients `m` at `x` and evaluates its model: the crate's one call of
+    /// [`MosModel::evaluate`](ams_netlist::MosModel::evaluate).
+    pub(crate) fn at(m: &MosInstance, layout: &MnaLayout, x: &[f64]) -> MosBias {
+        let v = |idx: Option<usize>| idx.map_or(0.0, |i| x[i]);
+        let sign = m.model.polarity.sign();
+        let (drain, source) = (layout.node(m.drain), layout.node(m.source));
+        let (vd, vs) = (v(drain), v(source));
+        let (d, s, vdx, vsx, flipped) = if sign * (vd - vs) >= 0.0 {
+            (drain, source, vd, vs, false)
+        } else {
+            (source, drain, vs, vd, true)
+        };
+        let (g, b) = (layout.node(m.gate), layout.node(m.bulk));
+        let vgs = v(g) - vsx;
+        let vds = vdx - vsx;
+        let vbs = v(b) - vsx;
+        let op = m.model.evaluate(vgs, vds, vbs, m.w * m.m as f64, m.l);
+        // The nonlinear residue: I_lin(v) = ids + gm·Δvgs + gds·Δvds +
+        // gmbs·Δvbs, so the constant term to inject is
+        // ids − (gm·vgs + gds·vds + gmbs·vbs) in the NMOS frame; map back
+        // with `sign` for PMOS.
+        let vgs_n = sign * vgs;
+        let vds_n = sign * vds;
+        let vbs_n = sign * vbs;
+        let ieq_n = sign * op.ids - (op.gm * vgs_n + op.gds * vds_n + op.gmbs * vbs_n);
+        MosBias {
+            d,
+            s,
+            g,
+            b,
+            flipped,
+            op,
+            ieq: sign * ieq_n,
+        }
+    }
+
+    /// The four charge pairs on the oriented terminals with their
+    /// capacitances: gate–source, gate–drain, drain–bulk, source–bulk.
+    pub(crate) fn charges(&self) -> [(Option<usize>, Option<usize>, f64); 4] {
+        let (d, s, g, b, op) = (self.d, self.s, self.g, self.b, &self.op);
+        [
+            (g, s, op.cgs),
+            (g, d, op.cgd),
+            (d, b, op.cdb),
+            (s, b, op.csb),
+        ]
     }
 }
 
@@ -337,7 +390,6 @@ fn orient(
 /// `iters` accumulates the iterations spent across calls.
 fn newton(
     ses: &SimSession<'_>,
-    devices: &[(usize, String, Device)],
     x: &mut [f64],
     gmin: f64,
     source_scale: f64,
@@ -367,7 +419,7 @@ fn newton(
         // at their next checkpoint; an in-flight solve runs to completion.
         let _ = budget::charge_newton(1);
         let mut st = Stamper::with_backend(layout.dim(), ses.backend());
-        stamp_dc(layout, devices, x, gmin, source_scale, &mut st);
+        stamp_dc(ckt, layout, x, gmin, source_scale, &mut st);
         // Injection site: pretend LU elimination hit a zero pivot.
         let solved = if fault::trip(FaultKind::LuPivot) {
             Err(SingularMatrix { pivot: 0 })
@@ -381,20 +433,8 @@ fn newton(
                 return Err(e);
             }
         };
-        // Damped update and convergence check.
-        let mut converged = true;
-        let mut max_dx = 0.0_f64;
-        for i in 0..x.len() {
-            let mut dx = new_x[i] - x[i];
-            if i < layout.n_signal_nodes() {
-                dx = dx.clamp(-MAX_STEP, MAX_STEP);
-            }
-            max_dx = max_dx.max(dx.abs());
-            if dx.abs() > VNTOL + RELTOL * x[i].abs().max(new_x[i].abs()) {
-                converged = false;
-            }
-            x[i] += dx;
-        }
+        let (converged, max_dx) =
+            damped_update(x, &new_x, layout.n_signal_nodes(), MAX_STEP, VNTOL, RELTOL);
         // Injection site: poison the iterate so the finite-value check
         // below rejects the solve exactly as a real NaN residual would.
         if fault::trip(FaultKind::NanResidual) {
@@ -421,6 +461,34 @@ fn newton(
     })
 }
 
+/// The damped Newton update the DC and transient loops share: moves `x`
+/// to `new_x` with every node-voltage step clamped to `±max_step` (branch
+/// currents move freely). Returns whether every step was within
+/// `vntol + reltol·max(|x|, |new_x|)`, and the largest step taken.
+pub(crate) fn damped_update(
+    x: &mut [f64],
+    new_x: &[f64],
+    n_signal: usize,
+    max_step: f64,
+    vntol: f64,
+    reltol: f64,
+) -> (bool, f64) {
+    let mut converged = true;
+    let mut max_dx = 0.0_f64;
+    for (i, (xi, &ni)) in x.iter_mut().zip(new_x).enumerate() {
+        let mut dx = ni - *xi;
+        if i < n_signal {
+            dx = dx.clamp(-max_step, max_step);
+        }
+        max_dx = max_dx.max(dx.abs());
+        if dx.abs() > vntol + reltol * xi.abs().max(ni.abs()) {
+            converged = false;
+        }
+        *xi += dx;
+    }
+    (converged, max_dx)
+}
+
 /// Emits the `newton_end` event (one atomic load when tracing is off).
 fn newton_end(iterations: usize, converged: bool, residual: f64) {
     ams_trace::emit(ams_trace::TelemetryEvent::NewtonEnd {
@@ -430,126 +498,119 @@ fn newton_end(iterations: usize, converged: bool, residual: f64) {
     });
 }
 
-/// Stamps all devices for a DC Newton iteration linearized at `x`.
+/// Stamps a DC Newton iteration linearized at `x`: gmin to ground on every
+/// signal node, then every device with its sources at `source_scale` of
+/// their DC value.
 fn stamp_dc(
+    ckt: &Circuit,
     layout: &MnaLayout,
-    devices: &[(usize, String, Device)],
     x: &[f64],
     gmin: f64,
     source_scale: f64,
     st: &mut Stamper,
 ) {
-    let v = |idx: Option<usize>| idx.map_or(0.0, |i| x[i]);
-    // gmin to ground on every signal node. Stamped unconditionally (as 0.0
-    // when off) so every homotopy rung produces the same triplet sequence
-    // and the sparse backend can refactor instead of re-analyzing.
+    // Stamped unconditionally (as 0.0 when off) so every homotopy rung
+    // produces the same triplet sequence and the sparse backend can
+    // refactor instead of re-analyzing.
     for i in 0..layout.n_signal_nodes() {
         st.conductance(Some(i), None, gmin);
     }
-    for (list_idx, _name, dev) in devices {
-        match dev {
-            Device::Resistor { a, b, ohms } => {
-                st.conductance(layout.node(*a), layout.node(*b), 1.0 / ohms);
+    for (k, (_, dev)) in ckt.devices().enumerate() {
+        stamp_device(layout, k, dev, x, |w| w.dc_value() * source_scale, st);
+    }
+}
+
+/// Stamps device `k` linearized at `x`: the resistor, the branch
+/// incidences of L, V and E, the independent sources valued by `source`,
+/// the controlled sources, and the MOS channel with its Newton companion
+/// current. Capacitors stay open and inductors shorted; the transient adds
+/// their integrator companions right after this call, so every device
+/// keeps one push order in every analysis.
+pub(crate) fn stamp_device(
+    layout: &MnaLayout,
+    k: usize,
+    dev: &Device,
+    x: &[f64],
+    source: impl Fn(&SourceWaveform) -> f64,
+    st: &mut Stamper,
+) {
+    match dev {
+        Device::Resistor { a, b, ohms } => {
+            st.conductance(layout.node(*a), layout.node(*b), 1.0 / ohms);
+        }
+        Device::Capacitor { .. } => {}
+        Device::Inductor { a, b, .. } => {
+            // Short: branch row forces V(a)-V(b) = 0.
+            let br = layout.branch(k).expect("inductor branch");
+            st.voltage_branch(br, layout.node(*a), layout.node(*b), 0.0);
+        }
+        Device::Vsource {
+            plus,
+            minus,
+            waveform,
+            ..
+        } => {
+            let br = layout.branch(k).expect("vsource branch");
+            st.voltage_branch(
+                br,
+                layout.node(*plus),
+                layout.node(*minus),
+                source(waveform),
+            );
+        }
+        Device::Isource {
+            plus,
+            minus,
+            waveform,
+            ..
+        } => {
+            let i = source(waveform);
+            st.current_into(layout.node(*plus), -i);
+            st.current_into(layout.node(*minus), i);
+        }
+        Device::Vcvs {
+            plus,
+            minus,
+            ctrl_plus,
+            ctrl_minus,
+            gain,
+        } => {
+            let br = layout.branch(k).expect("vcvs branch");
+            st.voltage_branch(br, layout.node(*plus), layout.node(*minus), 0.0);
+            // KVL row gains: V(p)−V(m) − gain·(V(cp)−V(cm)) = 0.
+            if let Some(cp) = layout.node(*ctrl_plus) {
+                st.add(br, cp, -gain);
             }
-            Device::Capacitor { .. } => {} // open at DC
-            Device::Inductor { a, b, .. } => {
-                // Short: branch row forces V(a)-V(b) = 0.
-                let br = layout.branch(*list_idx).expect("inductor branch");
-                st.voltage_branch(br, layout.node(*a), layout.node(*b), 0.0);
+            if let Some(cm) = layout.node(*ctrl_minus) {
+                st.add(br, cm, *gain);
             }
-            Device::Vsource {
-                plus,
-                minus,
-                waveform,
-                ..
-            } => {
-                let br = layout.branch(*list_idx).expect("vsource branch");
-                st.voltage_branch(
-                    br,
-                    layout.node(*plus),
-                    layout.node(*minus),
-                    waveform.dc_value() * source_scale,
-                );
-            }
-            Device::Isource {
-                plus,
-                minus,
-                waveform,
-                ..
-            } => {
-                let i = waveform.dc_value() * source_scale;
-                st.current_into(layout.node(*plus), -i);
-                st.current_into(layout.node(*minus), i);
-            }
-            Device::Vcvs {
-                plus,
-                minus,
-                ctrl_plus,
-                ctrl_minus,
-                gain,
-            } => {
-                let br = layout.branch(*list_idx).expect("vcvs branch");
-                st.voltage_branch(br, layout.node(*plus), layout.node(*minus), 0.0);
-                // KVL row gains: V(p)−V(m) − gain·(V(cp)−V(cm)) = 0.
-                if let Some(cp) = layout.node(*ctrl_plus) {
-                    st.add(br, cp, -gain);
-                }
-                if let Some(cm) = layout.node(*ctrl_minus) {
-                    st.add(br, cm, *gain);
-                }
-            }
-            Device::Vccs {
-                plus,
-                minus,
-                ctrl_plus,
-                ctrl_minus,
-                gm,
-            } => {
-                st.transconductance(
-                    layout.node(*plus),
-                    layout.node(*minus),
-                    layout.node(*ctrl_plus),
-                    layout.node(*ctrl_minus),
-                    *gm,
-                );
-            }
-            Device::Mos(m) => {
-                let vd = v(layout.node(m.drain));
-                let vs = v(layout.node(m.source));
-                let ((dnode, vdx), (snode, vsx), _flip) = orient(m, vd, vs);
-                let vg = v(layout.node(m.gate));
-                let vb = v(layout.node(m.bulk));
-                let vgs = vg - vsx;
-                let vds = vdx - vsx;
-                let vbs = vb - vsx;
-                let op = m.model.evaluate(vgs, vds, vbs, m.w * m.m as f64, m.l);
-                // In the model's own frame (NMOS-like after polarity fold),
-                // drain current leaves `dnode`. Work with signed values:
-                let sign = m.model.polarity.sign();
-                let ids = op.ids; // already signed for polarity
-                let (gm_, gds, gmbs) = (op.gm, op.gds, op.gmbs);
-                let d = layout.node(dnode);
-                let s = layout.node(snode);
-                let g = layout.node(m.gate);
-                let b = layout.node(m.bulk);
-                // Conductances (same stamps for both polarities: gm etc. are
-                // derivatives in the NMOS frame; under polarity folding both
-                // voltage and current flip so the conductance stays positive).
-                st.conductance(d, s, gds);
-                st.transconductance(d, s, g, s, gm_);
-                st.transconductance(d, s, b, s, gmbs);
-                // Equivalent current source: the nonlinear residue.
-                // I_lin(v) = ids + gm·Δvgs + gds·Δvds + gmbs·Δvbs, so the
-                // constant term to inject is ids − (gm·vgs + gds·vds + gmbs·vbs)
-                // in the NMOS frame; map back with `sign` for PMOS.
-                let vgs_n = sign * vgs;
-                let vds_n = sign * vds;
-                let vbs_n = sign * vbs;
-                let ieq_n = sign * ids - (gm_ * vgs_n + gds * vds_n + gmbs * vbs_n);
-                let ieq = sign * ieq_n;
-                st.current_into(d, -ieq);
-                st.current_into(s, ieq);
-            }
+        }
+        Device::Vccs {
+            plus,
+            minus,
+            ctrl_plus,
+            ctrl_minus,
+            gm,
+        } => {
+            st.transconductance(
+                layout.node(*plus),
+                layout.node(*minus),
+                layout.node(*ctrl_plus),
+                layout.node(*ctrl_minus),
+                *gm,
+            );
+        }
+        Device::Mos(m) => {
+            let bias = MosBias::at(m, layout, x);
+            let (d, s, op) = (bias.d, bias.s, &bias.op);
+            // Conductances (same stamps for both polarities: gm etc. are
+            // derivatives in the NMOS frame; under polarity folding both
+            // voltage and current flip so the conductance stays positive).
+            st.conductance(d, s, op.gds);
+            st.transconductance(d, s, bias.g, s, op.gm);
+            st.transconductance(d, s, bias.b, s, op.gmbs);
+            st.current_into(d, -bias.ieq);
+            st.current_into(s, bias.ieq);
         }
     }
 }
@@ -559,18 +620,8 @@ pub(crate) fn sparse_system(ses: &SimSession<'_>, x: &[f64]) -> (Triplets<f64>, 
     let layout = ses.layout();
     assert_eq!(x.len(), layout.dim(), "solution vector dimension mismatch");
     let mut st = Stamper::with_backend(layout.dim(), Backend::Sparse);
-    stamp_dc(
-        layout,
-        &indexed_devices(ses.circuit()),
-        x,
-        0.0,
-        1.0,
-        &mut st,
-    );
-    match st.a {
-        StamperMatrix::Sparse(t) => (t, st.z),
-        StamperMatrix::Dense(_) => unreachable!("stamped on the sparse backend"),
-    }
+    stamp_dc(ses.circuit(), layout, x, 0.0, 1.0, &mut st);
+    st.into_triplets()
 }
 
 /// Linearizes at an *assumed* (not necessarily converged) solution vector,
@@ -585,55 +636,51 @@ pub(crate) fn sparse_system(ses: &SimSession<'_>, x: &[f64]) -> (Triplets<f64>, 
 pub fn linearize_at(ckt: &Circuit, x: &[f64]) -> (LinearNet, f64) {
     let layout = MnaLayout::new(ckt);
     assert_eq!(x.len(), layout.dim(), "solution vector dimension mismatch");
-    let devices = indexed_devices(ckt);
-    // Residual of the nonlinear KCL at x: stamp the companion system and
-    // measure A·x − z.
-    let mut st = Stamper::new(layout.dim());
-    stamp_dc(&layout, &devices, x, 0.0, 1.0, &mut st);
-    let ax = st.mul_vec(x);
-    let residual = ax
+    let op = finish(ckt, layout, x.to_vec(), 0, DcStrategy::Assumed);
+    let (net, z) = linearized(ckt, &op);
+    // Residual of the nonlinear KCL at x: `G` is the DC Newton matrix at
+    // x, so the residual is G·x − z.
+    let residual = net
+        .g
+        .mul_vec(x)
         .iter()
-        .zip(&st.z)
+        .zip(&z)
         .map(|(a, z)| (a - z) * (a - z))
         .sum::<f64>()
         .sqrt();
-    let op = finish(ckt, layout, x.to_vec(), 0, DcStrategy::Assumed);
-    (linearize(ckt, &op), residual)
+    (net, residual)
 }
 
 /// Linearizes a circuit at an operating point into `(G + sC)x = b` form for
-/// AC, noise and AWE analyses. The excitation `b` collects every source's
-/// `ac_mag`.
+/// AC, noise and AWE analyses. `G` is the DC Newton matrix at `op.x`; `C`
+/// collects the capacitors, the inductors' branch terms and the MOS charge
+/// pairs; the excitation `b` collects every source's `ac_mag`.
 pub fn linearize(ckt: &Circuit, op: &OpPoint) -> LinearNet {
+    linearized(ckt, op).0
+}
+
+/// [`linearize`], also returning the right-hand side `z` of the DC Newton
+/// system whose matrix is `G`.
+fn linearized(ckt: &Circuit, op: &OpPoint) -> (LinearNet, Vec<f64>) {
     let layout = MnaLayout::new(ckt);
     let dim = layout.dim();
-    let mut g = Stamper::new(dim);
+    let mut dc = Stamper::new(dim);
+    stamp_dc(ckt, &layout, &op.x, 0.0, 1.0, &mut dc);
+    let (g, z) = dc.into_dense();
     let mut c = Matrix::zeros(dim, dim);
-    let devices = indexed_devices(ckt);
-    let xv = |idx: Option<usize>| idx.map_or(0.0, |i| op.x[i]);
-
-    for (list_idx, name, dev) in &devices {
+    let mut b = vec![0.0; dim];
+    for (k, (_, dev)) in ckt.devices().enumerate() {
         match dev {
-            Device::Resistor { a, b, ohms } => {
-                g.conductance(layout.node(*a), layout.node(*b), 1.0 / ohms);
+            Device::Capacitor { a, b: n, farads } => {
+                stamp_cap(&mut c, layout.node(*a), layout.node(*n), *farads);
             }
-            Device::Capacitor { a, b, farads } => {
-                stamp_cap(&mut c, layout.node(*a), layout.node(*b), *farads);
-            }
-            Device::Inductor { a, b, henries } => {
-                let br = layout.branch(*list_idx).expect("inductor branch");
-                g.voltage_branch(br, layout.node(*a), layout.node(*b), 0.0);
+            Device::Inductor { henries, .. } => {
                 // KVL row: V(a) − V(b) − s·L·I = 0 → C[br][br] = −L.
+                let br = layout.branch(k).expect("inductor branch");
                 c[(br, br)] -= henries;
             }
-            Device::Vsource {
-                plus,
-                minus,
-                ac_mag,
-                ..
-            } => {
-                let br = layout.branch(*list_idx).expect("vsource branch");
-                g.voltage_branch(br, layout.node(*plus), layout.node(*minus), *ac_mag);
+            Device::Vsource { ac_mag, .. } => {
+                b[layout.branch(k).expect("vsource branch")] += ac_mag;
             }
             Device::Isource {
                 plus,
@@ -641,72 +688,22 @@ pub fn linearize(ckt: &Circuit, op: &OpPoint) -> LinearNet {
                 ac_mag,
                 ..
             } => {
-                g.current_into(layout.node(*plus), -*ac_mag);
-                g.current_into(layout.node(*minus), *ac_mag);
-            }
-            Device::Vcvs {
-                plus,
-                minus,
-                ctrl_plus,
-                ctrl_minus,
-                gain,
-            } => {
-                let br = layout.branch(*list_idx).expect("vcvs branch");
-                g.voltage_branch(br, layout.node(*plus), layout.node(*minus), 0.0);
-                if let Some(cp) = layout.node(*ctrl_plus) {
-                    g.add(br, cp, -gain);
+                if let Some(p) = layout.node(*plus) {
+                    b[p] -= ac_mag;
                 }
-                if let Some(cm) = layout.node(*ctrl_minus) {
-                    g.add(br, cm, *gain);
+                if let Some(m) = layout.node(*minus) {
+                    b[m] += ac_mag;
                 }
-            }
-            Device::Vccs {
-                plus,
-                minus,
-                ctrl_plus,
-                ctrl_minus,
-                gm,
-            } => {
-                g.transconductance(
-                    layout.node(*plus),
-                    layout.node(*minus),
-                    layout.node(*ctrl_plus),
-                    layout.node(*ctrl_minus),
-                    *gm,
-                );
             }
             Device::Mos(m) => {
-                let op_data = op
-                    .mos_ops
-                    .get(name)
-                    .copied()
-                    .unwrap_or_else(|| panic!("missing MOS op for `{name}`"));
-                // Re-orient exactly as the DC stamp did.
-                let vd = xv(layout.node(m.drain));
-                let vs = xv(layout.node(m.source));
-                let ((dnode, _), (snode, _), _f) = orient(m, vd, vs);
-                let d = layout.node(dnode);
-                let s = layout.node(snode);
-                let gt = layout.node(m.gate);
-                let b = layout.node(m.bulk);
-                g.conductance(d, s, op_data.gds);
-                g.transconductance(d, s, gt, s, op_data.gm);
-                g.transconductance(d, s, b, s, op_data.gmbs);
-                stamp_cap(&mut c, gt, s, op_data.cgs);
-                stamp_cap(&mut c, gt, d, op_data.cgd);
-                stamp_cap(&mut c, d, b, op_data.cdb);
-                stamp_cap(&mut c, s, b, op_data.csb);
+                for (i, j, farads) in MosBias::at(m, &layout, &op.x).charges() {
+                    stamp_cap(&mut c, i, j, farads);
+                }
             }
+            _ => {}
         }
     }
-
-    let (gm, gz) = g.into_dense();
-    LinearNet {
-        g: gm,
-        c,
-        b: gz,
-        layout,
-    }
+    (LinearNet { g, c, b, layout }, z)
 }
 
 fn stamp_cap(c: &mut Matrix, i: Option<usize>, j: Option<usize>, farads: f64) {

@@ -20,13 +20,13 @@
 //! * [`SimSession::tran`] — trapezoidal integration with step halving.
 //! * [`SimSession::noise`] — output-referred noise PSD and integrated rms.
 //!
-//! Small systems solve on the one dense partial-pivot LU in [`linalg`],
-//! generic over real and complex [`Scalar`]s; grid-scale systems (see
-//! `ams-rail`) automatically switch to the sparse backend at
-//! [`Backend::AUTO_SPARSE_DIM`] unknowns, overridable with the
-//! `AMS_SIM_BACKEND` environment variable or [`SimSession::with_backend`].
-//! Every sparse factorization runs on the KLU-style BTF∘AMD + CSC kernel
-//! in [`csc`], fed by the triplet assembly in [`sparse`].
+//! One device stamp serves DC, transient and the small-signal network, and
+//! every stamped [`Stamper`] system reaches its LU through one solve
+//! dispatch: the dense partial-pivot LU in [`linalg`], generic over real
+//! and complex [`Scalar`]s, or — from [`Backend::AUTO_SPARSE_DIM`]
+//! unknowns, or as `AMS_SIM_BACKEND` or [`SimSession::with_backend`] says
+//! — the KLU-style BTF∘AMD + CSC kernel in [`csc`] with the triplet
+//! assembly and factor reuse in [`sparse`].
 //!
 //! # Example
 //!

@@ -5,13 +5,14 @@
 //! source, inductor, VCVS). The same layout is shared by DC, AC, transient,
 //! noise and AWE so results can be cross-referenced by index.
 
-use ams_netlist::{Circuit, Device, NodeId};
+use ams_netlist::{Circuit, NodeId};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::backend::Backend;
 use crate::csc::CscLu;
-use crate::linalg::{Matrix, SingularMatrix};
-use crate::sparse::Triplets;
+use crate::linalg::{Matrix, Scalar, SingularMatrix};
+use crate::sparse::{solve_cached, BlockStructure, Triplets};
 
 /// Maps circuit nodes and voltage-defined branches to MNA unknown indices.
 #[derive(Debug, Clone)]
@@ -72,26 +73,79 @@ impl MnaLayout {
 
 /// Backend-specific matrix storage of a [`Stamper`].
 #[derive(Debug, Clone)]
-pub(crate) enum StamperMatrix {
+pub(crate) enum StamperMatrix<T> {
     /// Dense storage for small systems.
-    Dense(Matrix),
+    Dense(Matrix<T>),
     /// Triplet list for the sparse backend; the push *sequence* is the
     /// pattern key that lets [`CscLu::refactor`] skip symbolic analysis.
-    Sparse(Triplets<f64>),
+    Sparse(Triplets<T>),
 }
 
-/// An MNA system under construction: `A·x = z`.
+/// An MNA system under construction: `A·x = z`, real for DC and transient,
+/// [`Complex`](crate::Complex) for AC and noise.
 ///
 /// The matrix half is backend-polymorphic: device stamps go through
 /// [`Stamper::add`], which either accumulates into a dense matrix or
 /// appends a triplet. Stamping the same circuit twice therefore produces
 /// the same triplet sequence, which is what makes sparse numeric
-/// refactorization possible across Newton iterations and timesteps.
+/// refactorization possible across Newton iterations and timesteps. One
+/// solve dispatch sends a stamped system to the dense or the sparse LU.
 #[derive(Debug, Clone)]
-pub struct Stamper {
-    pub(crate) a: StamperMatrix,
+pub struct Stamper<T = f64> {
+    pub(crate) a: StamperMatrix<T>,
     /// Right-hand side.
-    pub z: Vec<f64>,
+    pub z: Vec<T>,
+}
+
+impl<T: Scalar> Stamper<T> {
+    /// A zeroed matrix on `backend` over the right-hand side `z`.
+    pub(crate) fn over(z: Vec<T>, backend: Backend) -> Self {
+        let dim = z.len();
+        let a = match backend {
+            Backend::Dense => StamperMatrix::Dense(Matrix::zeros(dim, dim)),
+            Backend::Sparse => StamperMatrix::Sparse(Triplets::new(dim)),
+        };
+        Stamper { a, z }
+    }
+
+    /// System dimension.
+    pub fn dim(&self) -> usize {
+        self.z.len()
+    }
+
+    /// Adds `v` to matrix entry `(i, j)` — the primitive every stamp is
+    /// built from.
+    pub fn add(&mut self, i: usize, j: usize, v: T) {
+        match &mut self.a {
+            StamperMatrix::Dense(m) => m[(i, j)] = m[(i, j)].add(v),
+            StamperMatrix::Sparse(t) => t.push(i, j, v),
+        }
+    }
+
+    /// Solves `A·x = z`: dense elimination, or the sparse kernel against
+    /// the factor `slot` (refactored or reused while the triplet pattern
+    /// holds, see `solve_cached`). `btf` supplies the structural block
+    /// partition when a fresh sparse factorization needs one.
+    pub(crate) fn solve_in(
+        self,
+        slot: &mut Option<CscLu<T>>,
+        btf: impl FnOnce() -> Option<Arc<BlockStructure>>,
+    ) -> Result<Vec<T>, SingularMatrix> {
+        match self.a {
+            StamperMatrix::Dense(m) => m.solve(&self.z),
+            StamperMatrix::Sparse(t) => solve_cached(slot, &t, &self.z, btf),
+        }
+    }
+
+    /// One-shot factor-and-solve of `A·x = z` on whichever backend this
+    /// stamper was built for, without keeping the factorization.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SingularMatrix`] when elimination fails.
+    pub fn solve(self) -> Result<Vec<T>, SingularMatrix> {
+        self.solve_in(&mut None, || None)
+    }
 }
 
 impl Stamper {
@@ -102,28 +156,7 @@ impl Stamper {
 
     /// Fresh zeroed system of dimension `dim` on the given backend.
     pub fn with_backend(dim: usize, backend: Backend) -> Self {
-        let a = match backend {
-            Backend::Dense => StamperMatrix::Dense(Matrix::zeros(dim, dim)),
-            Backend::Sparse => StamperMatrix::Sparse(Triplets::new(dim)),
-        };
-        Stamper {
-            a,
-            z: vec![0.0; dim],
-        }
-    }
-
-    /// System dimension.
-    pub fn dim(&self) -> usize {
-        self.z.len()
-    }
-
-    /// Adds `v` to matrix entry `(i, j)` — the primitive every stamp is
-    /// built from.
-    pub fn add(&mut self, i: usize, j: usize, v: f64) {
-        match &mut self.a {
-            StamperMatrix::Dense(m) => m[(i, j)] += v,
-            StamperMatrix::Sparse(t) => t.push(i, j, v),
-        }
+        Stamper::over(vec![0.0; dim], backend)
     }
 
     /// Stamps a conductance `g` between unknowns `i` and `j`
@@ -208,16 +241,16 @@ impl Stamper {
         }
     }
 
-    /// One-shot factor-and-solve of `A·x = z` on whichever backend this
-    /// stamper was built for, without any factorization caching.
+    /// Consumes a *sparse* stamper into its triplets and right-hand side —
+    /// the path [`crate::SimSession::dc_system`] uses.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`SingularMatrix`] when elimination fails.
-    pub fn solve(self) -> Result<Vec<f64>, SingularMatrix> {
+    /// Panics when called on a dense-backed stamper.
+    pub(crate) fn into_triplets(self) -> (Triplets<f64>, Vec<f64>) {
         match self.a {
-            StamperMatrix::Dense(m) => m.solve(&self.z),
-            StamperMatrix::Sparse(t) => Ok(CscLu::factor(&t, None)?.solve_refined(&t, &self.z)),
+            StamperMatrix::Sparse(t) => (t, self.z),
+            StamperMatrix::Dense(_) => panic!("into_triplets on a dense stamper"),
         }
     }
 }
@@ -255,14 +288,6 @@ impl LinearNet {
 /// Returns `None` when the node does not exist or is ground.
 pub fn output_index(ckt: &Circuit, layout: &MnaLayout, node: &str) -> Option<usize> {
     ckt.find_node(node).and_then(|n| layout.node(n))
-}
-
-/// Builds the device-list index → device table used by stamping loops.
-pub(crate) fn indexed_devices(ckt: &Circuit) -> Vec<(usize, String, Device)> {
-    ckt.devices()
-        .enumerate()
-        .map(|(i, (n, d))| (i, n.to_string(), d.clone()))
-        .collect()
 }
 
 #[cfg(test)]

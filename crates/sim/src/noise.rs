@@ -10,14 +10,12 @@
 
 use ams_netlist::{units, Circuit, Device};
 
-use crate::ac::{assemble_complex, complex_pattern};
+use crate::ac::{complex_pattern, complex_system};
 use crate::backend::Backend;
-use crate::csc::CscLu;
 use crate::dc::OpPoint;
 use crate::error::SimError;
-use crate::linalg::{Complex, Matrix};
+use crate::linalg::Complex;
 use crate::mna::{LinearNet, MnaLayout};
-use crate::sparse::solve_cached;
 
 /// MOS channel thermal noise excess factor (long-channel value 2/3).
 const GAMMA_CHANNEL: f64 = 2.0 / 3.0;
@@ -128,9 +126,10 @@ pub fn noise_sources(
     out
 }
 
-/// The noise engine behind [`crate::SimSession::noise`]. On the sparse
-/// backend the transposed `(G + sC)ᵀ` pattern is factored symbolically once
-/// and refactored numerically at every later frequency point.
+/// The noise engine behind [`crate::SimSession::noise`]. It solves the
+/// transposed `(G + sC)ᵀ` system at every frequency point; on the sparse
+/// backend that pattern is factored symbolically once and refactored
+/// numerically at every later point.
 pub(crate) fn analyze(
     ckt: &Circuit,
     op: &OpPoint,
@@ -152,32 +151,15 @@ pub(crate) fn analyze(
 
     let mut e = vec![Complex::ZERO; n];
     e[out_index] = Complex::ONE;
-    let pattern = match backend {
-        Backend::Dense => Vec::new(),
-        Backend::Sparse => complex_pattern(net),
-    };
-    let mut cached: Option<CscLu<Complex>> = None;
+    let pattern = complex_pattern(net);
+    let mut cached = None;
 
     for (fi, &f) in freqs.iter().enumerate() {
         let s = Complex::new(0.0, 2.0 * std::f64::consts::PI * f);
         // Factor once per frequency via the adjoint trick: solve Aᵀ y = e_out,
         // then |H_k|² = |y·inj_k|² for every source k.
-        let y = match backend {
-            Backend::Dense => {
-                let mut at = Matrix::zeros(n, n);
-                for i in 0..n {
-                    for j in 0..n {
-                        // Transpose while building.
-                        at[(j, i)] = Complex::new(net.g[(i, j)], 0.0) + s * net.c[(i, j)];
-                    }
-                }
-                at.solve(&e)?
-            }
-            Backend::Sparse => {
-                let t = assemble_complex(net, &pattern, s, true);
-                solve_cached(&mut cached, &t, &e, None)?
-            }
-        };
+        let y = complex_system(net, &pattern, s, true, e.clone(), backend)
+            .solve_in(&mut cached, || None)?;
         for (k, src) in sources.iter().enumerate() {
             // Unit current injected from `from` to `to`.
             let mut h = Complex::ZERO;

@@ -2,9 +2,9 @@
 //!
 //! A session binds a circuit to one [`MnaLayout`] and one [`Backend`]
 //! choice, and carries every cache that makes repeated analyses cheap: the
-//! DC operating point, the linearized small-signal network, and — on the
-//! sparse backend — the symbolic LU factorizations that turn each Newton
-//! iteration, transient timestep, and AC frequency point into a numeric
+//! DC operating point, the linearized small-signal network, and the DC and
+//! transient factor slots its solves go through. On the sparse backend a
+//! slot turns each Newton iteration or timestep into a numeric
 //! refactorization instead of a full factorization, or into no
 //! factorization at all when the re-stamped values did not change.
 //!
@@ -38,7 +38,7 @@ use crate::csc::CscLu;
 use crate::dc::{self, OpPoint};
 use crate::error::SimError;
 use crate::linalg::SingularMatrix;
-use crate::mna::{output_index, LinearNet, MnaLayout, Stamper, StamperMatrix};
+use crate::mna::{output_index, LinearNet, MnaLayout, Stamper};
 use crate::noise::{self, NoiseResult};
 use crate::sparse::{BlockStructure, Triplets};
 use crate::tran::{self, TranResult};
@@ -349,43 +349,35 @@ impl<'c> SimSession<'c> {
         ))
     }
 
-    /// Solves the stamped system `A·x = z`, routing through the cached
-    /// sparse factorization slot when on the sparse backend.
+    /// Solves the stamped system `A·x = z` against the slot's cached
+    /// factorization (used only on the sparse backend).
     pub(crate) fn solve_stamped(
         &self,
         st: Stamper,
         slot: RealSlot,
     ) -> Result<Vec<f64>, SingularMatrix> {
-        let (a, z) = (st.a, st.z);
-        match a {
-            StamperMatrix::Dense(m) => m.solve(&z),
-            StamperMatrix::Sparse(t) => {
-                let cache = match slot {
-                    RealSlot::Dc => &self.dc_lu,
-                    RealSlot::Tran => &self.tran_lu,
-                };
-                let mut guard = cache.lock().unwrap();
-                // Hand the analyzer's BTF permutation to a fresh DC
-                // factorization: the kernel nests its AMD order inside the
-                // block partition and carries it as metadata. Cheap: cloned only when no factorization is
-                // cached yet, and only when the structural pass already
-                // ran (the DC gate runs it before the first solve). The
-                // analyzer models the DC pattern, so the transient slot
-                // gets no hint.
-                let btf = if slot == RealSlot::Dc && guard.is_none() {
-                    let structural = self.structural.lock().unwrap();
-                    structural.as_ref().and_then(|a| a.btf.as_ref()).map(|b| {
-                        Arc::new(BlockStructure {
-                            perm: b.perm.clone(),
-                            block_ptr: b.block_ptr.clone(),
-                        })
-                    })
-                } else {
-                    None
-                };
-                crate::sparse::solve_cached(&mut guard, &t, &z, btf)
+        let cache = match slot {
+            RealSlot::Dc => &self.dc_lu,
+            RealSlot::Tran => &self.tran_lu,
+        };
+        // A fresh DC factorization gets the analyzer's BTF permutation:
+        // the kernel nests its AMD order inside the block partition and
+        // carries it as metadata. Cloned only when no factorization is
+        // cached yet, and only when the structural pass already ran (the
+        // DC gate runs it before the first solve). The analyzer models the
+        // DC pattern, so the transient slot gets no hint.
+        st.solve_in(&mut cache.lock().unwrap(), || {
+            if slot != RealSlot::Dc {
+                return None;
             }
-        }
+            let structural = self.structural.lock().unwrap();
+            structural.as_ref().and_then(|a| a.btf.as_ref()).map(|b| {
+                Arc::new(BlockStructure {
+                    perm: b.perm.clone(),
+                    block_ptr: b.block_ptr.clone(),
+                })
+            })
+        })
     }
 }
 

@@ -161,38 +161,42 @@ impl BlockStructure {
 /// [`CscLu::refactor`] on `*lu` first (which keeps the factors when the
 /// values are bit-identical and refactors numerically otherwise) and falls
 /// back to a fresh symbolic+numeric factorization (updating the cache)
-/// when the pattern changed or the refactorization went unstable. `btf` is
-/// the structural analyzer's block partition when the caller has one; it
-/// seeds the column ordering on fresh factorizations. Bumps the trace
-/// counters accordingly: `sim.sparse.symbolic` and `sim.sparse.fill_in`
-/// per fresh factorization, `sim.sparse.symbolic_reuse` per solve that
-/// skipped it, split into `sim.sparse.refactor` (a numeric refactor ran)
-/// and `sim.sparse.reuse` (served from unchanged factors). Every caching
-/// sparse solve in the crate funnels through here so the counters stay
-/// consistent.
+/// when the pattern changed or the refactorization went unstable. `btf`
+/// yields the structural analyzer's block partition, asked only when the
+/// slot is empty, to seed the first factorization's column ordering.
+/// Bumps the trace counters accordingly: `sim.sparse.symbolic` and
+/// `sim.sparse.fill_in` per fresh factorization, `sim.sparse.symbolic_reuse`
+/// per solve that skipped it, split into `sim.sparse.refactor` (a numeric
+/// refactor ran) and `sim.sparse.reuse` (served from unchanged factors).
+/// Every sparse solve in the crate funnels through here, via the
+/// stamper's one solve dispatch, so the counters stay consistent.
 pub(crate) fn solve_cached<T: Scalar>(
     lu: &mut Option<CscLu<T>>,
     t: &Triplets<T>,
     b: &[T],
-    btf: Option<Arc<BlockStructure>>,
+    btf: impl FnOnce() -> Option<Arc<BlockStructure>>,
 ) -> Result<Vec<T>, SingularMatrix> {
-    if let Some(f) = lu.as_mut() {
-        if let Ok(refresh) = f.refactor(t) {
-            ams_trace::counter_add("sim.sparse.symbolic_reuse", 1);
-            ams_trace::counter_add(
-                match refresh {
-                    Refresh::Reused => "sim.sparse.reuse",
-                    Refresh::Numeric => "sim.sparse.refactor",
-                },
-                1,
-            );
-            return Ok(f.solve_refined(t, b));
+    let hint = match lu.as_mut() {
+        Some(f) => {
+            if let Ok(refresh) = f.refactor(t) {
+                ams_trace::counter_add("sim.sparse.symbolic_reuse", 1);
+                ams_trace::counter_add(
+                    match refresh {
+                        Refresh::Reused => "sim.sparse.reuse",
+                        Refresh::Numeric => "sim.sparse.refactor",
+                    },
+                    1,
+                );
+                return Ok(f.solve_refined(t, b));
+            }
+            // Pattern changed or the replayed pivots decayed: discard and
+            // redo the symbolic analysis from scratch.
+            *lu = None;
+            None
         }
-        // Pattern changed or the replayed pivots decayed: discard and redo
-        // the symbolic analysis from scratch.
-        *lu = None;
-    }
-    let f = CscLu::factor(t, btf)?;
+        None => btf(),
+    };
+    let f = CscLu::factor(t, hint)?;
     ams_trace::counter_add("sim.sparse.symbolic", 1);
     ams_trace::counter_add("sim.sparse.fill_in", f.fill_in());
     let x = f.solve_refined(t, b);

@@ -3,21 +3,26 @@
 //! Integration is trapezoidal with a backward-Euler start-up step, the
 //! classic SPICE combination: A-stable, second-order accurate, and free of
 //! the artificial damping pure BE would add to ringing power-grid
-//! waveforms (experiment E4 relies on this).
+//! waveforms (experiment E4 relies on this). The step is fixed; a point
+//! where Newton fails is retried as two half steps. Each Newton iteration
+//! stamps the DC device table ([`stamp_device`]) and adds only the
+//! integrator companions of the capacitors, the inductors and the MOS
+//! charge pairs.
 
 use ams_guard::budget;
 use ams_guard::fault::{self, FaultKind};
-use ams_netlist::{Circuit, Device, NodeId};
-// det-lint: allow(hash-collection): reactive state keyed by device list index; stamping order comes from the device Vec
-use std::collections::HashMap;
+use ams_netlist::{Circuit, Device};
 
+use crate::dc::{damped_update, stamp_device, MosBias};
 use crate::error::SimError;
-use crate::mna::{indexed_devices, MnaLayout, Stamper};
+use crate::mna::{MnaLayout, Stamper};
 use crate::session::{RealSlot, SimSession};
 
 const MAX_ITER: usize = 60;
 const VNTOL: f64 = 1e-6;
 const RELTOL: f64 = 1e-4;
+/// Per-iteration clamp on any node-voltage update (volts), for damping.
+const MAX_STEP: f64 = 1.0;
 /// Maximum recursive step halvings when Newton fails at a point.
 const MAX_HALVINGS: usize = 8;
 
@@ -93,7 +98,8 @@ impl TranResult {
 struct TranStats {
     /// Committed (accepted) integration steps, including halved sub-steps.
     accepted: u64,
-    /// Step halvings forced by a Newton failure (LTE-style retries).
+    /// Step halvings forced by a Newton failure (the step is otherwise
+    /// fixed: there is no local-truncation-error control).
     halvings: u64,
     /// Newton iterations summed over every attempted step.
     newton_iters: u64,
@@ -101,13 +107,177 @@ struct TranStats {
     rejected: u64,
 }
 
-/// Per-reactive-element integration state.
+/// A capacitance held constant over a step, with its integration state.
 #[derive(Debug, Clone, Copy, Default)]
-struct ReactState {
-    /// Voltage across the element (or current for inductors) at t_n.
+struct Charge {
+    /// Terminal unknowns (`None` = ground).
+    a: Option<usize>,
+    b: Option<usize>,
+    farads: f64,
+    /// Voltage across it at t_n.
     v: f64,
-    /// Element current (or voltage for inductors) at t_n.
+    /// Current through it at t_n.
     i: f64,
+}
+
+impl Charge {
+    /// A charge at rest at solution `x`.
+    fn new(a: Option<usize>, b: Option<usize>, farads: f64, x: &[f64]) -> Self {
+        let at = |n: Option<usize>| n.map_or(0.0, |k| x[k]);
+        Charge {
+            a,
+            b,
+            farads,
+            v: at(a) - at(b),
+            i: 0.0,
+        }
+    }
+
+    /// Stamps the companion: `geq` in parallel with a current `ieq`.
+    fn stamp(&self, h: f64, use_be: bool, st: &mut Stamper) {
+        let (geq, ieq) = if use_be {
+            let geq = self.farads / h;
+            (geq, geq * self.v)
+        } else {
+            let geq = 2.0 * self.farads / h;
+            (geq, geq * self.v + self.i)
+        };
+        st.conductance(self.a, self.b, geq);
+        st.current_into(self.a, ieq);
+        st.current_into(self.b, -ieq);
+    }
+
+    /// Moves the state to the accepted solution `x` at t_n + h.
+    fn commit(&mut self, x: &[f64], h: f64, use_be: bool) {
+        let v_new = Charge::new(self.a, self.b, self.farads, x).v;
+        self.i = if use_be {
+            self.farads * (v_new - self.v) / h
+        } else {
+            2.0 * self.farads * (v_new - self.v) / h - self.i
+        };
+        self.v = v_new;
+    }
+}
+
+/// Reactive state of one device.
+#[derive(Debug)]
+enum Reactive {
+    /// No charge or flux.
+    None,
+    /// A linear capacitor.
+    Cap(Charge),
+    /// An inductor on branch unknown `br`: its current `i` and voltage
+    /// `v` at t_n.
+    Ind {
+        br: usize,
+        henries: f64,
+        i: f64,
+        v: f64,
+    },
+    /// A MOS's four charge pairs in netlist terminal order — (g, s),
+    /// (g, d), (d, b), (s, b) — revalued at every step boundary.
+    Mos([Charge; 4]),
+}
+
+impl Reactive {
+    /// Stamps the integrator companion for a step of `h`.
+    fn stamp(&self, h: f64, use_be: bool, st: &mut Stamper) {
+        match self {
+            Reactive::None => {}
+            Reactive::Cap(c) => c.stamp(h, use_be, st),
+            Reactive::Ind { br, henries, i, v } => {
+                // Branch row: V(a)−V(b) − req·I = veq.
+                let (req, veq) = if use_be {
+                    (henries / h, -(henries / h) * i)
+                } else {
+                    (2.0 * henries / h, -(2.0 * henries / h) * i - v)
+                };
+                st.add(*br, *br, -req);
+                st.z[*br] += veq;
+            }
+            Reactive::Mos(charges) => charges.iter().for_each(|c| c.stamp(h, use_be, st)),
+        }
+    }
+
+    /// Moves the state to the accepted solution `x` at t_n + h.
+    fn commit(&mut self, x: &[f64], h: f64, use_be: bool) {
+        match self {
+            Reactive::None => {}
+            Reactive::Cap(c) => c.commit(x, h, use_be),
+            Reactive::Ind { br, henries, i, v } => {
+                let i_new = x[*br];
+                *v = if use_be {
+                    *henries * (i_new - *i) / h
+                } else {
+                    2.0 * *henries * (i_new - *i) / h - *v
+                };
+                *i = i_new;
+            }
+            Reactive::Mos(charges) => charges.iter_mut().for_each(|c| c.commit(x, h, use_be)),
+        }
+    }
+}
+
+/// The transient state at t_n: the solution and, by device position, each
+/// device's reactive state.
+struct State {
+    x: Vec<f64>,
+    react: Vec<Reactive>,
+}
+
+impl State {
+    /// Reactive elements at rest at the DC solution `x`.
+    fn new(ckt: &Circuit, layout: &MnaLayout, x: Vec<f64>) -> Self {
+        let react = ckt
+            .devices()
+            .enumerate()
+            .map(|(k, (_, dev))| match dev {
+                Device::Capacitor { a, b, farads } => {
+                    Reactive::Cap(Charge::new(layout.node(*a), layout.node(*b), *farads, &x))
+                }
+                Device::Inductor { henries, .. } => {
+                    let br = layout.branch(k).expect("inductor branch");
+                    Reactive::Ind {
+                        br,
+                        henries: *henries,
+                        i: x[br],
+                        v: 0.0,
+                    }
+                }
+                Device::Mos(_) => Reactive::Mos([Charge::default(); 4]),
+                _ => Reactive::None,
+            })
+            .collect();
+        State { x, react }
+    }
+
+    /// Revalues every MOS charge pair at the step boundary: capacitances
+    /// and oriented terminals from [`MosBias::at`], voltages from `x`, and
+    /// the current each pair carries kept. A reversed device's gate–source
+    /// pair is the netlist's gate–drain pair (slot `k ^ 1`), so a pair's
+    /// current stays with its terminals when drain and source swap roles.
+    fn refresh(&mut self, ckt: &Circuit, layout: &MnaLayout) {
+        for ((_, dev), r) in ckt.devices().zip(&mut self.react) {
+            if let (Device::Mos(m), Reactive::Mos(charges)) = (dev, r) {
+                let bias = MosBias::at(m, layout, &self.x);
+                for (k, (a, b, farads)) in bias.charges().into_iter().enumerate() {
+                    let slot = &mut charges[k ^ usize::from(bias.flipped)];
+                    *slot = Charge {
+                        i: slot.i,
+                        ..Charge::new(a, b, farads, &self.x)
+                    };
+                }
+            }
+        }
+    }
+
+    /// Accepts `x` as the solution at t_n + h.
+    fn commit(&mut self, x: Vec<f64>, h: f64, use_be: bool) {
+        for r in &mut self.react {
+            r.commit(&x, h, use_be);
+        }
+        self.x = x;
+    }
 }
 
 /// The transient engine behind [`SimSession::tran`].
@@ -119,62 +289,27 @@ pub(crate) fn run(ses: &SimSession<'_>, tstop: f64, dt: f64) -> Result<TranResul
     }
     let _span = ams_trace::span("sim.transient");
     let mut stats = TranStats::default();
-    let ckt = ses.circuit();
     let op = ses.op()?;
     let layout = ses.layout().clone();
-    let devices = indexed_devices(ckt);
-
-    let mut x = op.x.clone();
-    let mut states: HashMap<usize, ReactState> = HashMap::new();
-    let mut mos_caps: HashMap<usize, [(f64, f64); 4]> = HashMap::new(); // (cap value, v_old)
-
-    // Initialize reactive states from the DC solution.
-    let xv = |x: &[f64], id: NodeId| layout.node(id).map_or(0.0, |i| x[i]);
-    for (li, _name, dev) in &devices {
-        match dev {
-            Device::Capacitor { a, b, .. } => {
-                states.insert(
-                    *li,
-                    ReactState {
-                        v: xv(&x, *a) - xv(&x, *b),
-                        i: 0.0,
-                    },
-                );
-            }
-            Device::Inductor { .. } => {
-                let br = layout.branch(*li).expect("inductor branch");
-                states.insert(*li, ReactState { v: x[br], i: 0.0 });
-            }
-            Device::Mos(_) => {
-                mos_caps.insert(*li, [(0.0, 0.0); 4]);
-            }
-            _ => {}
-        }
-    }
+    let mut state = State::new(ses.circuit(), &layout, op.x);
 
     let mut times = vec![0.0];
-    let mut solutions = vec![x.clone()];
+    let mut solutions = vec![state.x.clone()];
     let mut t = 0.0;
     let mut first_step = true;
 
     while t < tstop - 1e-15 {
         let step = dt.min(tstop - t);
-        let (new_x, new_states, new_mos_caps, t_next) = match advance(
-            ses, &layout, &devices, &x, &states, &mos_caps, t, step, first_step, 0, &mut stats,
-        ) {
-            Ok(v) => v,
+        t = match advance(ses, &mut state, t, step, first_step, 0, &mut stats) {
+            Ok(t_next) => t_next,
             Err(e) => {
                 flush_stats(&stats);
                 return Err(e);
             }
         };
-        x = new_x;
-        states = new_states;
-        mos_caps = new_mos_caps;
-        t = t_next;
         first_step = false;
         times.push(t);
-        solutions.push(x.clone());
+        solutions.push(state.x.clone());
     }
 
     flush_stats(&stats);
@@ -197,125 +332,35 @@ fn flush_stats(stats: &TranStats) {
     ams_trace::counter_add("sim.lu_solves", stats.newton_iters);
 }
 
-/// Advances one (possibly recursively halved) timestep.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+/// Advances `state` by one (possibly recursively halved) timestep and
+/// returns the new time. A failure aborts the whole run, so a rejected
+/// step needs no rollback: only accepted steps commit.
 fn advance(
     ses: &SimSession<'_>,
-    layout: &MnaLayout,
-    devices: &[(usize, String, Device)],
-    x: &[f64],
-    states: &HashMap<usize, ReactState>,
-    mos_caps: &HashMap<usize, [(f64, f64); 4]>,
+    state: &mut State,
     t: f64,
     h: f64,
     use_be: bool,
     depth: usize,
     stats: &mut TranStats,
-) -> Result<
-    (
-        Vec<f64>,
-        HashMap<usize, ReactState>,
-        HashMap<usize, [(f64, f64); 4]>,
-        f64,
-    ),
-    SimError,
-> {
+) -> Result<f64, SimError> {
     let t_new = t + h;
-    // Refresh MOS cap values from the current solution.
-    let mut caps_now = mos_caps.clone();
-    let xv = |x: &[f64], id: NodeId| layout.node(id).map_or(0.0, |i| x[i]);
-    for (li, name, dev) in devices {
-        if let Device::Mos(m) = dev {
-            let op = mos_op_at(m, layout, x);
-            let pairs = mos_cap_pairs(m);
-            let mut entry = [(0.0, 0.0); 4];
-            let caps = [op.cgs, op.cgd, op.cdb, op.csb];
-            for (k, ((a, b), c)) in pairs.iter().zip(caps).enumerate() {
-                entry[k] = (c, xv(x, *a) - xv(x, *b));
-            }
-            caps_now.insert(*li, entry);
-            let _ = name;
-        }
-    }
-
+    state.refresh(ses.circuit(), ses.layout());
     let iters_before = stats.newton_iters;
-    match newton_step(
-        ses,
-        layout,
-        devices,
-        x,
-        states,
-        &caps_now,
-        t_new,
-        h,
-        use_be,
-        &mut stats.newton_iters,
-    ) {
+    match newton_step(ses, state, t_new, h, use_be, &mut stats.newton_iters) {
         Ok(new_x) => {
             stats.accepted += 1;
             tran_step_event(t_new, h, true, stats.newton_iters - iters_before);
-            // Commit: update reactive states from the accepted solution.
-            let mut new_states = states.clone();
-            for (li, _name, dev) in devices {
-                match dev {
-                    Device::Capacitor { a, b, farads } => {
-                        let v_new = xv(&new_x, *a) - xv(&new_x, *b);
-                        let st = states[li];
-                        let i_new = if use_be {
-                            farads * (v_new - st.v) / h
-                        } else {
-                            2.0 * farads * (v_new - st.v) / h - st.i
-                        };
-                        new_states.insert(*li, ReactState { v: v_new, i: i_new });
-                    }
-                    Device::Inductor { henries, .. } => {
-                        let br = layout.branch(*li).expect("inductor branch");
-                        let i_new = new_x[br];
-                        let st = states[li];
-                        let v_new = if use_be {
-                            henries * (i_new - st.v) / h
-                        } else {
-                            2.0 * henries * (i_new - st.v) / h - st.i
-                        };
-                        // For inductors `v` holds current, `i` holds voltage.
-                        new_states.insert(*li, ReactState { v: i_new, i: v_new });
-                    }
-                    _ => {}
-                }
-            }
-            Ok((new_x, new_states, caps_now, t_new))
+            state.commit(new_x, h, use_be);
+            Ok(t_new)
         }
         Err(_) if depth < MAX_HALVINGS => {
             stats.rejected += 1;
             stats.halvings += 1;
             tran_step_event(t_new, h, false, stats.newton_iters - iters_before);
             // Halve: two sub-steps, BE on the first half for damping.
-            let (x1, s1, c1, t1) = advance(
-                ses,
-                layout,
-                devices,
-                x,
-                states,
-                mos_caps,
-                t,
-                h / 2.0,
-                true,
-                depth + 1,
-                stats,
-            )?;
-            advance(
-                ses,
-                layout,
-                devices,
-                &x1,
-                &s1,
-                &c1,
-                t1,
-                h / 2.0,
-                false,
-                depth + 1,
-                stats,
-            )
+            let t1 = advance(ses, state, t, h / 2.0, true, depth + 1, stats)?;
+            advance(ses, state, t1, h / 2.0, false, depth + 1, stats)
         }
         Err(e) => {
             stats.rejected += 1;
@@ -335,39 +380,11 @@ fn tran_step_event(time_s: f64, dt_s: f64, accepted: bool, newton_iters: u64) {
     });
 }
 
-fn mos_op_at(m: &ams_netlist::MosInstance, layout: &MnaLayout, x: &[f64]) -> ams_netlist::MosOp {
-    let xv = |id: NodeId| layout.node(id).map_or(0.0, |i| x[i]);
-    let (vd, vs) = (xv(m.drain), xv(m.source));
-    let sign = m.model.polarity.sign();
-    let (vd, vs, _fl) = if sign * (vd - vs) >= 0.0 {
-        (vd, vs, false)
-    } else {
-        (vs, vd, true)
-    };
-    let vgs = xv(m.gate) - vs;
-    let vds = vd - vs;
-    let vbs = xv(m.bulk) - vs;
-    m.model.evaluate(vgs, vds, vbs, m.w * m.m as f64, m.l)
-}
-
-fn mos_cap_pairs(m: &ams_netlist::MosInstance) -> [(NodeId, NodeId); 4] {
-    [
-        (m.gate, m.source),
-        (m.gate, m.drain),
-        (m.drain, m.bulk),
-        (m.source, m.bulk),
-    ]
-}
-
-/// Newton solve at one time point with companion models.
-#[allow(clippy::too_many_arguments)]
+/// Newton solve at one time point: the DC device stamps plus the
+/// integrator companions.
 fn newton_step(
     ses: &SimSession<'_>,
-    layout: &MnaLayout,
-    devices: &[(usize, String, Device)],
-    x0: &[f64],
-    states: &HashMap<usize, ReactState>,
-    mos_caps: &HashMap<usize, [(f64, f64); 4]>,
+    state: &State,
     t_new: f64,
     h: f64,
     use_be: bool,
@@ -382,28 +399,27 @@ fn newton_step(
             iterations: MAX_ITER,
         });
     }
-    let mut x = x0.to_vec();
+    let (ckt, layout) = (ses.circuit(), ses.layout());
+    let mut x = state.x.clone();
     for _ in 0..MAX_ITER {
         *iters += 1;
         let _ = budget::charge_newton(1);
         let mut st = Stamper::with_backend(layout.dim(), ses.backend());
-        stamp_tran(
-            layout, devices, &x, states, mos_caps, t_new, h, use_be, &mut st,
-        );
+        for (k, ((_, dev), r)) in ckt.devices().zip(&state.react).enumerate() {
+            stamp_device(layout, k, dev, &x, |w| w.value_at(t_new), &mut st);
+            r.stamp(h, use_be, &mut st);
+        }
         let new_x = ses
             .solve_stamped(st, RealSlot::Tran)
             .map_err(SimError::Singular)?;
-        let mut converged = true;
-        for i in 0..x.len() {
-            let mut dx = new_x[i] - x[i];
-            if i < layout.n_signal_nodes() {
-                dx = dx.clamp(-1.0, 1.0);
-            }
-            if dx.abs() > VNTOL + RELTOL * x[i].abs().max(new_x[i].abs()) {
-                converged = false;
-            }
-            x[i] += dx;
-        }
+        let (converged, _) = damped_update(
+            &mut x,
+            &new_x,
+            layout.n_signal_nodes(),
+            MAX_STEP,
+            VNTOL,
+            RELTOL,
+        );
         if x.iter().any(|v| !v.is_finite()) {
             break;
         }
@@ -415,158 +431,6 @@ fn newton_step(
         analysis: "tran",
         iterations: MAX_ITER,
     })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn stamp_tran(
-    layout: &MnaLayout,
-    devices: &[(usize, String, Device)],
-    x: &[f64],
-    states: &HashMap<usize, ReactState>,
-    mos_caps: &HashMap<usize, [(f64, f64); 4]>,
-    t_new: f64,
-    h: f64,
-    use_be: bool,
-    st: &mut Stamper,
-) {
-    let v = |idx: Option<usize>| idx.map_or(0.0, |i| x[i]);
-    for (li, _name, dev) in devices {
-        match dev {
-            Device::Resistor { a, b, ohms } => {
-                st.conductance(layout.node(*a), layout.node(*b), 1.0 / ohms);
-            }
-            Device::Capacitor { a, b, farads } => {
-                let s = states[li];
-                let (geq, ieq) = companion_cap(*farads, h, use_be, s);
-                st.conductance(layout.node(*a), layout.node(*b), geq);
-                st.current_into(layout.node(*a), ieq);
-                st.current_into(layout.node(*b), -ieq);
-            }
-            Device::Inductor { a, b, henries } => {
-                let br = layout.branch(*li).expect("inductor branch");
-                let s = states[li];
-                // Branch row: V(a)−V(b) − req·I = veq.
-                st.voltage_branch(br, layout.node(*a), layout.node(*b), 0.0);
-                let (req, veq) = if use_be {
-                    (henries / h, -(henries / h) * s.v)
-                } else {
-                    (2.0 * henries / h, -(2.0 * henries / h) * s.v - s.i)
-                };
-                st.add(br, br, -req);
-                st.z[br] += veq;
-            }
-            Device::Vsource {
-                plus,
-                minus,
-                waveform,
-                ..
-            } => {
-                let br = layout.branch(*li).expect("vsource branch");
-                st.voltage_branch(
-                    br,
-                    layout.node(*plus),
-                    layout.node(*minus),
-                    waveform.value_at(t_new),
-                );
-            }
-            Device::Isource {
-                plus,
-                minus,
-                waveform,
-                ..
-            } => {
-                let i = waveform.value_at(t_new);
-                st.current_into(layout.node(*plus), -i);
-                st.current_into(layout.node(*minus), i);
-            }
-            Device::Vcvs {
-                plus,
-                minus,
-                ctrl_plus,
-                ctrl_minus,
-                gain,
-            } => {
-                let br = layout.branch(*li).expect("vcvs branch");
-                st.voltage_branch(br, layout.node(*plus), layout.node(*minus), 0.0);
-                if let Some(cp) = layout.node(*ctrl_plus) {
-                    st.add(br, cp, -gain);
-                }
-                if let Some(cm) = layout.node(*ctrl_minus) {
-                    st.add(br, cm, *gain);
-                }
-            }
-            Device::Vccs {
-                plus,
-                minus,
-                ctrl_plus,
-                ctrl_minus,
-                gm,
-            } => {
-                st.transconductance(
-                    layout.node(*plus),
-                    layout.node(*minus),
-                    layout.node(*ctrl_plus),
-                    layout.node(*ctrl_minus),
-                    *gm,
-                );
-            }
-            Device::Mos(m) => {
-                // Nonlinear conductive part, identical to the DC stamp.
-                let vd = v(layout.node(m.drain));
-                let vs = v(layout.node(m.source));
-                let sign = m.model.polarity.sign();
-                let (dnode, snode, vdx, vsx) = if sign * (vd - vs) >= 0.0 {
-                    (m.drain, m.source, vd, vs)
-                } else {
-                    (m.source, m.drain, vs, vd)
-                };
-                let vg = v(layout.node(m.gate));
-                let vb = v(layout.node(m.bulk));
-                let vgs = vg - vsx;
-                let vds = vdx - vsx;
-                let vbs = vb - vsx;
-                let op = m.model.evaluate(vgs, vds, vbs, m.w * m.m as f64, m.l);
-                let d = layout.node(dnode);
-                let s = layout.node(snode);
-                let g = layout.node(m.gate);
-                let b = layout.node(m.bulk);
-                st.conductance(d, s, op.gds);
-                st.transconductance(d, s, g, s, op.gm);
-                st.transconductance(d, s, b, s, op.gmbs);
-                let vgs_n = sign * vgs;
-                let vds_n = sign * vds;
-                let vbs_n = sign * vbs;
-                let ieq_n = sign * op.ids - (op.gm * vgs_n + op.gds * vds_n + op.gmbs * vbs_n);
-                let ieq = sign * ieq_n;
-                st.current_into(d, -ieq);
-                st.current_into(s, ieq);
-                // Linearized charge part: four pair caps held constant over
-                // the step (values refreshed at the step boundary).
-                let caps = mos_caps[li];
-                let pairs = mos_cap_pairs(m);
-                for ((a, bnode), (cval, v_old)) in pairs.iter().zip(caps) {
-                    if cval <= 0.0 {
-                        continue;
-                    }
-                    let geq = if use_be { cval / h } else { 2.0 * cval / h };
-                    let ieq = geq * v_old; // BE form; trap handled via i≈0 approx
-                    st.conductance(layout.node(*a), layout.node(*bnode), geq);
-                    st.current_into(layout.node(*a), ieq);
-                    st.current_into(layout.node(*bnode), -ieq);
-                }
-            }
-        }
-    }
-}
-
-fn companion_cap(farads: f64, h: f64, use_be: bool, s: ReactState) -> (f64, f64) {
-    if use_be {
-        let geq = farads / h;
-        (geq, geq * s.v)
-    } else {
-        let geq = 2.0 * farads / h;
-        (geq, geq * s.v + s.i)
-    }
 }
 
 #[cfg(test)]
@@ -682,5 +546,81 @@ mod tests {
         let cross = res.rising_crossing(&ckt, "out", 0.5).unwrap();
         // sin crosses 0.5 at t = period/12 ≈ 83.3 µs.
         assert!((cross - 83.3e-6).abs() < 3e-6, "cross = {cross}");
+    }
+
+    /// A saturated common-source stage whose gate moves through a resistor,
+    /// with the MOS written drain-first (`M1 d g 0 0`) or reversed
+    /// (`M1 0 g d 0`).
+    fn moving_gate_stage(mos: &str) -> ams_netlist::Circuit {
+        parse_deck(&format!(
+            ".model nch nmos vt0=0.7 kp=110u lambda=0.04
+             Vdd vdd 0 DC 5
+             Vin in 0 SIN(1.2 0.1 20meg)
+             Rg in g 50k
+             RD vdd d 10k
+             {mos}
+             CL d 0 50f"
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn reversed_mos_charges_follow_the_channel() {
+        // The charges sit on the oriented terminals, so writing drain and
+        // source in either order gives one transient. Placed as written, a
+        // reversed device would put 2/3·Cox·W·L from its gate to its
+        // effective drain and multiply it by the stage gain.
+        let fwd = moving_gate_stage("M1 d g 0 0 nch W=20u L=2u");
+        let rev = moving_gate_stage("M1 0 g d 0 nch W=20u L=2u");
+        let ses = SimSession::new(&fwd);
+        let op = ses.op().unwrap();
+        assert_eq!(op.mos_ops["M1"].region, ams_netlist::MosRegion::Saturation);
+        let a = ses.tran(100e-9, 0.5e-9).unwrap();
+        let b = SimSession::new(&rev).tran(100e-9, 0.5e-9).unwrap();
+        assert_eq!(a.times, b.times);
+        for node in ["g", "d"] {
+            let (wa, wb) = (
+                a.voltage(&fwd, node).unwrap(),
+                b.voltage(&rev, node).unwrap(),
+            );
+            for (k, (va, vb)) in wa.iter().zip(&wb).enumerate() {
+                let tol = VNTOL + RELTOL * va.abs().max(vb.abs());
+                assert!(
+                    (va - vb).abs() <= tol,
+                    "{node} at t = {:e}: in order {va} vs reversed {vb}",
+                    a.times[k]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gate_step_charges_cgs_plus_cgd_through_the_resistor() {
+        // Drain on a supply: no Miller gain, so the gate is a plain RC
+        // with C = cgs + cgd at the operating point. Trapezoidal steps
+        // must carry the previous charging current, or the response
+        // slows to a time constant of 2RC.
+        let ckt = parse_deck(
+            ".model nch nmos vt0=0.7 kp=110u lambda=0.04
+             Vdd vdd 0 DC 5
+             Vin in 0 PULSE(1 1.02 0 1p 1p 1 2)
+             Rg in g 100k
+             M1 vdd g 0 0 nch W=20u L=2u",
+        )
+        .unwrap();
+        let ses = SimSession::new(&ckt);
+        let m1 = ses.op().unwrap().mos_ops["M1"];
+        assert_eq!(m1.region, ams_netlist::MosRegion::Saturation);
+        let tau = 100e3 * (m1.cgs + m1.cgd);
+        let res = ses.tran(5.0 * tau, tau / 50.0).unwrap();
+        let g = res.voltage(&ckt, "g").unwrap();
+        for (t, v) in res.times.iter().zip(&g).skip(1) {
+            let step = (v - 1.0) / 0.02;
+            let expected = 1.0 - (-t / tau).exp();
+            assert!(
+                (step - expected).abs() <= 0.02,
+                "t = {t:e}: normalized gate {step} vs 1 - exp(-t/RC) = {expected}"
+            );
+        }
     }
 }

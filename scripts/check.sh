@@ -21,10 +21,10 @@ cargo test --offline -q --test golden_analytic
 echo "--  AMS_SIM_BACKEND=sparse (closed forms through the sparse factor-reuse path)"
 AMS_SIM_BACKEND=sparse cargo test --offline -q --test golden_analytic
 
-echo "== forced linear-solver backend matrix (sim + rail) =="
+echo "== forced linear-solver backend matrix (sim, rail, and the AWE/symbolic consumers of solve_at and ac) =="
 for backend in dense sparse; do
     echo "--  AMS_SIM_BACKEND=$backend"
-    AMS_SIM_BACKEND=$backend cargo test --offline -q -p ams-sim -p ams-rail
+    AMS_SIM_BACKEND=$backend cargo test --offline -q -p ams-sim -p ams-rail -p ams-awe -p ams-symbolic
 done
 
 echo "== dense/sparse backend equivalence (exemplars, grids, seeded deck generator) =="

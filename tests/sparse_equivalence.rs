@@ -32,17 +32,17 @@ fn assert_vectors_close(dense: &[f64], sparse: &[f64], what: &str) {
     }
 }
 
-/// Solves `ckt` on both backends, checks the bound, and returns the
-/// sparse solution.
-fn solve_both(ckt: &Circuit, what: &str) -> Vec<f64> {
-    let dense = SimSession::with_backend(ckt, Backend::Dense)
-        .op()
-        .unwrap_or_else(|e| panic!("{what}: dense solve failed: {e}"));
-    let sparse = SimSession::with_backend(ckt, Backend::Sparse)
-        .op()
-        .unwrap_or_else(|e| panic!("{what}: sparse solve failed: {e}"));
-    assert_vectors_close(&dense.x, &sparse.x, what);
-    sparse.x
+/// Solves `ckt` on both backends, checks the bound, and returns the dense
+/// and the sparse session with their operating points cached.
+fn solve_both<'c>(ckt: &'c Circuit, what: &str) -> [SimSession<'c>; 2] {
+    let sessions = [Backend::Dense, Backend::Sparse].map(|b| SimSession::with_backend(ckt, b));
+    let [dense, sparse] = sessions.each_ref().map(|ses| {
+        ses.op()
+            .unwrap_or_else(|e| panic!("{what}: {:?} solve failed: {e}", ses.backend()))
+            .x
+    });
+    assert_vectors_close(&dense, &sparse, what);
+    sessions
 }
 
 /// The six device-level exemplar decks of the topology library — four
@@ -205,7 +205,7 @@ fn seeded_deck(rng: &mut SmallRng, nodes: usize, exemplar: Option<&str>) -> Stri
         );
     }
     let _ = writeln!(deck, ".model gnch nmos vt0=0.7 kp=110u lambda=0.04");
-    let _ = writeln!(deck, "Vg gv 0 DC {:.3}", rng.gen_range(0.5..3.0));
+    let _ = writeln!(deck, "Vg gv 0 DC {:.3} AC 1", rng.gen_range(0.5..3.0));
     let _ = writeln!(deck, "Rgv gv g1 {:.1}", rng.gen_range(10.0..1e3));
     for u in 1..=nodes {
         if u > 1 {
@@ -247,8 +247,9 @@ fn seeded_deck(rng: &mut SmallRng, nodes: usize, exemplar: Option<&str>) -> Stri
 /// tied to every library exemplar, from a few unknowns to past
 /// [`Backend::AUTO_SPARSE_DIM`] — each ERC-clean under `ams_lint` (no
 /// diagnostic at all) with no structural error, each solving to the 1e-9
-/// dense bound on the sparse backend, and each re-solving bit-identically
-/// on a fresh sparse session. Every generated deck is checked; none is
+/// dense bound on the sparse backend, each re-solving bit-identically on a
+/// fresh sparse session, and each passing the small-signal legs of
+/// [`small_signal_agrees`]. Every generated deck is checked; none is
 /// skipped. (Structural *warnings* are allowed: every library exemplar
 /// already carries a W005, its MNA pattern splitting into independent
 /// blocks.)
@@ -285,7 +286,9 @@ fn seeded_decks_agree_across_backends() {
         );
 
         let ckt = parse_deck(&deck).expect("generated deck parses");
-        let x = solve_both(&ckt, &what);
+        let [dense, sparse] = solve_both(&ckt, &what);
+        let x = sparse.op().expect("cached").x;
+        small_signal_agrees(&dense, &sparse, &format!("g{}", nodes.div_ceil(2)), &what);
         let again = SimSession::with_backend(&ckt, Backend::Sparse)
             .op()
             .unwrap_or_else(|e| panic!("{what}: repeated sparse solve failed: {e}"))
@@ -304,6 +307,53 @@ fn seeded_decks_agree_across_backends() {
         max_dim > Backend::AUTO_SPARSE_DIM,
         "largest deck has {max_dim} unknowns"
     );
+}
+
+/// The small-signal legs of the oracle on one deck. An AC sweep and the
+/// output noise at `out` match dense vs sparse at every frequency point,
+/// to the 1e-9 bound (relative for the noise rms). And the linearized `G`
+/// equals the DC Newton matrix at the operating point, as `dc_system`
+/// stamps it, scattered to dense bit for bit: both come from one stamp.
+fn small_signal_agrees(dense: &SimSession<'_>, sparse: &SimSession<'_>, out: &str, what: &str) {
+    let freqs = ams_sim::log_frequencies(1.0, 1e12, 5);
+    let ac = |ses: &SimSession<'_>| {
+        ses.ac(out, &freqs)
+            .unwrap_or_else(|e| panic!("{what}: {:?} AC failed: {e}", ses.backend()))
+    };
+    for ((f, d), s) in freqs.iter().zip(ac(dense).values).zip(ac(sparse).values) {
+        assert!(
+            (d - s).abs() <= 1e-9 * d.abs().max(1.0),
+            "{what}: AC at {f:e} Hz dense {d:?} vs sparse {s:?}"
+        );
+    }
+    let rms = |ses: &SimSession<'_>| {
+        ses.noise(out, &freqs, 300.0)
+            .unwrap_or_else(|e| panic!("{what}: {:?} noise failed: {e}", ses.backend()))
+            .output_rms
+    };
+    let (d, s) = (rms(dense), rms(sparse));
+    assert!(
+        (d - s).abs() <= 1e-9 * d,
+        "{what}: noise rms dense {d:e} vs sparse {s:e}"
+    );
+
+    let x = sparse.op().expect("cached").x;
+    let g = &sparse.linearize().expect("linearizes").g;
+    let (a, _) = sparse.dc_system(&x);
+    let mut unit = vec![0.0; x.len()];
+    for j in 0..x.len() {
+        unit[j] = 1.0;
+        // Column j of the triplets, summed in push order.
+        for (i, v) in a.mul_vec(&unit).into_iter().enumerate() {
+            assert_eq!(
+                v.to_bits(),
+                g[(i, j)].to_bits(),
+                "{what}: G[{i}][{j}] = {:e} but the DC system has {v:e}",
+                g[(i, j)]
+            );
+        }
+        unit[j] = 0.0;
+    }
 }
 
 /// Runs the same transient on both backends: every time point matches
