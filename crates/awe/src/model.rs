@@ -5,7 +5,11 @@
 //! moment Hankel system → characteristic polynomial → poles (inverted
 //! roots) → residues from a Vandermonde solve — with frequency scaling for
 //! conditioning and right-half-plane pole discarding for stability, the two
-//! standard production fixes.
+//! standard production fixes. A fit left with no stable pole is an error,
+//! so a fallback ladder moves on to a lower order.
+//!
+//! With tracing on, `awe.models` counts the models built and
+//! `awe.poles_dropped` the right-half-plane poles they discarded.
 
 use ams_sim::{Complex, LinearNet, Matrix, SimError};
 use std::fmt;
@@ -31,6 +35,13 @@ pub enum AweError {
         /// Moments available.
         got: usize,
     },
+    /// Every pole of the fit lies in the right half plane (or at
+    /// infinity), so stabilization would leave no model — retry with a
+    /// smaller `order`.
+    Unstable {
+        /// The order that failed.
+        order: usize,
+    },
 }
 
 impl fmt::Display for AweError {
@@ -42,6 +53,9 @@ impl fmt::Display for AweError {
             }
             AweError::NotEnoughMoments { needed, got } => {
                 write!(f, "need {needed} moments, got {got}")
+            }
+            AweError::Unstable { order } => {
+                write!(f, "no stable pole in the order-{order} fit")
             }
         }
     }
@@ -74,16 +88,49 @@ pub struct AweModel {
 }
 
 impl AweModel {
-    /// Builds a `q`-pole model of output `out_index` of a linear network.
+    /// Builds a `q`-pole model of output `out_index` of a linear network
+    /// driven by its own AC sources (`net.b`).
     ///
     /// # Errors
     ///
     /// * [`AweError::Sim`] — the network's `G` matrix is singular.
-    /// * [`AweError::DegenerateMoments`] — order too high for this response;
-    ///   retry with a smaller `order` (the response has few distinct poles).
+    /// * [`AweError::DegenerateMoments`] or [`AweError::Unstable`] — order
+    ///   too high for this response; retry with a smaller `order` (the
+    ///   response has few distinct poles).
     pub fn from_net(net: &LinearNet, out_index: usize, order: usize) -> Result<Self, AweError> {
-        let moments = Moments::compute(net, 2 * order)?;
-        Self::from_moments(&moments.of_output(out_index), order)
+        Self::first_of(net, &net.b, out_index, &[order])
+    }
+
+    /// The fallback ladder: the model of the first order in `orders` that
+    /// builds, for output `out_index` under `excitation`. The moments of
+    /// the highest order are computed once, against the net's one factor
+    /// of `G`, and every order reads its prefix of them, so `[4, 3, 2, 1]`
+    /// costs one moment set.
+    ///
+    /// # Errors
+    ///
+    /// [`AweError::Sim`] when the moments cannot be computed, else the
+    /// error of the last order tried.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `orders` is empty or `out_index` is out of range.
+    pub fn first_of(
+        net: &LinearNet,
+        excitation: &[f64],
+        out_index: usize,
+        orders: &[usize],
+    ) -> Result<Self, AweError> {
+        let highest = orders.iter().copied().max().expect("at least one order");
+        let m = Moments::compute(net, excitation, 2 * highest)?.of_output(out_index);
+        let mut last = None;
+        for &order in orders {
+            match Self::from_moments(&m[..2 * order], order) {
+                Ok(model) => return Ok(model),
+                Err(e) => last = Some(e),
+            }
+        }
+        Err(last.expect("at least one order"))
     }
 
     /// Builds a model directly from `2·order` scalar moments.
@@ -92,6 +139,8 @@ impl AweModel {
     ///
     /// See [`AweModel::from_net`]; additionally
     /// [`AweError::NotEnoughMoments`] when the slice is too short.
+    /// [`AweError::Unstable`] when no pole of the fit is stable: a model
+    /// is never returned without one.
     pub fn from_moments(m: &[f64], order: usize) -> Result<Self, AweError> {
         let q = order;
         if m.len() < 2 * q {
@@ -166,9 +215,15 @@ impl AweModel {
 
         // Stability: discard right-half-plane poles (the classical AWE
         // fix for Padé instability), then restore the exact DC value by
-        // rescaling the surviving residues.
+        // rescaling the surviving residues. With nothing left there is no
+        // model to rescale.
         let keep: Vec<usize> = (0..poles.len()).filter(|&j| poles[j].re < 0.0).collect();
-        if keep.len() < poles.len() && !keep.is_empty() {
+        if keep.is_empty() {
+            return Err(AweError::Unstable { order: q });
+        }
+        ams_trace::counter_add("awe.models", 1);
+        if keep.len() < poles.len() {
+            ams_trace::counter_add("awe.poles_dropped", (poles.len() - keep.len()) as u64);
             let poles2: Vec<Complex> = keep.iter().map(|&j| poles[j]).collect();
             let residues2: Vec<Complex> = keep.iter().map(|&j| residues[j]).collect();
             let dc_now: Complex = poles2
@@ -309,7 +364,7 @@ mod tests {
             .iter()
             .map(|&f| {
                 let s = Complex::new(0.0, 2.0 * std::f64::consts::PI * f);
-                ams_sim::solve_at(&net, s).unwrap()[out]
+                ams_sim::solve_at(&net, s, &net.b).unwrap()[out]
             })
             .collect();
         let approx = model.frequency_response(&freqs);
@@ -369,8 +424,53 @@ mod tests {
                     assert!(p.re < 0.0, "unstable pole {p}");
                 }
             }
-            Err(AweError::DegenerateMoments { .. }) => {}
+            Err(AweError::DegenerateMoments { .. } | AweError::Unstable { .. }) => {}
             Err(e) => panic!("unexpected error {e}"),
+        }
+    }
+
+    #[test]
+    fn fits_with_no_stable_pole_are_errors() {
+        // One pole at +1e9 rad/s.
+        assert_eq!(
+            AweModel::from_moments(&[1.0, 1e-9], 1).unwrap_err(),
+            AweError::Unstable { order: 1 }
+        );
+        // Two right-half-plane poles.
+        assert_eq!(
+            AweModel::from_moments(&[1.0, 3e-9, 7e-18, 1.5e-26], 2).unwrap_err(),
+            AweError::Unstable { order: 2 }
+        );
+    }
+
+    #[test]
+    fn ladder_matches_per_order_recomputation() {
+        // One moment set for the whole ladder gives the bits of building
+        // each order from its own, shorter moment set.
+        for deck in [
+            "Vin in 0 DC 0 AC 1
+             R1 in out 1k
+             C1 out 0 1n",
+            "Vin in 0 DC 0 AC 1
+             R1 in a 1k
+             C1 a 0 10p
+             R2 a out 10k
+             C2 out 0 1p",
+        ] {
+            let (net, out) = make_net(deck, "out");
+            let ladder = AweModel::first_of(&net, &net.b, out, &[4, 3, 2, 1]).unwrap();
+            let per_order = [4, 3, 2, 1]
+                .into_iter()
+                .find_map(|q| AweModel::from_net(&net, out, q).ok())
+                .unwrap();
+            let bits = |m: &AweModel| {
+                m.poles
+                    .iter()
+                    .chain(&m.residues)
+                    .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&ladder), bits(&per_order));
         }
     }
 

@@ -5,10 +5,15 @@
 //! forward/back substitution per moment. This is the entire cost of an AWE
 //! macromodel — the source of the speedup the ASTRX/OBLX synthesis tool
 //! exploits (§2.2 of the tutorial).
+//!
+//! The factorization belongs to the [`LinearNet`]: `G` is factored once
+//! per linearization, on the net's backend, so every moment of every
+//! excitation — each order an AWE ladder tries, each tap of a power grid —
+//! is one more right-hand side against the same LU.
 
-use ams_sim::{LinearNet, Lu, SimError};
+use ams_sim::{LinearNet, SimError};
 
-/// The first `n` moments of every MNA unknown.
+/// The first `n` moments of every MNA unknown under one excitation.
 #[derive(Debug, Clone)]
 pub struct Moments {
     /// `vectors[k][i]` = k-th moment of unknown `i`.
@@ -16,20 +21,23 @@ pub struct Moments {
 }
 
 impl Moments {
-    /// Computes `n` moment vectors of the network.
+    /// Computes `n` moment vectors of the network driven by `excitation`
+    /// (`&net.b` for the network's own AC sources), solving against the
+    /// net's one factorization of `G` ([`LinearNet::solve_g`]).
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Singular`] when `G` cannot be factored (the
-    /// network has no DC path somewhere).
-    pub fn compute(net: &LinearNet, n: usize) -> Result<Self, SimError> {
-        let lu: Lu = net.g.clone().lu().map_err(SimError::Singular)?;
+    /// * [`SimError::Singular`] when `G` cannot be factored (the network
+    ///   has no DC path somewhere).
+    /// * [`SimError::BadParameter`] when `excitation` does not have one
+    ///   entry per unknown.
+    pub fn compute(net: &LinearNet, excitation: &[f64], n: usize) -> Result<Self, SimError> {
         let mut vectors = Vec::with_capacity(n);
-        let mut current = lu.solve(&net.b);
+        let mut current = net.solve_g(excitation)?;
         vectors.push(current.clone());
         for _ in 1..n {
-            let rhs: Vec<f64> = net.c.mul_vec(&current).iter().map(|v| -v).collect();
-            current = lu.solve(&rhs);
+            let rhs: Vec<f64> = net.c_mul(&current).iter().map(|v| -v).collect();
+            current = net.solve_g(&rhs)?;
             vectors.push(current.clone());
         }
         Ok(Moments { vectors })
@@ -84,7 +92,7 @@ mod tests {
         // H(s) = 1/(1+sRC) = 1 − (RC)s + (RC)²s² − …
         let (_ckt, net, out) = rc_net(1e3, 1e-9);
         let rc = 1e3 * 1e-9;
-        let m = Moments::compute(&net, 4).unwrap().of_output(out);
+        let m = Moments::compute(&net, &net.b, 4).unwrap().of_output(out);
         assert!((m[0] - 1.0).abs() < 1e-9);
         assert!((m[1] + rc).abs() / rc < 1e-9);
         assert!((m[2] - rc * rc).abs() / (rc * rc) < 1e-9);
@@ -94,7 +102,7 @@ mod tests {
     #[test]
     fn elmore_delay_of_rc_is_rc() {
         let (_ckt, net, out) = rc_net(2e3, 3e-12);
-        let m = Moments::compute(&net, 2).unwrap().of_output(out);
+        let m = Moments::compute(&net, &net.b, 2).unwrap().of_output(out);
         let d = elmore_delay(&m).unwrap();
         let rc = 2e3 * 3e-12;
         assert!((d - rc).abs() / rc < 1e-9);
@@ -114,7 +122,7 @@ mod tests {
         let op = SimSession::new(&ckt).op().unwrap();
         let net = linearize(&ckt, &op);
         let out = output_index(&ckt, &net.layout, "out").unwrap();
-        let m = Moments::compute(&net, 2).unwrap().of_output(out);
+        let m = Moments::compute(&net, &net.b, 2).unwrap().of_output(out);
         let expected = 1e3 * (1e-12 + 1e-12) + 1e3 * 1e-12;
         let d = elmore_delay(&m).unwrap();
         assert!((d - expected).abs() / expected < 1e-9, "d = {d}");
@@ -123,7 +131,7 @@ mod tests {
     #[test]
     fn moment_count_is_respected() {
         let (_ckt, net, _) = rc_net(1e3, 1e-9);
-        let m = Moments::compute(&net, 8).unwrap();
+        let m = Moments::compute(&net, &net.b, 8).unwrap();
         assert_eq!(m.len(), 8);
         assert!(!m.is_empty());
     }

@@ -13,7 +13,8 @@
 
 use ams_bench::run_table1;
 use ams_bench::table1_report::{
-    measure_crash_resume, measure_grid_scaling, measure_parallel_speedup, traced, Table1Report,
+    measure_crash_resume, measure_grid_impedance, measure_grid_scaling, measure_parallel_speedup,
+    traced, Table1Report,
 };
 use ams_core::{synthesize_opamp, FlowConfig};
 use ams_netlist::Technology;
@@ -174,11 +175,12 @@ fn bench(c: &mut Criterion) {
     // Dense stops at 24×24 (an O(n⁶) dense LU already takes seconds
     // there); sparse continues through the BTF∘AMD + CSC kernel's range
     // to the 256×256 / ≈66k-unknown grid the RAIL-style analysis targets.
-    let grid = measure_grid_scaling(
+    let mut grid = measure_grid_scaling(
         &mut phases,
         &[8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256],
         24,
     );
+    measure_grid_impedance(&mut phases, &mut grid);
     assert!(
         grid.speedup_common >= 10.0,
         "sparse must beat dense ≥10× at the {0}×{0} grid, got {1:.1}×",
@@ -217,6 +219,24 @@ fn bench(c: &mut Criterion) {
         "256×256 cached-pattern refactor+solve took {:.3} s per \
          linearization (budget 1 s)",
         r256.refactor_s
+    );
+    // Grid-scale AC: a supply-impedance call solves DC, linearizes into
+    // triplets and runs the AWE ladder against the DC factor, so it costs
+    // a small multiple of the DC solve (it took 28.6 s at 64×64 when the
+    // linearized network was dense) and finishes at 256×256.
+    let impedance = |r: &ams_bench::table1_report::GridScalingRow| {
+        r.impedance_s
+            .unwrap_or_else(|| panic!("{0}×{0} row has no impedance_s", r.n))
+    };
+    assert!(
+        impedance(r64) <= 4.0 * r64.sparse_s,
+        "64×64 supply impedance took {:.3} s, over 4× the {:.3} s DC solve",
+        impedance(r64),
+        r64.sparse_s
+    );
+    assert!(
+        impedance(r256).is_finite(),
+        "256×256 supply impedance has no finite time"
     );
     // Fill must stay near-linear in unknowns across the CSC range: for a
     // 2-D mesh the AMD order's fill-per-unknown grows ~logarithmically,

@@ -71,6 +71,11 @@ pub struct GridScalingRow {
     pub predicted_fill: u64,
     /// Coarse BTF block count the analyzer found (1 = fully coupled).
     pub btf_blocks: usize,
+    /// Wall time of one `ams_rail::supply_impedance` call at the grid
+    /// centre at 200 MHz (its own DC solve, one linearization and the AWE
+    /// ladder). Measured by [`measure_grid_impedance`] in the full bench
+    /// only; `None` (and left out of the JSON) in the quick report.
+    pub impedance_s: Option<f64>,
 }
 
 impl GridScalingRow {
@@ -308,6 +313,7 @@ pub fn measure_grid_scaling(
                 fill_in,
                 predicted_fill: structural.predicted_fill,
                 btf_blocks: structural.btf.as_ref().map_or(0, |b| b.num_blocks()),
+                impedance_s: None,
             });
         }
         ams_trace::counter_add("bench.grid.largest_unknowns", {
@@ -317,6 +323,25 @@ pub fn measure_grid_scaling(
             rows,
             speedup_common,
             common_n,
+        }
+    })
+}
+
+/// The `grid_impedance` phase: times one `ams_rail::supply_impedance`
+/// call at the centre of every grid of a `grid_scaling` sample, at
+/// 200 MHz, into the row's `impedance_s`. The call builds its own session
+/// and solves DC first, so its cost is a multiple of the row's
+/// `sparse_s`: the AC side of a grid costs one linearization and one
+/// moment set on top of the DC factor, not an `n × n` matrix.
+pub fn measure_grid_impedance(phases: &mut Vec<Phase>, grid: &mut GridScalingSample) {
+    traced("grid_impedance", phases, || {
+        for row in &mut grid.rows {
+            let g = PowerGrid::uniform(GridSpec::synthetic(row.n), 10e-6);
+            let t0 = Instant::now();
+            let z = ams_rail::supply_impedance(&g, row.n / 2, row.n / 2, 200e6)
+                .expect("grid supply impedance");
+            row.impedance_s = Some(t0.elapsed().as_secs_f64());
+            assert!(z.is_finite() && z > 0.0, "{0}×{0} impedance {z}", row.n);
         }
     })
 }
@@ -513,7 +538,7 @@ impl Table1Report {
                 "\n    {{\"n\": {}, \"unknowns\": {}, \"dense_s\": {}, \"sparse_s\": {:.6}, \
                  \"refactor_s\": {:.6}, \"evals_per_sec\": {:.2}, \
                  \"fill_in\": {}, \"predicted_fill\": {}, \"fill_ratio\": {}, \
-                 \"btf_blocks\": {}}}",
+                 \"btf_blocks\": {}{}}}",
                 r.n,
                 r.unknowns,
                 r.dense_s.map_or("null".to_string(), |d| format!("{d:.6}")),
@@ -524,7 +549,9 @@ impl Table1Report {
                 r.predicted_fill,
                 r.fill_ratio()
                     .map_or("null".to_string(), |f| format!("{f:.4}")),
-                r.btf_blocks
+                r.btf_blocks,
+                r.impedance_s
+                    .map_or(String::new(), |z| format!(", \"impedance_s\": {z:.6}"))
             );
         }
         json.push_str("\n  ],\n");

@@ -13,7 +13,12 @@
 //!   behind package RL, digital spike loads and analog taps; compiles to
 //!   an [`ams_netlist::Circuit`].
 //! * [`evaluate`] — the dc / ac / transient constraint triple of Fig. 3,
-//!   with the ac supply impedance computed from an AWE macromodel.
+//!   with the ac supply impedance computed from an AWE macromodel. One
+//!   session solves DC once and linearizes the grid once; each analog
+//!   tap is one more right-hand side against that linearization's one
+//!   factor of `G`, so grid-scale AC costs a small multiple of the DC
+//!   solve. [`supply_impedance`] runs the same per-tap routine on a grid
+//!   of its own and returns the same bits.
 //! * [`synthesize`] — iterative width "routing" until every constraint is
 //!   met (experiment E4 regenerates the Fig. 3 redesign narrative).
 //!

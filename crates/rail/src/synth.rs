@@ -15,8 +15,7 @@
 
 use crate::grid::{PowerGrid, TapKind};
 use ams_awe::AweModel;
-use ams_netlist::{Circuit, Device};
-use ams_sim::{SimError, SimSession};
+use ams_sim::{solve_at, Complex, SimError, SimSession};
 // det-lint: allow(hash-collection): shortest-path predecessor map, read by node id only
 use std::collections::HashMap;
 
@@ -88,17 +87,21 @@ impl GridEval {
 ///
 /// * **dc**: Newton operating point, drop at each tap.
 /// * **ac**: AWE macromodel of the supply impedance at analog taps
-///   (unit AC current injection), evaluated at `c.ac_freq_hz`.
+///   (unit AC current drawn at the tap), evaluated at `c.ac_freq_hz`.
 /// * **transient**: full trapezoidal simulation over two spike periods,
 ///   peak droop at each tap.
+///
+/// One session serves all three: the transient reuses the DC operating
+/// point, and the grid is linearized once at it. Each analog tap is one
+/// more right-hand side against that linearization's one factor of `G`,
+/// so the whole evaluation runs one DC solve however many taps it checks.
 ///
 /// # Errors
 ///
 /// Propagates simulator failures.
 pub fn evaluate(grid: &PowerGrid, c: &RailConstraints) -> Result<GridEval, SimError> {
     let ckt = grid.to_circuit();
-    // One session for both analyses: `tran` reuses the cached operating
-    // point, and grid-sized systems solve on the sparse backend.
+    // Grid-sized systems solve on the sparse backend.
     let ses = SimSession::new(&ckt);
     let op = ses.op()?;
     let vdd = grid.spec.vdd;
@@ -122,10 +125,8 @@ pub fn evaluate(grid: &PowerGrid, c: &RailConstraints) -> Result<GridEval, SimEr
         let v_dc = op.voltage(&ckt, &node)?;
         let dc_drop = vdd - v_dc;
 
-        // AC impedance via AWE: rebuild the circuit with a unit AC current
-        // injected at this tap.
         let ac_impedance = if tap.kind == TapKind::Analog {
-            Some(supply_impedance(grid, tap.x, tap.y, c.ac_freq_hz)?)
+            Some(tap_impedance(&ses, &node, c.ac_freq_hz)?)
         } else {
             None
         };
@@ -167,42 +168,42 @@ pub fn evaluate(grid: &PowerGrid, c: &RailConstraints) -> Result<GridEval, SimEr
 /// an AWE macromodel of the grid + package network (the "fast AWE-based
 /// linear system evaluation" of RAIL).
 ///
+/// Returns exactly the bits [`evaluate`] reports for an analog tap at
+/// `(x, y)`: both linearize the grid's own circuit at its operating point
+/// and run the same per-tap routine, with the tap as a right-hand side
+/// and no probe device added.
+///
 /// # Errors
 ///
-/// Propagates simulator/AWE failures.
+/// * [`SimError::UnknownNode`] when `(x, y)` is outside the grid.
+/// * Otherwise propagates simulator failures.
 pub fn supply_impedance(
     grid: &PowerGrid,
     x: usize,
     y: usize,
     freq_hz: f64,
 ) -> Result<f64, SimError> {
-    let mut ckt = grid.to_circuit();
-    let node = ckt.node(&PowerGrid::node_name(x, y));
-    ckt.add(
-        "Iprobe",
-        Device::Isource {
-            plus: node,
-            minus: Circuit::GROUND,
-            waveform: ams_netlist::SourceWaveform::Dc(0.0),
-            ac_mag: 1.0,
-        },
-    );
-    let ses = SimSession::new(&ckt);
-    let net = ses.linearize()?;
-    let node = PowerGrid::node_name(x, y);
+    let ckt = grid.to_circuit();
+    tap_impedance(&SimSession::new(&ckt), &PowerGrid::node_name(x, y), freq_hz)
+}
+
+/// `|Z(f)|` at grid node `node`: the response of the session's linearized
+/// grid to a unit AC current drawn out of the node (the excitation an AC
+/// current source from the node to ground stamps). The AWE ladder tries
+/// orders 4, 3, 2 and 1 on one moment set; when none builds, one exact
+/// complex solve at `freq_hz` answers instead.
+fn tap_impedance(ses: &SimSession<'_>, node: &str, freq_hz: f64) -> Result<f64, SimError> {
     let out = ses
-        .output_index(&node)
-        .ok_or_else(|| SimError::UnknownNode(node.clone()))?;
-    // AWE macromodel of the impedance response; fall back to lower orders
-    // when the Padé system is degenerate for this grid.
-    for order in [4usize, 3, 2, 1] {
-        if let Ok(model) = AweModel::from_net(&net, out, order) {
-            return Ok(model.response_at(freq_hz).abs());
-        }
+        .output_index(node)
+        .ok_or_else(|| SimError::UnknownNode(node.to_string()))?;
+    let net = ses.linearize()?;
+    let mut excitation = vec![0.0; net.dim()];
+    excitation[out] = -1.0;
+    if let Ok(model) = AweModel::first_of(&net, &excitation, out, &[4, 3, 2, 1]) {
+        return Ok(model.response_at(freq_hz).abs());
     }
-    // Last resort: one exact complex solve.
-    let sweep = ses.ac(&node, &[freq_hz])?;
-    Ok(sweep.values[0].abs())
+    let s = Complex::new(0.0, 2.0 * std::f64::consts::PI * freq_hz);
+    Ok(solve_at(&net, s, &excitation)?[out].abs())
 }
 
 /// Result of a synthesis run.
@@ -336,6 +337,7 @@ fn shortest_path_to_pad(grid: &PowerGrid, x: usize, y: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::grid::GridSpec;
+    use ams_netlist::{Circuit, Device};
 
     fn thin_grid() -> PowerGrid {
         PowerGrid::uniform(GridSpec::data_channel_demo(), 2e-6)
@@ -394,6 +396,86 @@ mod tests {
         let exact = ses.ac(&PowerGrid::node_name(4, 1), &[freq]).unwrap().values[0].abs();
         let err = (z_awe - exact).abs() / exact.max(1e-12);
         assert!(err < 0.2, "AWE {z_awe} vs exact {exact}");
+    }
+
+    #[test]
+    fn off_grid_tap_is_an_unknown_node() {
+        let err = supply_impedance(&thin_grid(), 99, 99, 1e8).unwrap_err();
+        assert!(
+            matches!(err, SimError::UnknownNode(ref node) if node == "g99_99"),
+            "{err:?}"
+        );
+    }
+
+    /// The contract perfbench's traced grid replay relies on: every analog
+    /// tap's `ac_impedance` from `evaluate` is the bits `supply_impedance`
+    /// returns for that tap. Seeded grids span both backends (sides 6–24),
+    /// carry one to three analog taps — several right-hand sides against
+    /// one factor of `G` — with and without extra decap. The small ones
+    /// also get a spiking digital tap, so the transient runs between the
+    /// DC solve and the linearization (kept small so the forced-dense
+    /// debug run stays quick).
+    #[test]
+    fn evaluate_and_supply_impedance_agree_bit_for_bit() {
+        use crate::grid::Tap;
+        use ams_prng::{Rng, SeedableRng, SmallRng};
+        let constraints = RailConstraints::default();
+        let mut rng = SmallRng::seed_from_u64(0x7a11_0019);
+        for case in 0..9 {
+            let n = rng.gen_range(6usize..=24);
+            let mut spec = GridSpec::synthetic(n);
+            if n <= 10 {
+                spec.taps.push(Tap {
+                    name: "clk".into(),
+                    x: rng.gen_range(0..n),
+                    y: rng.gen_range(0..n),
+                    dc_amps: 0.05,
+                    spike: Some((0.2, 0.2e-9, 0.5e-9, 5e-9)),
+                    kind: TapKind::Digital,
+                });
+            }
+            for k in 0..1 + case % 3 {
+                spec.taps.push(Tap {
+                    name: format!("analog{k}"),
+                    x: rng.gen_range(0..n),
+                    y: rng.gen_range(0..n),
+                    dc_amps: rng.gen_range(0.01..0.05),
+                    spike: None,
+                    kind: TapKind::Analog,
+                });
+            }
+            let mut grid = PowerGrid::uniform(spec, 10e-6);
+            for w in &mut grid.widths {
+                *w = rng.gen_range(5e-6..20e-6);
+            }
+            if rng.gen_bool(0.5) {
+                let analog: Vec<(usize, usize)> = grid
+                    .spec
+                    .taps
+                    .iter()
+                    .filter(|t| t.kind == TapKind::Analog)
+                    .map(|t| (t.x, t.y))
+                    .collect();
+                for (x, y) in analog {
+                    grid.add_decap(x, y, rng.gen_range(0.1e-9..2e-9));
+                }
+            }
+            let eval = evaluate(&grid, &constraints).unwrap();
+            for (tap, report) in grid.spec.taps.iter().zip(&eval.taps) {
+                if tap.kind != TapKind::Analog {
+                    assert!(report.ac_impedance.is_none());
+                    continue;
+                }
+                let z = supply_impedance(&grid, tap.x, tap.y, constraints.ac_freq_hz).unwrap();
+                let reported = report.ac_impedance.expect("analog tap has an impedance");
+                assert_eq!(
+                    reported.to_bits(),
+                    z.to_bits(),
+                    "case {case} ({n}×{n}), tap {}: evaluate {reported:e} vs supply_impedance {z:e}",
+                    tap.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! point. This is the "full simulation" reference that the AWE macromodel
 //! in `ams-awe` is benchmarked against (experiment E7).
 
-use crate::backend::Backend;
 use crate::error::SimError;
 use crate::linalg::Complex;
 use crate::mna::{LinearNet, Stamper};
@@ -110,68 +109,52 @@ pub fn log_frequencies(f_start: f64, f_stop: f64, n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// The structural non-zero pattern of `G + sC` in fixed row-major order —
-/// the triplet *sequence* every frequency point of a sweep assembles, so
-/// the sparse backend only runs symbolic analysis on the first point.
-pub(crate) fn complex_pattern(net: &LinearNet) -> Vec<(usize, usize)> {
-    let n = net.dim();
-    let mut pattern = Vec::new();
-    for i in 0..n {
-        for j in 0..n {
-            if net.g[(i, j)] != 0.0 || net.c[(i, j)] != 0.0 {
-                pattern.push((i, j));
-            }
-        }
-    }
-    pattern
-}
-
-/// Stamps `G + sC` over `pattern` with right-hand side `rhs` on `backend`.
-/// Entries outside the pattern are zero on both backends. When
-/// `transposed`, entry `(i, j)` lands at `(j, i)` — the adjoint-system form
-/// noise analysis solves.
+/// Stamps `G + sC` over the net's assembled pattern with right-hand side
+/// `rhs`, on the net's backend. Entries outside the pattern are zero on
+/// both backends, and every call pushes the same triplet sequence, so a
+/// sparse sweep refactors instead of re-analyzing. When `transposed`,
+/// entry `(i, j)` lands at `(j, i)` — the adjoint-system form noise
+/// analysis solves.
 pub(crate) fn complex_system(
     net: &LinearNet,
-    pattern: &[(usize, usize)],
     s: Complex,
     transposed: bool,
     rhs: Vec<Complex>,
-    backend: Backend,
 ) -> Stamper<Complex> {
-    let mut st = Stamper::over(rhs, backend);
-    for &(i, j) in pattern {
-        let v = Complex::real(net.g[(i, j)]) + s * net.c[(i, j)];
+    let mut st = Stamper::over(rhs, net.backend());
+    for e in net.pattern() {
+        let v = Complex::real(e.g) + s * e.c;
         if transposed {
-            st.add(j, i, v);
+            st.add(e.col, e.row, v);
         } else {
-            st.add(i, j, v);
+            st.add(e.row, e.col, v);
         }
     }
     st
 }
 
-/// The excitation `b` of a linear net as a complex right-hand side.
-fn excitation(net: &LinearNet) -> Vec<Complex> {
-    net.b.iter().map(|&v| Complex::real(v)).collect()
+/// A real excitation vector as a complex right-hand side.
+fn complex_rhs(b: &[f64]) -> Vec<Complex> {
+    b.iter().map(|&v| Complex::real(v)).collect()
 }
 
-/// Solves the linearized network at a single complex frequency `s`, on the
-/// backend [`Backend::auto_for`] selects for the system size.
+/// Solves `(G + sC)·x = excitation` at a single complex frequency `s`, on
+/// the net's backend. Pass `&net.b` for the network's own AC sources.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Singular`] if the system is singular at `s`.
-pub fn solve_at(net: &LinearNet, s: Complex) -> Result<Vec<Complex>, SimError> {
-    let backend = Backend::auto_for(net.dim());
-    Ok(complex_system(
-        net,
-        &complex_pattern(net),
-        s,
-        false,
-        excitation(net),
-        backend,
-    )
-    .solve()?)
+/// * [`SimError::BadParameter`] when `excitation` does not have one entry
+///   per unknown.
+/// * [`SimError::Singular`] if the system is singular at `s`.
+pub fn solve_at(net: &LinearNet, s: Complex, excitation: &[f64]) -> Result<Vec<Complex>, SimError> {
+    if excitation.len() != net.dim() {
+        return Err(SimError::BadParameter(format!(
+            "excitation has {} entries but the network has {} unknowns",
+            excitation.len(),
+            net.dim()
+        )));
+    }
+    Ok(complex_system(net, s, false, complex_rhs(excitation)).solve()?)
 }
 
 /// Runs an AC sweep and extracts one output unknown — the engine behind
@@ -182,17 +165,15 @@ pub(crate) fn sweep_net(
     net: &LinearNet,
     out_index: usize,
     freqs: &[f64],
-    backend: Backend,
 ) -> Result<AcSweep, SimError> {
     if freqs.is_empty() {
         return Err(SimError::BadParameter("empty frequency list".into()));
     }
-    let pattern = complex_pattern(net);
     let mut lu = None;
     let mut values = Vec::with_capacity(freqs.len());
     for &f in freqs {
         let s = Complex::new(0.0, 2.0 * std::f64::consts::PI * f);
-        let st = complex_system(net, &pattern, s, false, excitation(net), backend);
+        let st = complex_system(net, s, false, complex_rhs(&net.b));
         values.push(st.solve_in(&mut lu, || None)?[out_index]);
     }
     Ok(AcSweep {
@@ -204,6 +185,7 @@ pub(crate) fn sweep_net(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Backend;
     use crate::session::SimSession;
     use ams_netlist::parse_deck;
 
@@ -297,12 +279,13 @@ mod tests {
     #[test]
     fn sweep_backends_agree_on_rc_response() {
         let ckt = rc_lowpass();
-        let ses = SimSession::new(&ckt);
-        let net = ses.linearize().unwrap();
-        let out = ses.output_index("out").unwrap();
         let freqs = log_frequencies(1.0, 1e6, 31);
-        let d = sweep_net(&net, out, &freqs, Backend::Dense).unwrap();
-        let s = sweep_net(&net, out, &freqs, Backend::Sparse).unwrap();
+        let [d, s] = [Backend::Dense, Backend::Sparse].map(|backend| {
+            let ses = SimSession::with_backend(&ckt, backend);
+            let net = ses.linearize().unwrap();
+            assert_eq!(net.backend(), backend);
+            sweep_net(&net, ses.output_index("out").unwrap(), &freqs).unwrap()
+        });
         for (a, b) in d.values.iter().zip(&s.values) {
             assert!((*a - *b).abs() < 1e-9, "dense {a:?} vs sparse {b:?}");
         }

@@ -324,24 +324,10 @@ impl<T: Scalar> CscLu<T> {
     /// factorization is left partially overwritten and no later call
     /// reuses it: discard and re-factor.
     pub fn refactor(&mut self, t: &Triplets<T>) -> Result<Refresh, RefactorError> {
-        let (trows, tcols, tvals) = t.parts();
-        if trows.len() != self.pattern.len() || t.dim() != self.n {
+        if !self.same_pattern(t) {
             return Err(RefactorError::PatternChanged);
         }
-        for (k, &(r, c)) in self.pattern.iter().enumerate() {
-            if trows[k] != r || tcols[k] != c {
-                return Err(RefactorError::PatternChanged);
-            }
-        }
-        // The length test is what keeps a cleared key from matching: `zip`
-        // over an empty key is vacuously all-equal.
-        if self.factored_vals.len() == tvals.len()
-            && self
-                .factored_vals
-                .iter()
-                .zip(tvals)
-                .all(|(&a, &b)| a.same_bits(b))
-        {
+        if self.same_values(t) {
             return Ok(Refresh::Reused);
         }
         self.factored_vals.clear();
@@ -388,8 +374,39 @@ impl<T: Scalar> CscLu<T> {
                 w[self.prow[j as usize] as usize] = T::ZERO;
             }
         }
-        self.factored_vals.extend_from_slice(tvals);
+        self.factored_vals.extend_from_slice(t.parts().2);
         Ok(Refresh::Numeric)
+    }
+
+    /// Whether the current factors are those of `t`: the triplet sequence
+    /// this factorization was built for, with the values the factors were
+    /// computed from, bit for bit — the case in which
+    /// [`CscLu::refactor`] keeps them.
+    pub fn holds(&self, t: &Triplets<T>) -> bool {
+        self.same_pattern(t) && self.same_values(t)
+    }
+
+    fn same_pattern(&self, t: &Triplets<T>) -> bool {
+        let (trows, tcols, _) = t.parts();
+        t.dim() == self.n
+            && trows.len() == self.pattern.len()
+            && self
+                .pattern
+                .iter()
+                .zip(trows.iter().zip(tcols))
+                .all(|(&(r, c), (&tr, &tc))| (r, c) == (tr, tc))
+    }
+
+    fn same_values(&self, t: &Triplets<T>) -> bool {
+        let (_, _, tvals) = t.parts();
+        // The length test is what keeps a cleared key from matching: `zip`
+        // over an empty key is vacuously all-equal.
+        self.factored_vals.len() == tvals.len()
+            && self
+                .factored_vals
+                .iter()
+                .zip(tvals)
+                .all(|(&a, &b)| a.same_bits(b))
     }
 
     /// Solves `A·x = b` using the stored factors (scaling applied and

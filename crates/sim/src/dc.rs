@@ -16,7 +16,7 @@ use std::collections::HashMap;
 
 use crate::backend::Backend;
 use crate::error::SimError;
-use crate::linalg::{Matrix, SingularMatrix};
+use crate::linalg::SingularMatrix;
 use crate::mna::{LinearNet, MnaLayout, Stamper};
 use crate::session::{RealSlot, SimSession};
 use crate::sparse::Triplets;
@@ -615,12 +615,17 @@ pub(crate) fn stamp_device(
     }
 }
 
-/// The sparse DC Newton system behind [`SimSession::dc_system`].
-pub(crate) fn sparse_system(ses: &SimSession<'_>, x: &[f64]) -> (Triplets<f64>, Vec<f64>) {
-    let layout = ses.layout();
+/// The DC Newton system at `x` with gmin off and sources at full value,
+/// stamped as sparse triplets: [`SimSession::dc_system`], and the `G` of
+/// every linearization.
+pub(crate) fn dc_triplets(
+    ckt: &Circuit,
+    layout: &MnaLayout,
+    x: &[f64],
+) -> (Triplets<f64>, Vec<f64>) {
     assert_eq!(x.len(), layout.dim(), "solution vector dimension mismatch");
     let mut st = Stamper::with_backend(layout.dim(), Backend::Sparse);
-    stamp_dc(ses.circuit(), layout, x, 0.0, 1.0, &mut st);
+    stamp_dc(ckt, layout, x, 0.0, 1.0, &mut st);
     st.into_triplets()
 }
 
@@ -635,14 +640,12 @@ pub(crate) fn sparse_system(ses: &SimSession<'_>, x: &[f64]) -> (Triplets<f64>, 
 /// Panics if `x.len()` does not match the circuit's MNA dimension.
 pub fn linearize_at(ckt: &Circuit, x: &[f64]) -> (LinearNet, f64) {
     let layout = MnaLayout::new(ckt);
-    assert_eq!(x.len(), layout.dim(), "solution vector dimension mismatch");
-    let op = finish(ckt, layout, x.to_vec(), 0, DcStrategy::Assumed);
-    let (net, z) = linearized(ckt, &op);
+    let backend = Backend::auto_for(layout.dim());
+    let (net, z) = linearized(ckt, layout, x, backend);
     // Residual of the nonlinear KCL at x: `G` is the DC Newton matrix at
     // x, so the residual is G·x − z.
     let residual = net
-        .g
-        .mul_vec(x)
+        .g_mul(x)
         .iter()
         .zip(&z)
         .map(|(a, z)| (a - z) * (a - z))
@@ -652,22 +655,28 @@ pub fn linearize_at(ckt: &Circuit, x: &[f64]) -> (LinearNet, f64) {
 }
 
 /// Linearizes a circuit at an operating point into `(G + sC)x = b` form for
-/// AC, noise and AWE analyses. `G` is the DC Newton matrix at `op.x`; `C`
-/// collects the capacitors, the inductors' branch terms and the MOS charge
-/// pairs; the excitation `b` collects every source's `ac_mag`.
+/// AC, noise and AWE analyses, on the backend [`Backend::auto_for`] picks.
+/// `G` is the DC Newton matrix at `op.x`; `C` collects the capacitors, the
+/// inductors' branch terms and the MOS charge pairs; the excitation `b`
+/// collects every source's `ac_mag`.
 pub fn linearize(ckt: &Circuit, op: &OpPoint) -> LinearNet {
-    linearized(ckt, op).0
+    let layout = MnaLayout::new(ckt);
+    let backend = Backend::auto_for(layout.dim());
+    linearized(ckt, layout, &op.x, backend).0
 }
 
-/// [`linearize`], also returning the right-hand side `z` of the DC Newton
-/// system whose matrix is `G`.
-fn linearized(ckt: &Circuit, op: &OpPoint) -> (LinearNet, Vec<f64>) {
-    let layout = MnaLayout::new(ckt);
+/// [`linearize`] at `x` on `backend`, also returning the right-hand side
+/// `z` of the DC Newton system whose matrix is `G`. Allocates nothing of
+/// size n²: `G`, `C` and `b` are triplets and a vector.
+pub(crate) fn linearized(
+    ckt: &Circuit,
+    layout: MnaLayout,
+    x: &[f64],
+    backend: Backend,
+) -> (LinearNet, Vec<f64>) {
     let dim = layout.dim();
-    let mut dc = Stamper::new(dim);
-    stamp_dc(ckt, &layout, &op.x, 0.0, 1.0, &mut dc);
-    let (g, z) = dc.into_dense();
-    let mut c = Matrix::zeros(dim, dim);
+    let (g, z) = dc_triplets(ckt, &layout, x);
+    let mut c = Triplets::new(dim);
     let mut b = vec![0.0; dim];
     for (k, (_, dev)) in ckt.devices().enumerate() {
         match dev {
@@ -677,7 +686,7 @@ fn linearized(ckt: &Circuit, op: &OpPoint) -> (LinearNet, Vec<f64>) {
             Device::Inductor { henries, .. } => {
                 // KVL row: V(a) − V(b) − s·L·I = 0 → C[br][br] = −L.
                 let br = layout.branch(k).expect("inductor branch");
-                c[(br, br)] -= henries;
+                c.push(br, br, -henries);
             }
             Device::Vsource { ac_mag, .. } => {
                 b[layout.branch(k).expect("vsource branch")] += ac_mag;
@@ -696,26 +705,26 @@ fn linearized(ckt: &Circuit, op: &OpPoint) -> (LinearNet, Vec<f64>) {
                 }
             }
             Device::Mos(m) => {
-                for (i, j, farads) in MosBias::at(m, &layout, &op.x).charges() {
+                for (i, j, farads) in MosBias::at(m, &layout, x).charges() {
                     stamp_cap(&mut c, i, j, farads);
                 }
             }
             _ => {}
         }
     }
-    (LinearNet { g, c, b, layout }, z)
+    (LinearNet::new(g, c, b, layout, backend), z)
 }
 
-fn stamp_cap(c: &mut Matrix, i: Option<usize>, j: Option<usize>, farads: f64) {
+fn stamp_cap(c: &mut Triplets<f64>, i: Option<usize>, j: Option<usize>, farads: f64) {
     if let Some(i) = i {
-        c[(i, i)] += farads;
+        c.push(i, i, farads);
     }
     if let Some(j) = j {
-        c[(j, j)] += farads;
+        c.push(j, j, farads);
     }
     if let (Some(i), Some(j)) = (i, j) {
-        c[(i, j)] -= farads;
-        c[(j, i)] -= farads;
+        c.push(i, j, -farads);
+        c.push(j, i, -farads);
     }
 }
 
@@ -995,8 +1004,8 @@ mod tests {
         .unwrap();
         let op = SimSession::new(&ckt).op().unwrap();
         let net = linearize(&ckt, &op);
-        assert_eq!(net.g.n_rows(), net.dim());
-        assert_eq!(net.c.n_rows(), net.dim());
+        assert_eq!(net.g().dim(), net.dim());
+        assert_eq!(net.c().dim(), net.dim());
         assert_eq!(net.b.len(), net.dim());
         // The AC source magnitude must appear in b.
         assert!(net.b.iter().any(|&v| v != 0.0));

@@ -7,12 +7,13 @@
 
 use ams_netlist::{Circuit, NodeId};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::backend::Backend;
 use crate::csc::CscLu;
-use crate::linalg::{Matrix, Scalar, SingularMatrix};
-use crate::sparse::{solve_cached, BlockStructure, Triplets};
+use crate::error::SimError;
+use crate::linalg::{Lu, Matrix, Scalar, SingularMatrix};
+use crate::sparse::{factor_counted, solve_cached, BlockStructure, Triplets};
 
 /// Maps circuit nodes and voltage-defined branches to MNA unknown indices.
 #[derive(Debug, Clone)]
@@ -137,6 +138,19 @@ impl<T: Scalar> Stamper<T> {
         }
     }
 
+    /// Factors `A` on this stamper's backend and keeps the factor for any
+    /// number of right-hand sides: the factor-and-keep twin of
+    /// [`Stamper::solve_in`]. The right-hand side `z` is dropped.
+    pub(crate) fn factor(self) -> Result<Factored<T>, SingularMatrix> {
+        match self.a {
+            StamperMatrix::Dense(m) => Ok(Factored::Dense(m.lu()?)),
+            StamperMatrix::Sparse(t) => {
+                let lu = factor_counted(&t, None)?;
+                Ok(Factored::Sparse(t, Box::new(lu)))
+            }
+        }
+    }
+
     /// One-shot factor-and-solve of `A·x = z` on whichever backend this
     /// stamper was built for, without keeping the factorization.
     ///
@@ -145,6 +159,31 @@ impl<T: Scalar> Stamper<T> {
     /// Returns [`SingularMatrix`] when elimination fails.
     pub fn solve(self) -> Result<Vec<T>, SingularMatrix> {
         self.solve_in(&mut None, || None)
+    }
+}
+
+/// A stamped matrix factored on its stamper's backend (see
+/// [`Stamper::factor`]). The sparse factor keeps its triplets, since its
+/// solves refine against them exactly as [`Stamper::solve_in`]'s do.
+#[derive(Debug, Clone)]
+pub(crate) enum Factored<T> {
+    /// Dense partial-pivot LU.
+    Dense(Lu<T>),
+    /// CSC LU of the triplets.
+    Sparse(Triplets<T>, Box<CscLu<T>>),
+}
+
+impl<T: Scalar> Factored<T> {
+    /// Solves `A·x = b` against the kept factor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` does not match the dimension.
+    pub(crate) fn solve(&self, b: &[T]) -> Vec<T> {
+        match self {
+            Factored::Dense(lu) => lu.solve(b),
+            Factored::Sparse(t, lu) => lu.solve_refined(t, b),
+        }
     }
 }
 
@@ -228,13 +267,13 @@ impl Stamper {
         }
     }
 
-    /// Consumes a *dense* stamper into its matrix and right-hand side —
-    /// the path [`crate::linearize`] uses to build a [`LinearNet`].
+    /// Consumes a *dense* stamper into its matrix and right-hand side.
     ///
     /// # Panics
     ///
     /// Panics when called on a sparse-backed stamper.
-    pub fn into_dense(self) -> (Matrix, Vec<f64>) {
+    #[cfg(test)]
+    fn into_dense(self) -> (Matrix, Vec<f64>) {
         match self.a {
             StamperMatrix::Dense(m) => (m, self.z),
             StamperMatrix::Sparse(_) => panic!("into_dense on a sparse stamper"),
@@ -262,22 +301,180 @@ impl Stamper {
 /// `G` holds conductances and incidences, `C` holds capacitances and
 /// (negated) inductances in branch rows, and `b` is the small-signal
 /// excitation vector.
+///
+/// `G` and `C` are kept as triplets and their union is assembled once, so
+/// a linearization costs memory in proportion to the nonzeros on either
+/// backend and a grid-sized network never holds an `n × n` matrix. The
+/// net remembers the [`Backend`] it was linearized for: every complex
+/// system stamped from it and the one factorization of `G`
+/// ([`LinearNet::solve_g`]) go through that backend's side of the one
+/// solve dispatch.
 #[derive(Debug, Clone)]
 pub struct LinearNet {
-    /// Conductance/incidence matrix.
-    pub g: Matrix,
-    /// Susceptance (capacitance / inductance) matrix multiplying `s`.
-    pub c: Matrix,
+    g: Triplets<f64>,
+    c: Triplets<f64>,
     /// Excitation vector (AC source magnitudes).
     pub b: Vec<f64>,
     /// Shared unknown layout.
     pub layout: MnaLayout,
+    backend: Backend,
+    pattern: Vec<Entry>,
+    g_factor: OnceLock<Result<Factored<f64>, SingularMatrix>>,
+}
+
+/// One entry of the assembled `G + sC` pattern.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Entry {
+    pub(crate) row: usize,
+    pub(crate) col: usize,
+    /// Assembled `G` value.
+    pub(crate) g: f64,
+    /// Assembled `C` value.
+    pub(crate) c: f64,
 }
 
 impl LinearNet {
+    /// Wraps the stamped `G` and `C` triplets and assembles their pattern:
+    /// every coordinate whose assembled `G` or `C` value is nonzero, in
+    /// row-major order — the triplet *sequence* every complex system of
+    /// this net stamps, so a sparse sweep runs symbolic analysis once.
+    pub(crate) fn new(
+        g: Triplets<f64>,
+        c: Triplets<f64>,
+        b: Vec<f64>,
+        layout: MnaLayout,
+        backend: Backend,
+    ) -> Self {
+        let (g_rows, c_rows) = (g.row_major(), c.row_major());
+        let mut pattern = Vec::with_capacity(g_rows.len().max(c_rows.len()));
+        let (mut gi, mut ci) = (g_rows.into_iter().peekable(), c_rows.into_iter().peekable());
+        loop {
+            let (row, col) = match (gi.peek(), ci.peek()) {
+                (Some(&(i, j, _)), Some(&(k, l, _))) => (i, j).min((k, l)),
+                (Some(&(i, j, _)), None) | (None, Some(&(i, j, _))) => (i, j),
+                (None, None) => break,
+            };
+            let g = gi
+                .next_if(|e| (e.0, e.1) == (row, col))
+                .map_or(0.0, |e| e.2);
+            let c = ci
+                .next_if(|e| (e.0, e.1) == (row, col))
+                .map_or(0.0, |e| e.2);
+            if g != 0.0 || c != 0.0 {
+                pattern.push(Entry { row, col, g, c });
+            }
+        }
+        LinearNet {
+            g,
+            c,
+            b,
+            layout,
+            backend,
+            pattern,
+            g_factor: OnceLock::new(),
+        }
+    }
+
+    /// Takes `lu` as this net's factor of `G` when it holds exactly `G`'s
+    /// values (see [`CscLu::holds`]) — as the sparse DC factor of a linear
+    /// circuit does at its operating point, since every Newton iteration
+    /// stamped the same matrix — so no second factorization runs.
+    pub(crate) fn adopt_g_factor(&self, lu: &CscLu<f64>) {
+        if lu.holds(&self.g) {
+            let _ = self
+                .g_factor
+                .set(Ok(Factored::Sparse(self.g.clone(), Box::new(lu.clone()))));
+        }
+    }
+
     /// Dimension of the system.
     pub fn dim(&self) -> usize {
         self.layout.dim()
+    }
+
+    /// Conductance/incidence matrix: the DC Newton matrix at the operating
+    /// point, the triplet sequence [`crate::SimSession::dc_system`] stamps.
+    pub fn g(&self) -> &Triplets<f64> {
+        &self.g
+    }
+
+    /// Susceptance (capacitance / inductance) matrix multiplying `s`.
+    pub fn c(&self) -> &Triplets<f64> {
+        &self.c
+    }
+
+    /// The backend this net's solves dispatch to.
+    pub fn backend(&self) -> Backend {
+        self.backend
+    }
+
+    /// The assembled `G + sC` pattern, row-major.
+    pub(crate) fn pattern(&self) -> &[Entry] {
+        &self.pattern
+    }
+
+    /// `C·x`, each row summed over its assembled entries in column order,
+    /// as a dense row-by-vector product sums it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` does not match the dimension.
+    pub fn c_mul(&self, x: &[f64]) -> Vec<f64> {
+        self.mul_assembled(x, |e| e.c)
+    }
+
+    /// `G·x`, summed like [`LinearNet::c_mul`].
+    pub(crate) fn g_mul(&self, x: &[f64]) -> Vec<f64> {
+        self.mul_assembled(x, |e| e.g)
+    }
+
+    fn mul_assembled(&self, x: &[f64], value: impl Fn(&Entry) -> f64) -> Vec<f64> {
+        assert_eq!(x.len(), self.dim(), "dimension mismatch");
+        let mut y = vec![0.0; self.dim()];
+        for e in &self.pattern {
+            let v = value(e);
+            if v != 0.0 {
+                y[e.row] += v * x[e.col];
+            }
+        }
+        y
+    }
+
+    /// Solves `G·x = rhs` — the real system every AWE moment solves.
+    ///
+    /// `G` is factored once per linearization, on the first call, and
+    /// every later call of any caller reuses that factor: the moments of
+    /// every order and of every excitation share one LU. A sparse session
+    /// hands a linear circuit's DC factor over instead, so there no
+    /// factorization runs at all. Each factorization is counted under
+    /// `sim.g_factors`.
+    ///
+    /// # Errors
+    ///
+    /// * [`SimError::Singular`] when `G` cannot be factored (the network
+    ///   has no DC path somewhere).
+    /// * [`SimError::BadParameter`] when `rhs` does not have one entry per
+    ///   unknown.
+    pub fn solve_g(&self, rhs: &[f64]) -> Result<Vec<f64>, SimError> {
+        if rhs.len() != self.dim() {
+            return Err(SimError::BadParameter(format!(
+                "right-hand side has {} entries but the network has {} unknowns",
+                rhs.len(),
+                self.dim()
+            )));
+        }
+        let factor = self.g_factor.get_or_init(|| {
+            ams_trace::counter_add("sim.g_factors", 1);
+            let mut st = Stamper::with_backend(self.dim(), self.backend);
+            for (i, j, v) in self.g.iter() {
+                st.add(i, j, v);
+            }
+            st.factor()
+        });
+        match factor {
+            Ok(f) => Ok(f.solve(rhs)),
+            Err(e) => Err(SimError::Singular(*e)),
+        }
     }
 }
 

@@ -10,8 +10,7 @@
 
 use ams_netlist::{units, Circuit, Device};
 
-use crate::ac::{complex_pattern, complex_system};
-use crate::backend::Backend;
+use crate::ac::complex_system;
 use crate::dc::OpPoint;
 use crate::error::SimError;
 use crate::linalg::Complex;
@@ -127,9 +126,9 @@ pub fn noise_sources(
 }
 
 /// The noise engine behind [`crate::SimSession::noise`]. It solves the
-/// transposed `(G + sC)ᵀ` system at every frequency point; on the sparse
-/// backend that pattern is factored symbolically once and refactored
-/// numerically at every later point.
+/// transposed `(G + sC)ᵀ` system at every frequency point on the net's
+/// backend; on the sparse backend that pattern is factored symbolically
+/// once and refactored numerically at every later point.
 pub(crate) fn analyze(
     ckt: &Circuit,
     op: &OpPoint,
@@ -137,7 +136,6 @@ pub(crate) fn analyze(
     out_index: usize,
     freqs: &[f64],
     temp_k: f64,
-    backend: Backend,
 ) -> Result<NoiseResult, SimError> {
     if freqs.len() < 2 {
         return Err(SimError::BadParameter(
@@ -151,15 +149,13 @@ pub(crate) fn analyze(
 
     let mut e = vec![Complex::ZERO; n];
     e[out_index] = Complex::ONE;
-    let pattern = complex_pattern(net);
     let mut cached = None;
 
     for (fi, &f) in freqs.iter().enumerate() {
         let s = Complex::new(0.0, 2.0 * std::f64::consts::PI * f);
         // Factor once per frequency via the adjoint trick: solve Aᵀ y = e_out,
         // then |H_k|² = |y·inj_k|² for every source k.
-        let y = complex_system(net, &pattern, s, true, e.clone(), backend)
-            .solve_in(&mut cached, || None)?;
+        let y = complex_system(net, s, true, e.clone()).solve_in(&mut cached, || None)?;
         for (k, src) in sources.iter().enumerate() {
             // Unit current injected from `from` to `to`.
             let mut h = Complex::ZERO;
@@ -215,6 +211,7 @@ pub(crate) fn analyze(
 mod tests {
     use super::*;
     use crate::ac::log_frequencies;
+    use crate::backend::Backend;
     use crate::session::SimSession;
     use ams_netlist::parse_deck;
 
@@ -318,13 +315,14 @@ mod tests {
              C1 out 0 1p",
         )
         .unwrap();
-        let ses = SimSession::new(&ckt);
-        let op = ses.op().unwrap();
-        let net = ses.linearize().unwrap();
-        let out = ses.output_index("out").unwrap();
         let freqs = log_frequencies(1.0, 1e10, 40);
-        let d = analyze(&ckt, &op, &net, out, &freqs, 300.0, Backend::Dense).unwrap();
-        let s = analyze(&ckt, &op, &net, out, &freqs, 300.0, Backend::Sparse).unwrap();
+        let [d, s] = [Backend::Dense, Backend::Sparse].map(|backend| {
+            let ses = SimSession::with_backend(&ckt, backend);
+            let op = ses.op().unwrap();
+            let net = ses.linearize().unwrap();
+            let out = ses.output_index("out").unwrap();
+            analyze(&ckt, &op, &net, out, &freqs, 300.0).unwrap()
+        });
         for (a, b) in d.output_psd.iter().zip(&s.output_psd) {
             let scale = a.abs().max(1e-300);
             assert!((a - b).abs() / scale < 1e-9, "dense {a} vs sparse {b}");

@@ -255,7 +255,7 @@ impl<'c> SimSession<'c> {
     ///
     /// Panics if `x.len()` does not match the MNA dimension.
     pub fn dc_system(&self, x: &[f64]) -> (Triplets<f64>, Vec<f64>) {
-        dc::sparse_system(self, x)
+        dc::dc_triplets(self.ckt, &self.layout, x)
     }
 
     /// DC operating point with deterministic perturbed restarts on
@@ -275,9 +275,13 @@ impl<'c> SimSession<'c> {
         Ok(op)
     }
 
-    /// Linearized small-signal network at the DC operating point (cached).
-    /// The returned [`LinearNet`] is dense — AWE and symbolic analysis read
-    /// it as matrices — so this is for cell-sized circuits, not grids.
+    /// Linearized small-signal network at the DC operating point (cached),
+    /// on this session's backend. `G` is [`dc_system`](SimSession::dc_system)
+    /// at the operating point and `C` is stamped as triplets too, so a
+    /// grid linearizes in memory proportional to its nonzeros. AC, noise
+    /// and every AWE moment of every excitation share the cached net, and
+    /// with it one factorization of `G` — on a linear circuit the sparse
+    /// DC factor itself, which already holds `G`.
     ///
     /// # Errors
     ///
@@ -287,7 +291,11 @@ impl<'c> SimSession<'c> {
             return Ok(Arc::clone(net));
         }
         let op = self.op()?;
-        let net = Arc::new(dc::linearize(self.ckt, &op));
+        let (net, _) = dc::linearized(self.ckt, self.layout.clone(), &op.x, self.backend);
+        if let Some(lu) = self.dc_lu.lock().unwrap().as_ref() {
+            net.adopt_g_factor(lu);
+        }
+        let net = Arc::new(net);
         *self.net_cache.lock().unwrap() = Some(Arc::clone(&net));
         Ok(net)
     }
@@ -307,7 +315,7 @@ impl<'c> SimSession<'c> {
         let idx = self
             .output_index(out)
             .ok_or_else(|| SimError::UnknownNode(out.to_string()))?;
-        note_failure(sweep_net(&net, idx, freqs, self.backend))
+        note_failure(sweep_net(&net, idx, freqs))
     }
 
     /// Transient analysis from the (cached) DC operating point: trapezoidal
@@ -338,15 +346,7 @@ impl<'c> SimSession<'c> {
         let idx = self
             .output_index(out)
             .ok_or_else(|| SimError::UnknownNode(out.to_string()))?;
-        note_failure(noise::analyze(
-            self.ckt,
-            &op,
-            &net,
-            idx,
-            freqs,
-            temp_k,
-            self.backend,
-        ))
+        note_failure(noise::analyze(self.ckt, &op, &net, idx, freqs, temp_k))
     }
 
     /// Solves the stamped system `A·x = z` against the slot's cached

@@ -87,6 +87,39 @@ impl<T: Scalar> Triplets<T> {
         (&self.rows, &self.cols, &self.vals)
     }
 
+    /// The pushed `(row, col, value)` entries in push order, duplicates
+    /// not merged.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, T)> + '_ {
+        self.rows
+            .iter()
+            .zip(&self.cols)
+            .zip(&self.vals)
+            .map(|((&i, &j), &v)| (i as usize, j as usize, v))
+    }
+
+    /// The assembled matrix in row-major order: one `(row, col, value)`
+    /// per distinct coordinate, its duplicates summed in push order
+    /// starting from zero — exactly the value a dense matrix accumulating
+    /// the same pushes holds. Coordinates whose sum is zero are kept.
+    pub(crate) fn row_major(&self) -> Vec<(usize, usize, T)> {
+        let mut order: Vec<u32> = (0..self.vals.len() as u32).collect();
+        // Stable, so duplicates stay in push order.
+        order.sort_by_key(|&k| (self.rows[k as usize], self.cols[k as usize]));
+        let mut out: Vec<(usize, usize, T)> = Vec::with_capacity(order.len());
+        for k in order {
+            let (i, j, v) = (
+                self.rows[k as usize] as usize,
+                self.cols[k as usize] as usize,
+                self.vals[k as usize],
+            );
+            match out.last_mut() {
+                Some(last) if (last.0, last.1) == (i, j) => last.2 = last.2.add(v),
+                _ => out.push((i, j, T::ZERO.add(v))),
+            }
+        }
+        out
+    }
+
     /// Dense `A·x` for residual checks and tests.
     pub fn mul_vec(&self, x: &[T]) -> Vec<T> {
         assert_eq!(x.len(), self.dim, "dimension mismatch");
@@ -196,10 +229,21 @@ pub(crate) fn solve_cached<T: Scalar>(
         }
         None => btf(),
     };
-    let f = CscLu::factor(t, hint)?;
-    ams_trace::counter_add("sim.sparse.symbolic", 1);
-    ams_trace::counter_add("sim.sparse.fill_in", f.fill_in());
+    let f = factor_counted(t, hint)?;
     let x = f.solve_refined(t, b);
     *lu = Some(f);
     Ok(x)
+}
+
+/// A fresh symbolic + numeric [`CscLu::factor`], counted under
+/// `sim.sparse.symbolic` and `sim.sparse.fill_in`: the one place the crate
+/// starts a sparse factorization.
+pub(crate) fn factor_counted<T: Scalar>(
+    t: &Triplets<T>,
+    btf: Option<Arc<BlockStructure>>,
+) -> Result<CscLu<T>, SingularMatrix> {
+    let f = CscLu::factor(t, btf)?;
+    ams_trace::counter_add("sim.sparse.symbolic", 1);
+    ams_trace::counter_add("sim.sparse.fill_in", f.fill_in());
+    Ok(f)
 }

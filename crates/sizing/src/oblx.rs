@@ -97,10 +97,7 @@ pub fn synthesize_dc_free<T: DcFreeTemplate>(
         let (net, residual) = linearize_at(&ckt, &assumed);
         let out = ams_sim::output_index(&ckt, &net.layout, template.output());
         let perf = match out {
-            Some(out) => match AweModel::from_net(&net, out, 3)
-                .or_else(|_| AweModel::from_net(&net, out, 2))
-                .or_else(|_| AweModel::from_net(&net, out, 1))
-            {
+            Some(out) => match AweModel::first_of(&net, &net.b, out, &[3, 2, 1]) {
                 Ok(model) => template.measure(&ckt, &model, &assumed),
                 Err(_) => Perf::new(),
             },

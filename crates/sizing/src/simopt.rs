@@ -249,9 +249,8 @@ impl SimulatedTemplate for TwoStageCircuit {
                 )
             }
             AcEvaluator::Awe { order } => {
-                match AweModel::from_net(&net, out, order)
-                    .or_else(|_| AweModel::from_net(&net, out, order.saturating_sub(1).max(1)))
-                {
+                let ladder = [order, order.saturating_sub(1).max(1)];
+                match AweModel::first_of(&net, &net.b, out, &ladder) {
                     Ok(model) => {
                         let values = model.frequency_response(&freqs);
                         let sweep = ams_sim::AcSweep {

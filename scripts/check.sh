@@ -25,6 +25,8 @@ echo "== forced linear-solver backend matrix (sim, rail, and the AWE/symbolic co
 for backend in dense sparse; do
     echo "--  AMS_SIM_BACKEND=$backend"
     AMS_SIM_BACKEND=$backend cargo test --offline -q -p ams-sim -p ams-rail -p ams-awe -p ams-symbolic
+    # The AWE sizing consumers: cell-sized moment solves on either factor.
+    AMS_SIM_BACKEND=$backend cargo test --offline -q -p ams-sizing -- simopt oblx
 done
 
 echo "== dense/sparse backend equivalence (exemplars, grids, seeded deck generator) =="

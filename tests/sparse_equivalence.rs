@@ -311,9 +311,12 @@ fn seeded_decks_agree_across_backends() {
 
 /// The small-signal legs of the oracle on one deck. An AC sweep and the
 /// output noise at `out` match dense vs sparse at every frequency point,
-/// to the 1e-9 bound (relative for the noise rms). And the linearized `G`
-/// equals the DC Newton matrix at the operating point, as `dc_system`
-/// stamps it, scattered to dense bit for bit: both come from one stamp.
+/// to the 1e-9 bound (relative for the noise rms). The first 8 AWE moment
+/// vectors under the deck's own excitation (`Vg AC 1`) match to 1e-9 of
+/// each vector's largest entry: the dense LU against the sparse factor of
+/// `G`. And the linearized `G` is the DC Newton matrix at the operating
+/// point, the same triplet sequence `dc_system` stamps, bit for bit: both
+/// come from one stamp.
 fn small_signal_agrees(dense: &SimSession<'_>, sparse: &SimSession<'_>, out: &str, what: &str) {
     let freqs = ams_sim::log_frequencies(1.0, 1e12, 5);
     let ac = |ses: &SimSession<'_>| {
@@ -337,23 +340,36 @@ fn small_signal_agrees(dense: &SimSession<'_>, sparse: &SimSession<'_>, out: &st
         "{what}: noise rms dense {d:e} vs sparse {s:e}"
     );
 
-    let x = sparse.op().expect("cached").x;
-    let g = &sparse.linearize().expect("linearizes").g;
-    let (a, _) = sparse.dc_system(&x);
-    let mut unit = vec![0.0; x.len()];
-    for j in 0..x.len() {
-        unit[j] = 1.0;
-        // Column j of the triplets, summed in push order.
-        for (i, v) in a.mul_vec(&unit).into_iter().enumerate() {
-            assert_eq!(
-                v.to_bits(),
-                g[(i, j)].to_bits(),
-                "{what}: G[{i}][{j}] = {:e} but the DC system has {v:e}",
-                g[(i, j)]
+    let moments = |ses: &SimSession<'_>| {
+        let net = ses.linearize().expect("linearizes");
+        assert_eq!(net.backend(), ses.backend(), "{what}: net backend");
+        ams::awe::Moments::compute(&net, &net.b, 8)
+            .unwrap_or_else(|e| panic!("{what}: {:?} moments failed: {e}", ses.backend()))
+            .vectors
+    };
+    for (k, (d, s)) in moments(dense).iter().zip(moments(sparse)).enumerate() {
+        let scale = d.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        for (i, (d, s)) in d.iter().zip(&s).enumerate() {
+            assert!(
+                (d - s).abs() <= 1e-9 * scale,
+                "{what}: moment {k} of unknown {i} dense {d:e} vs sparse {s:e} (scale {scale:e})"
             );
         }
-        unit[j] = 0.0;
     }
+
+    let x = sparse.op().expect("cached").x;
+    let net = sparse.linearize().expect("linearizes");
+    let (a, _) = sparse.dc_system(&x);
+    let bits = |t: &ams_sim::Triplets<f64>| {
+        t.iter()
+            .map(|(i, j, v)| (i, j, v.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        bits(net.g()),
+        bits(&a),
+        "{what}: the linearized G is not the DC system's triplet sequence"
+    );
 }
 
 /// Runs the same transient on both backends: every time point matches
