@@ -123,11 +123,8 @@ fn bench(c: &mut Criterion) {
             .map(|pd| (pd.lo * pd.hi).sqrt())
             .collect();
         let ckt = template.build(&x);
-        if ams_sim::SimSession::new(&ckt)
-            .op_retry(&ams_guard::Retry::default())
-            .is_err()
-        {
-            // Even the retried ladder lost to the injection storm: take the
+        if ams_sim::SimSession::new(&ckt).op().is_err() {
+            // Even the restarted ladder lost to the injection storm: take the
             // assumed-bias last resort so the phase always completes.
             let dim = ams_sim::MnaLayout::new(&ckt).dim();
             let _ = ams_sim::assumed_op(&ckt, &vec![0.0; dim]);

@@ -13,36 +13,23 @@
 //!
 //! Stage memoization is keyed by tag. Tags that depend on the active
 //! [`RecoveryPolicy`](crate::RecoveryPolicy) — the layout stages, whose
-//! compute changes with `relax_router` — append the policy bit, so a
-//! supervised retry that escalates the policy recomputes exactly the
-//! stages the new policy changes and replays the rest.
-//!
-//! [`supervised_synthesize`] stacks the ams-guard [`Supervisor`] on top:
-//! bounded, eval-denominated retry-with-backoff, each retry resuming from
-//! the same journal under an escalated recovery policy
-//! ([`RecoveryPolicy::escalated`](crate::RecoveryPolicy::escalated)), with
-//! quarantine for keys that keep failing.
+//! compute relaxes the router only under the default policy — append the
+//! policy bit, so a run resumed under the other policy recomputes exactly
+//! the stages that policy changes and replays the rest.
 
 // det-lint: allow(hash-collection): every map is sorted before encoding
 use std::collections::HashMap;
 
 use ams_ckpt::codec::{Dec, DecodeError, Enc};
 use ams_ckpt::CkptStore;
-use ams_guard::{budget, SupervisionReport, Supervisor};
+use ams_guard::budget;
 use ams_layout::{CellLayout, DeviceLayout, Layer, Rect};
 use ams_netlist::Technology;
 use ams_sizing::SizingResult;
 use ams_topology::Spec;
 
-use crate::flow::{
-    self, DegradeReason, FlowConfig, FlowError, FlowOutcome, FlowReport, RecoveryPolicy,
-};
+use crate::flow::{self, FlowConfig, FlowError, FlowReport};
 use ams_trace::TelemetryEvent;
-
-/// Journal record holding the symbolic-factorization pattern fingerprint
-/// captured when the bias ladder first bound a [`ams_sim::SimSession`];
-/// resume re-captures and verifies it (see [`FlowError::Checkpoint`]).
-pub const SIM_PATTERN_TAG: &str = "sim.pattern";
 
 /// Checkpointing context threaded through a resumable flow run.
 #[derive(Debug)]
@@ -95,67 +82,6 @@ pub fn synthesize_opamp_resumable(
 ) -> Result<FlowReport, FlowError> {
     let mut opt = Some(&mut ck);
     flow::synthesize_opamp_inner(spec, tech, load_f, config, &mut opt)
-}
-
-/// Runs [`synthesize_opamp_resumable`] under an ams-guard [`Supervisor`]:
-/// every failed retryable attempt backs off (eval-denominated, charged to
-/// the global budget) and retries *resuming from the same journal* with
-/// the recovery policy escalated one rung
-/// ([`RecoveryPolicy::escalated`](crate::RecoveryPolicy::escalated)).
-/// Success after at least one retry is honestly labelled with
-/// [`DegradeReason::SupervisedRetry`] in the report's outcome.
-///
-/// The supervisor's verdict mirrors [`Supervisor::run`]: `None` when the
-/// flow key is quarantined, otherwise the final attempt's result.
-pub fn supervised_synthesize(
-    spec: &Spec,
-    tech: &Technology,
-    load_f: f64,
-    config: &FlowConfig,
-    store: &mut CkptStore,
-    supervisor: &mut Supervisor,
-) -> (Option<Result<FlowReport, FlowError>>, SupervisionReport) {
-    let base = config.recovery;
-    let (result, report) = supervisor.run(
-        "flow.synthesize_opamp",
-        |e: &FlowError| {
-            // The crash hook is always worth resuming; other failures are
-            // retried only when the full recovery ladder could plausibly
-            // absorb them (structural failures never are).
-            matches!(e, FlowError::Interrupted { .. }) || RecoveryPolicy::default().is_retryable(e)
-        },
-        |attempt| {
-            let mut cfg = config.clone();
-            cfg.recovery = base.escalated(attempt);
-            synthesize_opamp_resumable(spec, tech, load_f, &cfg, FlowCkpt::new(&mut *store))
-        },
-    );
-    let result = result.map(|r| {
-        r.map(|mut rep| {
-            if report.retries > 0 {
-                let reason = DegradeReason::SupervisedRetry {
-                    attempts: report.attempts.len(),
-                };
-                flow::emit(
-                    &mut rep.events,
-                    TelemetryEvent::Degraded {
-                        reason: reason.to_string(),
-                    },
-                );
-                rep.outcome = match rep.outcome {
-                    FlowOutcome::Nominal => FlowOutcome::Degraded {
-                        reasons: vec![reason],
-                    },
-                    FlowOutcome::Degraded { mut reasons } => {
-                        reasons.push(reason);
-                        FlowOutcome::Degraded { reasons }
-                    }
-                };
-            }
-            rep
-        })
-    });
-    (result, report)
 }
 
 /// Emits the `stage_replayed` event for a journal hit.
@@ -229,15 +155,16 @@ pub(crate) fn stage<T>(
 
 /// The bias-fallback stage, with symbolic-pattern re-capture on resume.
 ///
-/// Compute binds a fresh [`ams_sim::SimSession`], records its structural
-/// [`pattern_fingerprint`](ams_sim::SimSession::pattern_fingerprint) in a
-/// dedicated [`SIM_PATTERN_TAG`] journal record, then runs the bias
-/// ladder. A journal hit re-binds a session over the identically rebuilt
-/// circuit and verifies the re-captured fingerprint against the record —
-/// a mismatch means the journal belongs to a different design point and
-/// resuming would silently verify the wrong circuit, so it is a
-/// [`FlowError::Checkpoint`]. Verification is counter-free by
-/// construction (session binding touches no trace counters).
+/// A journaled run binds a fresh [`ams_sim::SimSession`] over the circuit
+/// the bias ladder solves and records its structural
+/// [`pattern_fingerprint`](ams_sim::SimSession::pattern_fingerprint) in
+/// the stage's payload next to the ladder's verdict. A journal hit
+/// re-captures the fingerprint over the identically rebuilt circuit and
+/// checks it against the payload: a mismatch means the journal belongs to
+/// a different design point and resuming would silently verify the wrong
+/// circuit, so it is a [`FlowError::Checkpoint`]. The fingerprint is
+/// counter-free by construction (session binding touches no trace
+/// counters), and an un-checkpointed run computes none.
 pub(crate) fn bias_stage(
     ck: &mut Option<&mut FlowCkpt<'_>>,
     tech: &Technology,
@@ -245,57 +172,25 @@ pub(crate) fn bias_stage(
     // det-lint: allow(hash-collection): sizing param map, read by key only
     params: &HashMap<String, f64>,
 ) -> Result<bool, FlowError> {
-    const TAG: &str = "bias.fallback";
-    let Some(ck) = ck.as_deref_mut() else {
+    if ck.is_none() {
         return Ok(flow::assumed_bias_check(tech, load_f, params));
-    };
-    if let Some(payload) = ck.store.find(TAG) {
-        let mut d = Dec::new(payload);
-        let delta = d.counter_delta().map_err(|e| ck_decode(TAG, e))?;
-        let evals = d.u64().map_err(|e| ck_decode(TAG, e))?;
-        let newton = d.u64().map_err(|e| ck_decode(TAG, e))?;
-        let assumed = d.bool().map_err(|e| ck_decode(TAG, e))?;
-        let stored_fp = d.u64().map_err(|e| ck_decode(TAG, e))?;
-        d.finish().map_err(|e| ck_decode(TAG, e))?;
-        let recaptured = flow::bias_pattern_fingerprint(tech, load_f, params);
-        if recaptured != stored_fp {
-            return Err(FlowError::Checkpoint(format!(
-                "resumed simulation pattern {recaptured:#018x} disagrees with \
-                 checkpointed pattern {stored_fp:#018x}"
-            )));
-        }
-        ams_ckpt::restore_delta(&delta);
-        if evals > 0 {
-            budget::charge_evals(evals);
-        }
-        if newton > 0 {
-            budget::charge_newton(newton);
-        }
-        stage_replayed(TAG);
-        return Ok(assumed);
     }
-    let counters_before = ams_ckpt::counters_now();
-    let evals_before = budget::spent_evals();
-    let newton_before = budget::spent_newton_iters();
     let fp = flow::bias_pattern_fingerprint(tech, load_f, params);
-    let assumed = flow::assumed_bias_check(tech, load_f, params);
-    let delta = ams_ckpt::delta_since(&counters_before);
-    let mut enc = Enc::new();
-    enc.counter_delta(&delta);
-    enc.u64(budget::spent_evals().saturating_sub(evals_before));
-    enc.u64(budget::spent_newton_iters().saturating_sub(newton_before));
-    enc.bool(assumed);
-    enc.u64(fp);
-    let mut fp_enc = Enc::new();
-    fp_enc.u64(fp);
-    ck.store
-        .commit(SIM_PATTERN_TAG, fp_enc.finish())
-        .and_then(|()| ck.store.commit(TAG, enc.finish()))
-        .map_err(|e| FlowError::Checkpoint(e.to_string()))?;
-    if ck.interrupt_after.as_deref() == Some(TAG) {
-        return Err(FlowError::Interrupted {
-            stage: TAG.to_string(),
-        });
+    let (assumed, journaled) = stage(
+        ck,
+        "bias.fallback",
+        |d| Ok((d.bool()?, d.u64()?)),
+        |e, &(assumed, fp)| {
+            e.bool(assumed);
+            e.u64(fp);
+        },
+        || Ok((flow::assumed_bias_check(tech, load_f, params), fp)),
+    )?;
+    if journaled != fp {
+        return Err(FlowError::Checkpoint(format!(
+            "resumed simulation pattern {fp:#018x} disagrees with \
+             checkpointed pattern {journaled:#018x}"
+        )));
     }
     Ok(assumed)
 }
@@ -487,7 +382,6 @@ pub(crate) fn dec_layout_stage(d: &mut Dec<'_>) -> Result<(CellLayout, bool), De
 mod tests {
     use super::*;
     use crate::{synthesize_opamp, FlowConfig};
-    use ams_guard::SuperviseConfig;
     use ams_sizing::AnnealConfig;
     use ams_topology::Bound;
 
@@ -498,14 +392,6 @@ mod tests {
             .require("phase_margin_deg", Bound::AtLeast(55.0))
             .require("slew_v_per_s", Bound::AtLeast(4e6))
             .require("swing_v", Bound::AtLeast(2.0))
-            .minimizing("power_w")
-    }
-
-    fn unreachable_spec() -> Spec {
-        Spec::new()
-            .require("gain_db", Bound::AtLeast(60.0))
-            .require("ugf_hz", Bound::AtLeast(4.9e7))
-            .require("power_w", Bound::AtMost(6e-5))
             .minimizing("power_w")
     }
 
@@ -670,68 +556,25 @@ mod tests {
             let mut opt = Some(&mut ck);
             bias_stage(&mut opt, &tech, 5e-12, &params).unwrap()
         };
-        assert!(store.find(SIM_PATTERN_TAG).is_some());
+        // The fingerprint rides in the stage's own record, after its
+        // counter delta, budget deltas and verdict.
+        let payload = store.find("bias.fallback").expect("bias stage committed");
+        let mut d = Dec::new(payload);
+        d.counter_delta().unwrap();
+        d.u64().unwrap();
+        d.u64().unwrap();
+        assert_eq!(d.bool().unwrap(), first);
+        assert_eq!(
+            d.u64().unwrap(),
+            flow::bias_pattern_fingerprint(&tech, 5e-12, &params)
+        );
+        d.finish().unwrap();
+        assert_eq!(store.len(), 1, "one record per stage");
         let again = {
             let mut ck = FlowCkpt::new(&mut store);
             let mut opt = Some(&mut ck);
             bias_stage(&mut opt, &tech, 5e-12, &params).unwrap()
         };
         assert_eq!(first, again);
-    }
-
-    #[test]
-    fn supervised_retry_escalates_policy_and_labels_outcome() {
-        // Start strict on a spec no topology can size: attempts 0–2 fail
-        // (escalation stops short of accept-degraded), attempt 3 runs the
-        // full default ladder and hands back a degraded-but-real design.
-        let spec = unreachable_spec();
-        let tech = Technology::generic_1p2um();
-        let mut cfg = quick_config();
-        cfg.recovery = crate::RecoveryPolicy::strict();
-        let mut store = CkptStore::in_memory();
-        let mut sup = Supervisor::new(SuperviseConfig::default());
-        let (result, report) =
-            supervised_synthesize(&spec, &tech, 5e-12, &cfg, &mut store, &mut sup);
-        let rep = result
-            .expect("not quarantined")
-            .expect("final attempt succeeds");
-        assert_eq!(report.retries, 3, "{report}");
-        assert!(report.backoff_evals > 0);
-        let FlowOutcome::Degraded { reasons } = &rep.outcome else {
-            panic!("expected degraded outcome, got {:?}", rep.outcome);
-        };
-        assert!(
-            reasons
-                .iter()
-                .any(|r| matches!(r, DegradeReason::SupervisedRetry { attempts: 4 })),
-            "reasons: {reasons:?}"
-        );
-        assert!(rep.layout.area_um2 > 0.0);
-    }
-
-    #[test]
-    fn interrupted_run_resumes_under_supervision() {
-        // A journal left by a crashed run: supervision's first attempt
-        // resumes it to completion with zero retries and no degradation
-        // label.
-        let spec = opamp_spec();
-        let tech = Technology::generic_1p2um();
-        let cfg = quick_config();
-        let baseline = canon(&synthesize_opamp(&spec, &tech, 5e-12, &cfg).unwrap());
-        let mut store = CkptStore::in_memory();
-        let _ = synthesize_opamp_resumable(
-            &spec,
-            &tech,
-            5e-12,
-            &cfg,
-            FlowCkpt::interrupting_after(&mut store, "sizing.0.0"),
-        )
-        .unwrap_err();
-        let mut sup = Supervisor::new(SuperviseConfig::default());
-        let (result, report) =
-            supervised_synthesize(&spec, &tech, 5e-12, &cfg, &mut store, &mut sup);
-        let rep = result.expect("not quarantined").expect("resume succeeds");
-        assert_eq!(report.retries, 0, "{report}");
-        assert_eq!(canon(&rep), baseline);
     }
 }

@@ -17,11 +17,11 @@
 //! tightened sizing margins ("closing the loop" between layout and
 //! synthesis, the open problem §3.1 highlights).
 
-use ams_guard::{budget, BudgetExhausted, Resource, Retry};
+use ams_guard::{budget, BudgetExhausted, Resource};
 use ams_layout::{
     layout_cell, two_stage_opamp_cell, CellDevice, CellLayout, CellOptions, DesignRules,
 };
-use ams_netlist::Technology;
+use ams_netlist::{Circuit, Technology};
 use ams_sizing::{
     optimize, AnnealConfig, Perf, PerfModel, SizingResult, SymmetricalOtaModel, TwoStageModel,
 };
@@ -63,13 +63,89 @@ fn note_flow_failure(e: &FlowError) -> FlowError {
     e.clone()
 }
 
-/// Appends `event` to the flow log and emits it into the trace ring, so
-/// `FlowReport.events`, the JSONL stream and forensics tell one story.
-pub(crate) fn emit(events: &mut Vec<TelemetryEvent>, event: TelemetryEvent) {
-    if ams_trace::enabled() {
-        ams_trace::emit(event.clone());
+/// A run's story so far: the flow events it emitted and the recovery
+/// rungs it took, both in order.
+#[derive(Default)]
+struct RunLog {
+    events: Vec<TelemetryEvent>,
+    reasons: Vec<DegradeReason>,
+}
+
+impl RunLog {
+    /// Appends `event` to the flow log and emits it into the trace ring,
+    /// so `FlowReport.events`, the JSONL stream and forensics tell one
+    /// story.
+    fn emit(&mut self, event: TelemetryEvent) {
+        if ams_trace::enabled() {
+            ams_trace::emit(event.clone());
+        }
+        self.events.push(event);
     }
-    events.push(event);
+
+    /// Takes one rung of the degradation ladder: its `degraded` event,
+    /// then its reason.
+    fn degrade(&mut self, reason: DegradeReason) {
+        self.emit(TelemetryEvent::Degraded {
+            reason: reason.to_string(),
+        });
+        self.reasons.push(reason);
+    }
+
+    /// Records why the run is about to return an error.
+    fn fail(&mut self, reason: impl Into<String>) {
+        self.emit(TelemetryEvent::Failed {
+            reason: reason.into(),
+        });
+    }
+
+    /// Hands `design` over: nominal when no rung was taken, otherwise
+    /// degraded, with the rungs and a forensics snapshot. Every report the
+    /// flow returns is built here.
+    fn report(self, design: Design, iterations: usize) -> FlowReport {
+        let (outcome, forensics) = if self.reasons.is_empty() {
+            (FlowOutcome::Nominal, None)
+        } else {
+            let forensics = degraded_forensics(&self.reasons);
+            let reasons = self.reasons;
+            (FlowOutcome::Degraded { reasons }, forensics)
+        };
+        FlowReport {
+            topology: design.topology,
+            params: design.sizing.params,
+            pre_layout_perf: design.sizing.perf,
+            layout: design.layout,
+            post_layout_perf: design.post_layout_perf,
+            iterations,
+            events: self.events,
+            outcome,
+            forensics,
+        }
+    }
+
+    /// The accept-degraded rung for a complete design that failed
+    /// verification: labels exactly what is wrong with it — unrouted nets,
+    /// then a missed spec — and hands it over instead of discarding the
+    /// work.
+    fn accept_degraded(mut self, spec: &Spec, design: Design, iterations: usize) -> FlowReport {
+        if !design.layout.is_complete() {
+            self.degrade(DegradeReason::RoutingIncomplete {
+                failed_nets: design.layout.failed_nets.len(),
+            });
+        }
+        if !spec.satisfied_by(&design.post_layout_perf) {
+            self.degrade(DegradeReason::SpecMissedPostLayout);
+        }
+        ams_trace::counter_add("flow.degraded_accepts", 1);
+        self.report(design, iterations)
+    }
+}
+
+/// A sized, laid-out and re-verified design: what a report hands back.
+struct Design {
+    topology: String,
+    sizing: SizingResult,
+    layout: CellLayout,
+    post_layout_perf: Perf,
 }
 
 /// Errors terminating the flow.
@@ -127,87 +203,32 @@ impl fmt::Display for FlowError {
 
 impl std::error::Error for FlowError {}
 
-/// What the flow is allowed to do when a stage fails, instead of aborting.
+/// What the flow is allowed to do when a stage fails, instead of aborting:
+/// one choice between two policies.
 ///
-/// The default policy enables the whole graceful-degradation ladder
-/// (§2.1's "redesign iterations", extended downward): fall back to the
-/// next-best topology when sizing is infeasible, relax the router when
-/// nets fail to route, and as a last resort accept a degraded design —
-/// reported honestly via [`FlowOutcome::Degraded`] — rather than return
-/// empty-handed. [`RecoveryPolicy::strict`] disables all three and
-/// restores fail-fast behavior.
+/// The default policy walks the whole graceful-degradation ladder (§2.1's
+/// "redesign iterations", extended downward): fall back to the next-best
+/// topology when sizing is infeasible, relax the router when nets fail to
+/// route, and as a last resort accept a degraded design — reported
+/// honestly via [`FlowOutcome::Degraded`] — rather than return
+/// empty-handed. [`RecoveryPolicy::strict`] takes none of these rungs and
+/// fails fast.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
-    /// Try the next-ranked topology when sizing is infeasible.
-    pub topology_fallback: bool,
-    /// Re-run an incomplete layout with a relaxed router configuration.
-    pub relax_router: bool,
-    /// Accept (and report) a degraded result instead of erroring out.
-    pub accept_degraded: bool,
+    recover: bool,
 }
 
 impl Default for RecoveryPolicy {
+    /// The full degradation ladder.
     fn default() -> Self {
-        RecoveryPolicy {
-            topology_fallback: true,
-            relax_router: true,
-            accept_degraded: true,
-        }
+        RecoveryPolicy { recover: true }
     }
 }
 
 impl RecoveryPolicy {
-    /// Fail-fast policy: every recovery mechanism disabled.
+    /// Fail-fast policy: no recovery rung is taken.
     pub fn strict() -> Self {
-        RecoveryPolicy {
-            topology_fallback: false,
-            relax_router: false,
-            accept_degraded: false,
-        }
-    }
-
-    /// Whether `error` is worth another attempt under this policy.
-    ///
-    /// Structural failures — [`FlowError::Erc`], which covers both the
-    /// heuristic rules and the analyzer's E008 singularity proof — are
-    /// never retryable: a netlist whose MNA pattern is proven singular
-    /// stays singular no matter how the flow perturbs or retries, so every
-    /// policy classifies it as a hard stop. The remaining errors map to
-    /// the recovery mechanism that could plausibly absorb them.
-    pub fn is_retryable(&self, error: &FlowError) -> bool {
-        match error {
-            FlowError::Erc(_) | FlowError::NoFeasibleTopology => false,
-            FlowError::SizingInfeasible { .. } => self.topology_fallback || self.accept_degraded,
-            FlowError::Layout(_) => self.relax_router,
-            FlowError::Budget(_) => self.accept_degraded,
-            // An interrupted checkpointed run is the canonical retry: the
-            // journal holds everything committed so far and resuming is
-            // pure upside under every policy.
-            FlowError::Interrupted { .. } => true,
-            // A broken or mismatched journal will stay broken; callers
-            // must intervene (discard or repair the store), not retry.
-            FlowError::Checkpoint(_) => false,
-        }
-    }
-
-    /// The ladder a supervised run escalates through: attempt 0 runs this
-    /// policy unchanged, attempt 1 additionally relaxes the router,
-    /// attempt 2 additionally enables topology fallback, and every later
-    /// attempt runs the full default ladder (accept-degraded included).
-    pub fn escalated(self, attempt: u32) -> Self {
-        match attempt {
-            0 => self,
-            1 => RecoveryPolicy {
-                relax_router: true,
-                ..self
-            },
-            2 => RecoveryPolicy {
-                relax_router: true,
-                topology_fallback: true,
-                ..self
-            },
-            _ => RecoveryPolicy::default(),
-        }
+        RecoveryPolicy { recover: false }
     }
 }
 
@@ -236,18 +257,13 @@ pub enum DegradeReason {
     /// The post-layout performance misses the spec.
     SpecMissedPostLayout,
     /// Device-level bias verification fell back to an assumed operating
-    /// point (DC-free linearization) after the retried solve failed.
+    /// point (DC-free linearization) after the whole DC ladder, perturbed
+    /// restarts included, failed.
     AssumedBias,
     /// An evaluation budget ran out; remaining work was skipped.
     BudgetExhausted {
         /// Which budgeted resource was exhausted.
         resource: Resource,
-    },
-    /// The run only completed after supervised retries resumed it from
-    /// its checkpoint journal.
-    SupervisedRetry {
-        /// Total attempts consumed (first try included).
-        attempts: usize,
     },
 }
 
@@ -275,12 +291,6 @@ impl fmt::Display for DegradeReason {
             }
             DegradeReason::BudgetExhausted { resource } => {
                 write!(f, "evaluation budget exhausted ({resource})")
-            }
-            DegradeReason::SupervisedRetry { attempts } => {
-                write!(
-                    f,
-                    "completed after {attempts} supervised attempt(s) resumed from checkpoint"
-                )
             }
         }
     }
@@ -416,11 +426,11 @@ pub(crate) fn synthesize_opamp_inner(
 ) -> Result<FlowReport, FlowError> {
     let _flow_span = ams_trace::span("flow.synthesize_opamp");
     ams_trace::counter_add("flow.runs", 1);
-    let mut events = Vec::new();
-    let policy = config.recovery;
+    let mut log = RunLog::default();
+    let recover = config.recovery.recover;
 
     // --- Top-down: topology selection (§2.1 step 1). ---------------------
-    // Ranked candidates, best first. With topology fallback enabled the
+    // Ranked candidates, best first. Under the default policy the
     // degradation ladder walks down this list when sizing turns out
     // infeasible on the leader.
     let ranked: Vec<String> = crate::ckpt::stage(
@@ -442,42 +452,27 @@ pub(crate) fn synthesize_opamp_inner(
     let Some(first) = ranked.first() else {
         return Err(FlowError::NoFeasibleTopology);
     };
-    emit(
-        &mut events,
-        TelemetryEvent::TopologySelected {
-            name: first.clone(),
-            candidates: ranked.len() as u64,
-        },
-    );
+    log.emit(TelemetryEvent::TopologySelected {
+        name: first.clone(),
+        candidates: ranked.len() as u64,
+    });
 
-    let mut reasons: Vec<DegradeReason> = Vec::new();
     // Lowest-cost infeasible sizing seen anywhere: the accept-degraded
     // last resort lays this out if no topology ever sizes feasibly.
     let mut fallback: Option<(String, SizingResult)> = None;
     // The most recent fully-laid-out attempt (feasible sizing, layout,
     // post-layout perf): accepted as-is if the budget runs out mid-ladder.
-    let mut last_attempt: Option<(String, SizingResult, CellLayout, Perf)> = None;
+    let mut last_attempt: Option<Design> = None;
     let mut iterations = 0;
-    let topo_count = if policy.topology_fallback {
-        ranked.len()
-    } else {
-        1
-    };
+    let topo_count = if recover { ranked.len() } else { 1 };
 
     'topologies: for (t_idx, topology) in ranked.iter().take(topo_count).enumerate() {
         if t_idx > 0 {
-            let reason = DegradeReason::TopologyFallback {
+            log.degrade(DegradeReason::TopologyFallback {
                 from: ranked[t_idx - 1].clone(),
                 to: topology.clone(),
-            };
-            emit(
-                &mut events,
-                TelemetryEvent::Degraded {
-                    reason: reason.to_string(),
-                },
-            );
+            });
             ams_trace::counter_add("flow.topology_fallbacks", 1);
-            reasons.push(reason);
         }
         // Models we can size (both map onto supported layouts; unsupported
         // library topologies fall back to the two-stage).
@@ -489,63 +484,18 @@ pub(crate) fn synthesize_opamp_inner(
             // sizing or layout work is started; what exists is kept.
             if let Some(e) = budget::exhausted() {
                 budget::emit_exhaustion_event();
-                if !policy.accept_degraded {
-                    emit(
-                        &mut events,
-                        TelemetryEvent::Failed {
-                            reason: e.to_string(),
-                        },
-                    );
+                if !recover {
+                    log.fail(e.to_string());
                     return Err(note_flow_failure(&FlowError::Budget(e)));
                 }
-                let reason = DegradeReason::BudgetExhausted {
+                log.degrade(DegradeReason::BudgetExhausted {
                     resource: e.resource,
-                };
-                emit(
-                    &mut events,
-                    TelemetryEvent::Degraded {
-                        reason: reason.to_string(),
-                    },
-                );
-                reasons.push(reason);
+                });
                 // A previous redesign iteration already produced a full
                 // (feasible-sizing) layout: hand that over rather than
                 // discarding it for the weaker infeasible-point resort.
-                if let Some((topo, sizing, layout, post_perf)) = last_attempt.take() {
-                    if !layout.is_complete() {
-                        let reason = DegradeReason::RoutingIncomplete {
-                            failed_nets: layout.failed_nets.len(),
-                        };
-                        emit(
-                            &mut events,
-                            TelemetryEvent::Degraded {
-                                reason: reason.to_string(),
-                            },
-                        );
-                        reasons.push(reason);
-                    }
-                    if !spec.satisfied_by(&post_perf) {
-                        let reason = DegradeReason::SpecMissedPostLayout;
-                        emit(
-                            &mut events,
-                            TelemetryEvent::Degraded {
-                                reason: reason.to_string(),
-                            },
-                        );
-                        reasons.push(reason);
-                    }
-                    ams_trace::counter_add("flow.degraded_accepts", 1);
-                    return Ok(FlowReport {
-                        topology: topo,
-                        params: sizing.params,
-                        pre_layout_perf: sizing.perf,
-                        layout,
-                        post_layout_perf: post_perf,
-                        iterations,
-                        events,
-                        forensics: degraded_forensics(&reasons),
-                        outcome: FlowOutcome::Degraded { reasons },
-                    });
+                if let Some(design) = last_attempt.take() {
+                    return Ok(log.accept_degraded(spec, design, iterations));
                 }
                 break 'topologies;
             }
@@ -567,25 +517,17 @@ pub(crate) fn synthesize_opamp_inner(
                     })
                 },
             )?;
-            emit(
-                &mut events,
-                TelemetryEvent::Sized {
-                    iteration: iterations as u64,
-                    feasible: sizing.feasible,
-                    power_w: sizing.perf.get("power_w").copied().unwrap_or(f64::NAN),
-                },
-            );
+            log.emit(TelemetryEvent::Sized {
+                iteration: iterations as u64,
+                feasible: sizing.feasible,
+                power_w: sizing.perf.get("power_w").copied().unwrap_or(f64::NAN),
+            });
             if !sizing.feasible {
                 if fallback.as_ref().is_none_or(|(_, s)| sizing.cost < s.cost) {
                     fallback = Some((topology.clone(), sizing));
                 }
-                if !policy.topology_fallback && !policy.accept_degraded {
-                    emit(
-                        &mut events,
-                        TelemetryEvent::Failed {
-                            reason: "sizing infeasible".into(),
-                        },
-                    );
+                if !recover {
+                    log.fail("sizing infeasible");
                     return Err(FlowError::SizingInfeasible { iterations });
                 }
                 continue 'topologies;
@@ -602,167 +544,61 @@ pub(crate) fn synthesize_opamp_inner(
                 let _g = ams_trace::span("flow.erc");
                 let (report, structurally_sound) =
                     erc_check_two_stage(tech, load_f, &sizing.params);
-                emit(
-                    &mut events,
-                    TelemetryEvent::LintChecked {
-                        errors: report.errors().count() as u64,
-                        warnings: report.warnings().count() as u64,
-                        structurally_sound,
-                    },
-                );
+                log.emit(TelemetryEvent::LintChecked {
+                    errors: report.errors().count() as u64,
+                    warnings: report.warnings().count() as u64,
+                    structurally_sound,
+                });
                 let first_error = report
                     .errors()
                     .next()
                     .map(|diag| format!("[{}] {}", diag.code, diag.message));
                 if let Some(msg) = first_error {
-                    emit(
-                        &mut events,
-                        TelemetryEvent::Failed {
-                            reason: msg.clone(),
-                        },
-                    );
+                    log.fail(msg.clone());
                     return Err(FlowError::Erc(msg));
                 }
             }
 
-            // --- Bottom-up: layout generation. --------------------------------
-            // The stage tag carries the relax-router policy bit: an
-            // escalated supervised retry must recompute layouts the new
-            // policy would relax instead of replaying the strict attempt.
-            let devices = build_two_stage_devices(tech, &sizing);
-            let (layout, relaxed) = crate::ckpt::stage(
+            // --- Bottom-up: layout, extraction + detailed verification. -------
+            let layout = lay_out(
                 ck,
-                &format!("layout.{t_idx}.{redesigns}.rx{}", policy.relax_router as u8),
-                crate::ckpt::dec_layout_stage,
-                crate::ckpt::enc_layout_stage,
-                || {
-                    let mut layout = {
-                        let _g = ams_trace::span("flow.layout");
-                        layout_cell(&devices, &config.rules, &config.layout)
-                            .map_err(|e| FlowError::Layout(e.to_string()))?
-                    };
-                    let mut relaxed = false;
-                    if !layout.is_complete() && policy.relax_router {
-                        layout = relax_and_reroute(&devices, config, layout)?;
-                        relaxed = true;
-                    }
-                    Ok((layout, relaxed))
-                },
+                &format!("{t_idx}.{redesigns}"),
+                tech,
+                &sizing,
+                config,
+                &mut log,
             )?;
-            if relaxed {
-                ams_trace::counter_add("flow.router_relaxed", 1);
-                if !reasons.contains(&DegradeReason::RouterRelaxed) {
-                    emit(
-                        &mut events,
-                        TelemetryEvent::Degraded {
-                            reason: DegradeReason::RouterRelaxed.to_string(),
-                        },
-                    );
-                    reasons.push(DegradeReason::RouterRelaxed);
-                }
-            }
-            emit(
-                &mut events,
-                TelemetryEvent::LayoutDone {
-                    area_um2: layout.area_um2,
-                    complete: layout.is_complete(),
-                },
-            );
-
-            // --- Bottom-up: extraction + detailed verification. ---------------
-            let _verify_span = ams_trace::span("flow.extract_verify");
-            let post_perf = post_layout_perf_of(tech, load_f, use_ota, &sizing, &layout);
-            let ugf_pre = sizing.perf.get("ugf_hz").copied().unwrap_or(1.0);
-            let ugf_post = post_perf.get("ugf_hz").copied().unwrap_or(0.0);
-            let degradation = ((ugf_pre - ugf_post) / ugf_pre).max(0.0);
+            let (post_perf, degradation) = extract_verify(tech, load_f, use_ota, &sizing, &layout);
             let passed = spec.satisfied_by(&post_perf) && layout.is_complete();
-            drop(_verify_span);
-            emit(
-                &mut events,
-                TelemetryEvent::PostLayoutVerified {
-                    passed,
-                    ugf_degradation: degradation,
-                },
-            );
-
+            log.emit(TelemetryEvent::PostLayoutVerified {
+                passed,
+                ugf_degradation: degradation,
+            });
+            let design = Design {
+                topology: topology.clone(),
+                sizing,
+                layout,
+                post_layout_perf: post_perf,
+            };
             if passed {
-                let forensics = if reasons.is_empty() {
-                    None
-                } else {
-                    degraded_forensics(&reasons)
-                };
-                let outcome = if reasons.is_empty() {
-                    FlowOutcome::Nominal
-                } else {
-                    FlowOutcome::Degraded { reasons }
-                };
-                return Ok(FlowReport {
-                    topology: topology.clone(),
-                    params: sizing.params,
-                    pre_layout_perf: sizing.perf,
-                    layout,
-                    post_layout_perf: post_perf,
-                    iterations,
-                    events,
-                    forensics,
-                    outcome,
-                });
+                return Ok(log.report(design, iterations));
             }
 
             iterations += 1;
             redesigns += 1;
             ams_trace::counter_add("flow.redesign_iterations", 1);
             if redesigns >= config.max_redesign {
-                if policy.accept_degraded {
+                if recover {
                     // The redesign budget is spent and a complete design
-                    // exists — hand it over, labelled with exactly what is
-                    // wrong with it, instead of discarding the work.
-                    if !layout.is_complete() {
-                        let reason = DegradeReason::RoutingIncomplete {
-                            failed_nets: layout.failed_nets.len(),
-                        };
-                        emit(
-                            &mut events,
-                            TelemetryEvent::Degraded {
-                                reason: reason.to_string(),
-                            },
-                        );
-                        reasons.push(reason);
-                    }
-                    if !spec.satisfied_by(&post_perf) {
-                        let reason = DegradeReason::SpecMissedPostLayout;
-                        emit(
-                            &mut events,
-                            TelemetryEvent::Degraded {
-                                reason: reason.to_string(),
-                            },
-                        );
-                        reasons.push(reason);
-                    }
-                    ams_trace::counter_add("flow.degraded_accepts", 1);
-                    return Ok(FlowReport {
-                        topology: topology.clone(),
-                        params: sizing.params,
-                        pre_layout_perf: sizing.perf,
-                        layout,
-                        post_layout_perf: post_perf,
-                        iterations,
-                        events,
-                        forensics: degraded_forensics(&reasons),
-                        outcome: FlowOutcome::Degraded { reasons },
-                    });
+                    // exists: hand it over, labelled.
+                    return Ok(log.accept_degraded(spec, design, iterations));
                 }
-                emit(
-                    &mut events,
-                    TelemetryEvent::Failed {
-                        reason: "post-layout spec failure after redesign budget".into(),
-                    },
-                );
+                log.fail("post-layout spec failure after redesign budget");
                 return Err(note_flow_failure(&FlowError::SizingInfeasible {
                     iterations,
                 }));
             }
-            last_attempt = Some((topology.clone(), sizing, layout, post_perf));
+            last_attempt = Some(design);
             // Redesign: tighten the speed-related bounds by the observed
             // degradation plus margin, so the next sizing absorbs the
             // parasitics (constraint pass-down, §2.1).
@@ -779,131 +615,97 @@ pub(crate) fn synthesize_opamp_inner(
     // --- Last resort: no topology sized feasibly (or the budget ran out
     // first). Lay out the best infeasible point so the designer gets a
     // concrete, honestly-labelled starting design instead of nothing.
-    if policy.accept_degraded {
-        if let Some((topo_name, sizing)) = fallback {
-            let reason = DegradeReason::SizingInfeasible {
-                topology: topo_name.clone(),
-            };
-            emit(
-                &mut events,
-                TelemetryEvent::Degraded {
-                    reason: reason.to_string(),
-                },
-            );
+    if recover {
+        if let Some((topology, sizing)) = fallback {
+            log.degrade(DegradeReason::SizingInfeasible {
+                topology: topology.clone(),
+            });
             ams_trace::counter_add("flow.degraded_accepts", 1);
-            reasons.push(reason);
-            let use_ota = topo_name == "symmetrical_ota";
-            let devices = build_two_stage_devices(tech, &sizing);
-            let (layout, relaxed) = crate::ckpt::stage(
-                ck,
-                &format!("layout.fallback.rx{}", policy.relax_router as u8),
-                crate::ckpt::dec_layout_stage,
-                crate::ckpt::enc_layout_stage,
-                || {
-                    let mut layout = {
-                        let _g = ams_trace::span("flow.layout");
-                        layout_cell(&devices, &config.rules, &config.layout)
-                            .map_err(|e| FlowError::Layout(e.to_string()))?
-                    };
-                    let mut relaxed = false;
-                    if !layout.is_complete() && policy.relax_router {
-                        layout = relax_and_reroute(&devices, config, layout)?;
-                        relaxed = true;
-                    }
-                    Ok((layout, relaxed))
-                },
-            )?;
-            if relaxed {
-                ams_trace::counter_add("flow.router_relaxed", 1);
-                if !reasons.contains(&DegradeReason::RouterRelaxed) {
-                    emit(
-                        &mut events,
-                        TelemetryEvent::Degraded {
-                            reason: DegradeReason::RouterRelaxed.to_string(),
-                        },
-                    );
-                    reasons.push(DegradeReason::RouterRelaxed);
-                }
-            }
-            emit(
-                &mut events,
-                TelemetryEvent::LayoutDone {
-                    area_um2: layout.area_um2,
-                    complete: layout.is_complete(),
-                },
-            );
+            let use_ota = topology == "symmetrical_ota";
+            let layout = lay_out(ck, "fallback", tech, &sizing, config, &mut log)?;
             if !layout.is_complete() {
-                let reason = DegradeReason::RoutingIncomplete {
+                log.degrade(DegradeReason::RoutingIncomplete {
                     failed_nets: layout.failed_nets.len(),
-                };
-                emit(
-                    &mut events,
-                    TelemetryEvent::Degraded {
-                        reason: reason.to_string(),
-                    },
-                );
-                reasons.push(reason);
+                });
             }
             // Device-level bias sanity check. Under fault injection even
-            // the retried DC ladder can fail; its very last rung is the
+            // the restarted DC ladder can fail; its very last rung is the
             // ASTRX/OBLX-style assumed ("dc-free") operating point.
             if !use_ota && crate::ckpt::bias_stage(ck, tech, load_f, &sizing.params)? {
-                let reason = DegradeReason::AssumedBias;
-                emit(
-                    &mut events,
-                    TelemetryEvent::Degraded {
-                        reason: reason.to_string(),
-                    },
-                );
-                reasons.push(reason);
+                log.degrade(DegradeReason::AssumedBias);
             }
-            let _verify_span = ams_trace::span("flow.extract_verify");
-            let post_perf = post_layout_perf_of(tech, load_f, use_ota, &sizing, &layout);
-            let ugf_pre = sizing.perf.get("ugf_hz").copied().unwrap_or(1.0);
-            let ugf_post = post_perf.get("ugf_hz").copied().unwrap_or(0.0);
-            let degradation = ((ugf_pre - ugf_post) / ugf_pre).max(0.0);
-            drop(_verify_span);
-            emit(
-                &mut events,
-                TelemetryEvent::PostLayoutVerified {
-                    passed: false,
-                    ugf_degradation: degradation,
-                },
-            );
-            return Ok(FlowReport {
-                topology: topo_name,
-                params: sizing.params,
-                pre_layout_perf: sizing.perf,
+            let (post_perf, degradation) = extract_verify(tech, load_f, use_ota, &sizing, &layout);
+            log.emit(TelemetryEvent::PostLayoutVerified {
+                passed: false,
+                ugf_degradation: degradation,
+            });
+            let design = Design {
+                topology,
+                sizing,
                 layout,
                 post_layout_perf: post_perf,
-                iterations,
-                events,
-                forensics: degraded_forensics(&reasons),
-                outcome: FlowOutcome::Degraded { reasons },
-            });
+            };
+            return Ok(log.report(design, iterations));
         }
         // Budget exhausted before any sizing produced even an infeasible
         // point: there is nothing to degrade to.
         if let Some(e) = budget::exhausted() {
             budget::emit_exhaustion_event();
-            emit(
-                &mut events,
-                TelemetryEvent::Failed {
-                    reason: e.to_string(),
-                },
-            );
+            log.fail(e.to_string());
             return Err(note_flow_failure(&FlowError::Budget(e)));
         }
     }
-    emit(
-        &mut events,
-        TelemetryEvent::Failed {
-            reason: "sizing infeasible".into(),
-        },
-    );
+    log.fail("sizing infeasible");
     Err(note_flow_failure(&FlowError::SizingInfeasible {
         iterations,
     }))
+}
+
+/// The bottom-up layout rung, journaled as stage `layout.<stage>.rx<bit>`:
+/// lays out the sized design and, under the default policy, re-routes an
+/// incomplete result with the relaxed router. Logs the relaxation rung
+/// (once per run) and the `layout_done` event.
+fn lay_out(
+    ck: &mut Option<&mut crate::ckpt::FlowCkpt<'_>>,
+    stage: &str,
+    tech: &Technology,
+    sizing: &SizingResult,
+    config: &FlowConfig,
+    log: &mut RunLog,
+) -> Result<CellLayout, FlowError> {
+    let recover = config.recovery.recover;
+    let devices = build_two_stage_devices(tech, sizing);
+    // The stage tag carries the policy bit: only the default policy
+    // relaxes the router, so a run resumed under the other policy must
+    // recompute the layout instead of replaying this one.
+    let (layout, relaxed) = crate::ckpt::stage(
+        ck,
+        &format!("layout.{stage}.rx{}", recover as u8),
+        crate::ckpt::dec_layout_stage,
+        crate::ckpt::enc_layout_stage,
+        || {
+            let layout = {
+                let _g = ams_trace::span("flow.layout");
+                layout_cell(&devices, &config.rules, &config.layout)
+                    .map_err(|e| FlowError::Layout(e.to_string()))?
+            };
+            if !layout.is_complete() && recover {
+                return Ok((relax_and_reroute(&devices, config, layout)?, true));
+            }
+            Ok((layout, false))
+        },
+    )?;
+    if relaxed {
+        ams_trace::counter_add("flow.router_relaxed", 1);
+        if !log.reasons.contains(&DegradeReason::RouterRelaxed) {
+            log.degrade(DegradeReason::RouterRelaxed);
+        }
+    }
+    log.emit(TelemetryEvent::LayoutDone {
+        area_um2: layout.area_um2,
+        complete: layout.is_complete(),
+    });
+    Ok(layout)
 }
 
 /// Builds the macrocell device list for a sized design (the symmetrical
@@ -946,19 +748,21 @@ fn relax_and_reroute(
     })
 }
 
-/// Re-evaluates the sizing model with extracted layout parasitics folded
-/// into the loads: the output net cap adds to CL, the d2 net cap adds to
-/// Cc's node.
-fn post_layout_perf_of(
+/// Extraction + detailed verification: re-evaluates the sizing model with
+/// the layout's parasitics folded into the loads (the output net cap adds
+/// to CL, the d2 net cap adds to Cc's node). Returns the post-layout
+/// performance and the relative UGF loss the redesign loop tightens by.
+fn extract_verify(
     tech: &Technology,
     load_f: f64,
     use_ota: bool,
     sizing: &SizingResult,
     layout: &CellLayout,
-) -> Perf {
+) -> (Perf, f64) {
+    let _g = ams_trace::span("flow.extract_verify");
     let c_out = layout.net_caps.get("out").copied().unwrap_or(0.0);
     let c_d2 = layout.net_caps.get("d2").copied().unwrap_or(0.0);
-    if use_ota {
+    let post_perf = if use_ota {
         let degraded = SymmetricalOtaModel::new(tech.clone(), load_f + c_out);
         let x: Vec<f64> = degraded
             .params()
@@ -981,20 +785,23 @@ fn post_layout_perf_of(
             .expect("cc param");
         x[cc_idx] += c_d2;
         degraded.evaluate(&x)
-    }
+    };
+    let ugf_pre = sizing.perf.get("ugf_hz").copied().unwrap_or(1.0);
+    let ugf_post = post_perf.get("ugf_hz").copied().unwrap_or(0.0);
+    let degradation = ((ugf_pre - ugf_post) / ugf_pre).max(0.0);
+    (post_perf, degradation)
 }
 
-/// Exercises the device-level bias ladder at the sized point: the retried
-/// DC solve first, then — the flow's very last rung — an assumed operating
-/// point (linearize without solving, as ASTRX/OBLX's dc-free biasing
-/// formulation does). Returns `true` when the assumed fallback was needed
-/// and succeeded.
-pub(crate) fn assumed_bias_check(
+/// The two-stage device-level template at the sized parameter point.
+/// Equation-model parameters that the circuit template also uses are
+/// taken from the sizing result; anything missing falls back to the
+/// geometric middle of its range.
+fn two_stage_circuit(
     tech: &Technology,
     load_f: f64,
     // det-lint: allow(hash-collection): sizing param map, read by key only
     params: &std::collections::HashMap<String, f64>,
-) -> bool {
+) -> Circuit {
     use ams_sizing::{SimulatedTemplate, TwoStageCircuit};
     let template = TwoStageCircuit::new(tech.clone(), load_f);
     let x: Vec<f64> = template
@@ -1007,11 +814,22 @@ pub(crate) fn assumed_bias_check(
                 .unwrap_or_else(|| (pd.lo * pd.hi).sqrt())
         })
         .collect();
-    let ckt = template.build(&x);
-    if ams_sim::SimSession::new(&ckt)
-        .op_retry(&Retry::default())
-        .is_ok()
-    {
+    template.build(&x)
+}
+
+/// Exercises the device-level bias ladder at the sized point: the DC
+/// ladder first (restarts included), then — the flow's very last rung —
+/// an assumed operating point (linearize without solving, as ASTRX/OBLX's
+/// dc-free biasing formulation does). Returns `true` when the assumed
+/// fallback was needed and succeeded.
+pub(crate) fn assumed_bias_check(
+    tech: &Technology,
+    load_f: f64,
+    // det-lint: allow(hash-collection): sizing param map, read by key only
+    params: &std::collections::HashMap<String, f64>,
+) -> bool {
+    let ckt = two_stage_circuit(tech, load_f, params);
+    if ams_sim::SimSession::new(&ckt).op().is_ok() {
         return false;
     }
     let dim = ams_sim::MnaLayout::new(&ckt).dim();
@@ -1030,49 +848,21 @@ pub(crate) fn bias_pattern_fingerprint(
     // det-lint: allow(hash-collection): sizing param map, read by key only
     params: &std::collections::HashMap<String, f64>,
 ) -> u64 {
-    use ams_sizing::{SimulatedTemplate, TwoStageCircuit};
-    let template = TwoStageCircuit::new(tech.clone(), load_f);
-    let x: Vec<f64> = template
-        .params()
-        .iter()
-        .map(|pd| {
-            params
-                .get(&pd.name)
-                .copied()
-                .unwrap_or_else(|| (pd.lo * pd.hi).sqrt())
-        })
-        .collect();
-    let ckt = template.build(&x);
+    let ckt = two_stage_circuit(tech, load_f, params);
     ams_sim::SimSession::new(&ckt).pattern_fingerprint()
 }
 
-/// Instantiates the two-stage device-level template at the sized parameter
-/// point and runs the full ERC rule set plus the structural MNA analyzer
-/// over it. Returns the merged report (heuristic E/W codes together with
-/// any E008/W005/W006 from the pattern analysis) and whether the
-/// maximum-transversal pass proved the pattern nonsingular.
+/// Runs the full ERC rule set plus the structural MNA analyzer over the
+/// sized two-stage circuit. Returns the merged report (heuristic E/W codes
+/// together with any E008/W005/W006 from the pattern analysis) and whether
+/// the maximum-transversal pass proved the pattern nonsingular.
 fn erc_check_two_stage(
     tech: &Technology,
     load_f: f64,
     // det-lint: allow(hash-collection): sizing param map, read by key only
     params: &std::collections::HashMap<String, f64>,
 ) -> (ams_lint::Report, bool) {
-    use ams_sizing::{SimulatedTemplate, TwoStageCircuit};
-    let template = TwoStageCircuit::new(tech.clone(), load_f);
-    // Equation-model parameters that the circuit template also uses are
-    // taken from the sizing result; anything missing falls back to the
-    // geometric middle of its range.
-    let x: Vec<f64> = template
-        .params()
-        .iter()
-        .map(|pd| {
-            params
-                .get(&pd.name)
-                .copied()
-                .unwrap_or_else(|| (pd.lo * pd.hi).sqrt())
-        })
-        .collect();
-    let ckt = template.build(&x);
+    let ckt = two_stage_circuit(tech, load_f, params);
     let heuristic = ams_lint::lint_circuit(&ckt);
     let structural = ams_lint::analyze_circuit_structure(&ckt);
     let mut diags = heuristic.diagnostics().to_vec();
@@ -1155,22 +945,6 @@ mod tests {
         assert!(
             structurally_sound,
             "two-stage template must have a perfect MNA matching"
-        );
-    }
-
-    #[test]
-    fn structural_failures_are_never_retryable() {
-        // Even the most permissive policy must treat an ERC / structural
-        // error as a hard stop: the netlist itself is broken, and no
-        // recovery mechanism changes its sparsity pattern.
-        let permissive = RecoveryPolicy::default();
-        let erc = FlowError::Erc("E008 structurally singular".into());
-        assert!(!permissive.is_retryable(&erc));
-        assert!(!RecoveryPolicy::strict().is_retryable(&erc));
-        // Sanity: the same permissive policy does retry a sizing failure.
-        assert!(permissive.is_retryable(&FlowError::SizingInfeasible { iterations: 3 }));
-        assert!(
-            !RecoveryPolicy::strict().is_retryable(&FlowError::SizingInfeasible { iterations: 3 })
         );
     }
 

@@ -8,10 +8,12 @@
 //! * [`synthesize_opamp`] — the §2.1 flow: topology selection →
 //!   specification translation/sizing → verification → layout →
 //!   extraction → detailed verification, with redesign iterations.
-//! * [`synthesize_opamp_resumable`] / [`supervised_synthesize`] — the same
-//!   flow with crash-safe phase-boundary checkpointing (`ams-ckpt`
-//!   journal) and bounded supervised retry that resumes from the journal
-//!   under an escalating [`RecoveryPolicy`] ladder.
+//!   Its [`RecoveryPolicy`] is the flow's one recovery ladder: the default
+//!   walks next topology, relaxed router, accept and label; `strict()`
+//!   fails fast.
+//! * [`synthesize_opamp_resumable`] — the same flow with crash-safe
+//!   phase-boundary checkpointing (`ams-ckpt` journal): a run resumed
+//!   from the journal replays completed stages and recomputes the rest.
 //! * [`PulseDetectorModel`] / [`table1_spec`] — the Table 1 synthesis
 //!   experiment (charge-sensitive amplifier + 4-stage pulse shaper).
 //! * [`RfFrontEndModel`] — the high-level RF receiver front-end
@@ -38,7 +40,7 @@ mod flow;
 mod pulse_detector;
 mod rf;
 
-pub use ckpt::{supervised_synthesize, synthesize_opamp_resumable, FlowCkpt, SIM_PATTERN_TAG};
+pub use ckpt::{synthesize_opamp_resumable, FlowCkpt};
 pub use flow::{
     synthesize_opamp, DegradeReason, FlowConfig, FlowError, FlowOutcome, FlowReport, RecoveryPolicy,
 };

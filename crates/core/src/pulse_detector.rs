@@ -265,7 +265,7 @@ impl SimulatedPulseDetectorModel {
             Ok(ses) => ses,
             Err(_) => SimSession::new(ckt),
         };
-        let op = ses.op_retry(&ams_guard::Retry::default())?;
+        let op = ses.op()?;
         let m1 = op
             .mos_ops
             .get("M1")

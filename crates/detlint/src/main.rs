@@ -40,7 +40,7 @@ use std::process::ExitCode;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Rule {
     HashCollection,
-    WallClock,
+    ClockRead,
     ThreadSpawn,
 }
 
@@ -48,7 +48,7 @@ impl Rule {
     fn name(self) -> &'static str {
         match self {
             Rule::HashCollection => "hash-collection",
-            Rule::WallClock => "wall-clock",
+            Rule::ClockRead => "wall-clock",
             Rule::ThreadSpawn => "thread-spawn",
         }
     }
@@ -56,13 +56,13 @@ impl Rule {
     fn hint(self) -> &'static str {
         match self {
             Rule::HashCollection => "use BTreeMap/BTreeSet, or sort before iterating",
-            Rule::WallClock => "timing belongs in ams-trace spans or the bench layer",
+            Rule::ClockRead => "timing belongs in ams-trace spans or the bench layer",
             Rule::ThreadSpawn => "schedule through ams-exec instead",
         }
     }
 }
 
-const ALL_RULES: [Rule; 3] = [Rule::HashCollection, Rule::WallClock, Rule::ThreadSpawn];
+const ALL_RULES: [Rule; 3] = [Rule::HashCollection, Rule::ClockRead, Rule::ThreadSpawn];
 
 /// One rule violation at a file:line.
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -120,7 +120,7 @@ fn line_violations(line: &str) -> Vec<Rule> {
     let names_clock = contains_word(code, "Instant") || contains_word(code, "SystemTime");
     let is_now = code.contains("Instant::now") || code.contains("SystemTime::now");
     if names_clock && (is_now || (is_import && code.contains("std::time"))) {
-        out.push(Rule::WallClock);
+        out.push(Rule::ClockRead);
     }
     if code.contains("thread::spawn") || code.contains("thread::Builder") {
         out.push(Rule::ThreadSpawn);
@@ -157,7 +157,7 @@ fn crate_exemptions(crate_dir: &str) -> Option<&'static [Rule]> {
     match crate_dir {
         // Timing harnesses and this lint itself.
         "bench" | "microbench" | "detlint" => None,
-        "trace" => Some(&[Rule::WallClock]),
+        "trace" => Some(&[Rule::ClockRead]),
         "exec" => Some(&[Rule::ThreadSpawn]),
         _ => Some(&[]),
     }
@@ -310,11 +310,11 @@ mod tests {
     fn wall_clock_and_thread_rules_fire_on_call_sites() {
         assert_eq!(
             line_violations("let t0 = std::time::Instant::now();"),
-            vec![Rule::WallClock]
+            vec![Rule::ClockRead]
         );
         assert_eq!(
             line_violations("use std::time::{Duration, SystemTime};"),
-            vec![Rule::WallClock]
+            vec![Rule::ClockRead]
         );
         // Duration alone is fine: it is a value type, not a clock read.
         assert!(line_violations("use std::time::Duration;").is_empty());
@@ -335,7 +335,7 @@ use std::time::Instant; // det-lint: allow(hash-collection): wrong rule name
         let f = lint_source("x.rs", src, &[]);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].line, 4);
-        assert_eq!(f[0].rule, Rule::WallClock);
+        assert_eq!(f[0].rule, Rule::ClockRead);
     }
 
     #[test]
@@ -349,7 +349,7 @@ use std::time::Instant; // det-lint: allow(hash-collection): wrong rule name
     #[test]
     fn exemptions_and_sorted_output() {
         let src = "use std::time::Instant;\nuse std::collections::HashMap;\n";
-        let f = lint_source("x.rs", src, &[Rule::WallClock]);
+        let f = lint_source("x.rs", src, &[Rule::ClockRead]);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, Rule::HashCollection);
         let mut all = lint_source("x.rs", src, &[]);

@@ -1,16 +1,14 @@
-//! Evaluation budgets and wall-clock deadlines.
+//! Evaluation budgets.
 //!
 //! A [`Budget`] bounds how much work a synthesis run may spend: candidate
-//! evaluations in the optimizers, Newton iterations in the solver, and
-//! real time overall. Metering is *cooperative*: inner loops charge the
-//! global meter ([`charge_evals`], [`charge_newton`]) and stop at their
-//! next checkpoint when a charge reports exhaustion; nothing is
-//! interrupted mid-evaluation. Callers then read the structured
-//! [`BudgetExhausted`] record via [`exhausted`].
+//! evaluations in the optimizers and Newton iterations in the solver.
+//! Metering is *cooperative*: inner loops charge the global meter
+//! ([`charge_evals`], [`charge_newton`]) and stop at their next checkpoint
+//! when a charge reports exhaustion; nothing is interrupted
+//! mid-evaluation. Callers then read the structured [`BudgetExhausted`]
+//! record via [`exhausted`].
 //!
-//! Eval and Newton budgets are fully deterministic (counters only); the
-//! wall-clock deadline is inherently not, and the determinism tests
-//! therefore avoid it.
+//! Both budgets are deterministic: they count work, never time.
 //!
 //! # Cross-thread semantics
 //!
@@ -27,9 +25,7 @@
 //! completion — bounded overrun, nothing interrupted mid-evaluation).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
-// det-lint: allow(wall-clock): wall-clock CPU budgets are this module's contract
-use std::time::{Duration, Instant};
+use std::sync::{Mutex, MutexGuard};
 
 /// Which budgeted resource ran out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,8 +34,6 @@ pub enum Resource {
     Evals,
     /// Newton-Raphson iterations across all solves.
     NewtonIters,
-    /// The wall-clock deadline passed.
-    WallClock,
 }
 
 impl Resource {
@@ -48,7 +42,6 @@ impl Resource {
         match self {
             Resource::Evals => "evals",
             Resource::NewtonIters => "newton_iters",
-            Resource::WallClock => "wall_clock",
         }
     }
 }
@@ -64,24 +57,18 @@ impl std::fmt::Display for Resource {
 pub struct BudgetExhausted {
     /// The resource that ran out first.
     pub resource: Resource,
-    /// The configured limit (milliseconds for [`Resource::WallClock`]).
+    /// The configured limit.
     pub limit: u64,
-    /// What had been spent when exhaustion was detected (milliseconds for
-    /// [`Resource::WallClock`]).
+    /// What had been spent when exhaustion was detected.
     pub spent: u64,
 }
 
 impl std::fmt::Display for BudgetExhausted {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let unit = if self.resource == Resource::WallClock {
-            " ms"
-        } else {
-            ""
-        };
         write!(
             f,
-            "budget exhausted: {} limit {}{} reached (spent {}{})",
-            self.resource, self.limit, unit, self.spent, unit
+            "budget exhausted: {} limit {} reached (spent {})",
+            self.resource, self.limit, self.spent
         )
     }
 }
@@ -96,8 +83,6 @@ pub struct Budget {
     pub max_evals: Option<u64>,
     /// Maximum Newton iterations summed over all solves.
     pub max_newton_iters: Option<u64>,
-    /// Wall-clock deadline measured from [`install`].
-    pub deadline: Option<Duration>,
 }
 
 impl Budget {
@@ -120,23 +105,10 @@ impl Budget {
         self
     }
 
-    /// Set a wall-clock deadline relative to [`install`].
-    #[must_use]
-    pub fn deadline(mut self, d: Duration) -> Self {
-        self.deadline = Some(d);
-        self
-    }
-
     /// True if no limit is set at all.
     pub fn is_unlimited(&self) -> bool {
-        self.max_evals.is_none() && self.max_newton_iters.is_none() && self.deadline.is_none()
+        self.max_evals.is_none() && self.max_newton_iters.is_none()
     }
-}
-
-struct Meter {
-    budget: Budget,
-    started: Instant,
-    exhausted: Option<BudgetExhausted>,
 }
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
@@ -149,34 +121,21 @@ static NEWTON: AtomicU64 = AtomicU64::new(0);
 /// (`u64::MAX` = unlimited).
 static LIMIT_EVALS: AtomicU64 = AtomicU64::new(u64::MAX);
 static LIMIT_NEWTON: AtomicU64 = AtomicU64::new(u64::MAX);
-/// True when a wall-clock deadline is set; only then do charges pay for
-/// the mutex-guarded `Instant` comparison.
-static HAS_DEADLINE: AtomicBool = AtomicBool::new(false);
-static METER: OnceLock<Mutex<Meter>> = OnceLock::new();
+/// The first exhaustion event of the installed budget.
+static EXHAUSTION: Mutex<Option<BudgetExhausted>> = Mutex::new(None);
 
-fn meter() -> MutexGuard<'static, Meter> {
-    METER
-        .get_or_init(|| {
-            Mutex::new(Meter {
-                budget: Budget::default(),
-                // det-lint: allow(wall-clock): budget epoch, never feeds a result
-                started: Instant::now(),
-                exhausted: None,
-            })
-        })
+fn exhaustion() -> MutexGuard<'static, Option<BudgetExhausted>> {
+    EXHAUSTION
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Install `budget` as the process-global meter, resetting all spend
-/// counters and starting the deadline clock. An unlimited budget still
-/// counts spend (readable via [`spent_evals`]/[`spent_newton_iters`]).
+/// counters. An unlimited budget still counts spend (readable via
+/// [`spent_evals`]/[`spent_newton_iters`]).
 pub fn install(budget: Budget) {
-    let mut m = meter();
-    m.budget = budget;
-    // det-lint: allow(wall-clock): budget epoch reset, never feeds a result
-    m.started = Instant::now();
-    m.exhausted = None;
+    let mut m = exhaustion();
+    *m = None;
     EVALS.store(0, Ordering::Relaxed);
     NEWTON.store(0, Ordering::Relaxed);
     LIMIT_EVALS.store(budget.max_evals.unwrap_or(u64::MAX), Ordering::Relaxed);
@@ -184,7 +143,6 @@ pub fn install(budget: Budget) {
         budget.max_newton_iters.unwrap_or(u64::MAX),
         Ordering::Relaxed,
     );
-    HAS_DEADLINE.store(budget.deadline.is_some(), Ordering::Relaxed);
     EXHAUSTED.store(false, Ordering::Release);
     drop(m);
     ACTIVE.store(true, Ordering::Release);
@@ -193,13 +151,11 @@ pub fn install(budget: Budget) {
 /// Remove the global budget. Charges return to the one-atomic fast path.
 pub fn clear() {
     ACTIVE.store(false, Ordering::Release);
-    let mut m = meter();
-    m.budget = Budget::default();
-    m.exhausted = None;
+    let mut m = exhaustion();
+    *m = None;
     EXHAUSTED.store(false, Ordering::Release);
     LIMIT_EVALS.store(u64::MAX, Ordering::Relaxed);
     LIMIT_NEWTON.store(u64::MAX, Ordering::Relaxed);
-    HAS_DEADLINE.store(false, Ordering::Relaxed);
 }
 
 /// True if a budget is installed (even an unlimited one).
@@ -210,31 +166,12 @@ pub fn is_active() -> bool {
 /// Records the first exhaustion event (later racers are ignored) and
 /// raises the sticky flag.
 fn note_exhausted(e: BudgetExhausted) {
-    let mut m = meter();
-    if m.exhausted.is_none() {
-        m.exhausted = Some(e);
+    let mut m = exhaustion();
+    if m.is_none() {
+        *m = Some(e);
         ams_trace::counter_add("guard.budget_exhausted", 1);
     }
     EXHAUSTED.store(true, Ordering::Release);
-}
-
-/// Mutex-guarded deadline check; only reached when a deadline is set.
-fn deadline_ok() -> bool {
-    let m = meter();
-    if let Some(deadline) = m.budget.deadline {
-        let elapsed = m.started.elapsed();
-        if elapsed > deadline {
-            let e = BudgetExhausted {
-                resource: Resource::WallClock,
-                limit: deadline.as_millis() as u64,
-                spent: elapsed.as_millis() as u64,
-            };
-            drop(m);
-            note_exhausted(e);
-            return false;
-        }
-    }
-    true
 }
 
 /// Adds `n` to `counter` and tests it against `limit`. Exactly one
@@ -277,15 +214,12 @@ fn charge(counter: &AtomicU64, limit: &AtomicU64, resource: Resource, n: u64) ->
         });
         return false;
     }
-    if HAS_DEADLINE.load(Ordering::Relaxed) {
-        return deadline_ok();
-    }
     true
 }
 
 /// Charge `n` candidate evaluations. Returns `false` once *any* budgeted
-/// resource (including the deadline) is exhausted — the caller should
-/// stop at its next safe checkpoint.
+/// resource is exhausted — the caller should stop at its next safe
+/// checkpoint.
 pub fn charge_evals(n: u64) -> bool {
     charge(&EVALS, &LIMIT_EVALS, Resource::Evals, n)
 }
@@ -296,20 +230,10 @@ pub fn charge_newton(n: u64) -> bool {
 }
 
 /// Re-check the budget without charging anything (used by loops whose
-/// unit of work isn't an eval or a Newton iteration, e.g. the router
-/// checking the deadline per net, or a parallel batch boundary). Returns
-/// `false` when exhausted.
+/// unit of work isn't an eval or a Newton iteration, e.g. the router per
+/// net, or a parallel batch boundary). Returns `false` when exhausted.
 pub fn check_in() -> bool {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return true;
-    }
-    if EXHAUSTED.load(Ordering::Acquire) {
-        return false;
-    }
-    if HAS_DEADLINE.load(Ordering::Relaxed) {
-        return deadline_ok();
-    }
-    true
+    !ACTIVE.load(Ordering::Relaxed) || !EXHAUSTED.load(Ordering::Acquire)
 }
 
 /// Emits the structured `budget` telemetry event for the current
@@ -338,7 +262,7 @@ pub fn exhausted() -> Option<BudgetExhausted> {
     if !ACTIVE.load(Ordering::Relaxed) {
         return None;
     }
-    meter().exhausted.clone()
+    exhaustion().clone()
 }
 
 /// Candidate evaluations charged since [`install`].
@@ -395,16 +319,6 @@ mod tests {
         assert!(charge_newton(10));
         assert!(!charge_newton(1));
         assert_eq!(exhausted().map(|e| e.resource), Some(Resource::NewtonIters));
-        clear();
-    }
-
-    #[test]
-    fn deadline_exhausts() {
-        let _l = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        install(Budget::default().deadline(Duration::from_millis(0)));
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(!check_in());
-        assert_eq!(exhausted().map(|e| e.resource), Some(Resource::WallClock));
         clear();
     }
 

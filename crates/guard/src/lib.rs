@@ -12,9 +12,9 @@
 //!   [`FaultPlan`] armed with [`fault::arm`] decides, by call index, when
 //!   a site actually fails. Disarmed (the default), every site costs one
 //!   relaxed atomic load — the same fast-path trick as `ams-trace`.
-//! * [`budget`] — cooperative evaluation budgets and wall-clock deadlines.
-//!   Optimizer inner loops charge the global meter per candidate
-//!   evaluation ([`budget::charge_evals`]) and per Newton iteration
+//! * [`budget`] — cooperative evaluation budgets. Optimizer inner loops
+//!   charge the global meter per candidate evaluation
+//!   ([`budget::charge_evals`]) and per Newton iteration
 //!   ([`budget::charge_newton`]); when a limit is crossed the loops stop
 //!   at the next checkpoint and callers observe a structured
 //!   [`BudgetExhausted`] instead of a runaway run.
@@ -22,9 +22,12 @@
 //!   [`isolate::guarded_eval`] wraps a cost evaluation in `catch_unwind`
 //!   so one poisoned candidate scores as infeasible (`f64::INFINITY`,
 //!   counted via `ams-trace`) instead of killing the whole synthesis run.
-//! * [`retry`] — a deterministic [`Retry`] policy: how many times to
-//!   re-attempt a failed solve, and a seeded perturbation stream for
-//!   restarting from jittered initial conditions.
+//!
+//! The recovery ladders themselves live in the layers they recover, one
+//! per layer: the DC ladder (Newton, gmin stepping, source stepping,
+//! perturbed restarts) behind `ams-sim`'s `SimSession::op`, and the
+//! flow's `RecoveryPolicy` ladder (next topology, relaxed router, accept
+//! and label) in `ams-core`.
 //!
 //! Everything is process-global, default-off, and zero-overhead when off,
 //! so the injection points stay compiled into release builds and the fault
@@ -54,21 +57,15 @@
 pub mod budget;
 pub mod fault;
 pub mod isolate;
-pub mod retry;
-pub mod supervise;
 
 pub use budget::{Budget, BudgetExhausted, Resource};
 pub use fault::{FaultKind, FaultPlan, Trigger};
 pub use isolate::guarded_eval;
-pub use retry::Retry;
-pub use supervise::{
-    AttemptOutcome, AttemptRecord, BackoffPolicy, SuperviseConfig, SupervisionReport, Supervisor,
-};
 
 /// SplitMix64 finalizer: the shared bit mixer behind seeded fault plans and
-/// retry perturbation streams. Kept here so both modules derive decisions
-/// from the same, dependency-free primitive.
-pub(crate) fn mix64(mut z: u64) -> u64 {
+/// the DC ladder's perturbed restarts (`ams-sim`). Kept here so both derive
+/// decisions from the same, dependency-free primitive.
+pub fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

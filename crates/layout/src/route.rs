@@ -286,7 +286,7 @@ impl Router {
                 if paths[ni].is_some() {
                     continue;
                 }
-                // Deadline/budget checkpoint per net: stop routing and
+                // Budget checkpoint per net: stop routing and
                 // report the rest as failed instead of overrunning.
                 if !budget::check_in() {
                     budget_stop = true;

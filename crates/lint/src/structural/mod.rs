@@ -4,14 +4,14 @@
 //! The heuristic ERC rules (E001–E007) pattern-match known failure
 //! *causes*; this module analyzes the failure *mechanism* directly. It
 //! rebuilds the DC MNA sparsity pattern the simulator would assemble (see
-//! [`pattern`]) and runs three classic sparse-matrix analyses over it,
+//! `pattern`) and runs three classic sparse-matrix analyses over it,
 //! none of which touches a single matrix value:
 //!
-//! 1. **Maximum transversal** ([`matching`], Duff's MC21) — a perfect
+//! 1. **Maximum transversal** (`matching`, Duff's MC21) — a perfect
 //!    row/column matching proves the pattern structurally nonsingular; a
 //!    deficient one yields a Hall-violator witness and an `E008`
 //!    diagnostic naming the deficient equations and unknowns.
-//! 2. **Block-triangular decomposition** ([`btf`], Dulmage–Mendelsohn via
+//! 2. **Block-triangular decomposition** (`btf`, Dulmage–Mendelsohn via
 //!    Tarjan SCC) — the fine block count and permutation are recorded for
 //!    the solver; electrically independent sub-circuits surface as `W005`.
 //! 3. **Fill forecast on the solver's own order** ([`order`]) — computes

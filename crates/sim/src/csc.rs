@@ -5,16 +5,16 @@
 //! any numeric elimination runs:
 //!
 //! 1. **Analyze** — assemble the unique compressed-column pattern, compute
-//!    an exact power-of-two row/column equilibration ([`crate::scale`]),
-//!    and pick a fill-reducing column order: AMD on the symmetrized
-//!    pattern, nested inside the analyzer's BTF block partition when the
-//!    session provides one ([`crate::amd`]).
+//!    an exact power-of-two row/column equilibration (the private `scale`
+//!    module), and pick a fill-reducing column order: AMD on the
+//!    symmetrized pattern, nested inside the analyzer's BTF block
+//!    partition when the session provides one (the private `amd` module).
 //! 2. **Factor** — left-looking Gilbert–Peierls elimination in the ordered
 //!    column sequence: a depth-first reach over the partially built `L`
 //!    discovers each column's update steps and fill pattern, then one
 //!    dense-scatter pass computes the column and picks a pivot row by
 //!    threshold preference — the structural mirror row when it is within
-//!    [`PIVOT_THRESHOLD`] of the column maximum, else the largest
+//!    `PIVOT_THRESHOLD` of the column maximum, else the largest
 //!    magnitude, ties to the lowest row index.
 //! 3. **Refactor** — while the stamped triplet sequence is unchanged
 //!    (Newton iterations, transient steps, AC points), replay the frozen
@@ -320,7 +320,7 @@ impl<T: Scalar> CscLu<T> {
     /// [`RefactorError::PatternChanged`] when the triplet sequence differs
     /// from the one this factorization was built from, and
     /// [`RefactorError::Unstable`] when a frozen pivot underflows or decays
-    /// below [`REFACTOR_DECAY`] of its column maximum. After `Unstable` the
+    /// below `REFACTOR_DECAY` of its column maximum. After `Unstable` the
     /// factorization is left partially overwritten and no later call
     /// reuses it: discard and re-factor.
     pub fn refactor(&mut self, t: &Triplets<T>) -> Result<Refresh, RefactorError> {

@@ -2,14 +2,16 @@
 //! and the device stamps every analysis shares.
 //!
 //! The solver first tries plain Newton from a zero start, then gmin
-//! stepping, then source stepping — the classic SPICE convergence ladder.
+//! stepping, then source stepping — the classic SPICE convergence ladder —
+//! and, when all three fail, restarts the ladder from seeded perturbed
+//! starts.
 //! [`stamp_device`] is the one device table: the DC Newton loop stamps it
 //! at each iterate, the transient adds its integrator companions, and
 //! [`linearize`] reads the small-signal `G` off it at the operating point.
 //! [`MosBias::at`] is the one place a MOS is oriented and evaluated.
 
 use ams_guard::fault::{self, FaultKind};
-use ams_guard::{budget, Retry};
+use ams_guard::{budget, mix64};
 use ams_netlist::{Circuit, Device, MosInstance, MosOp, SourceWaveform};
 // det-lint: allow(hash-collection): public OpPoint API; per-device operating points are read by instance name
 use std::collections::HashMap;
@@ -29,6 +31,13 @@ const VNTOL: f64 = 1e-9;
 const RELTOL: f64 = 1e-6;
 /// Per-iteration clamp on any voltage update (volts), for damping.
 const MAX_STEP: f64 = 0.5;
+/// Perturbed restarts of the whole ladder after its first pass fails.
+const RESTARTS: u32 = 2;
+/// Largest initial-condition jitter of a restart (volts): enough to step
+/// out of a locally bad basin without masking real failures.
+const RESTART_JITTER: f64 = 0.1;
+/// Seed of the restart jitter stream.
+const RESTART_SEED: u64 = 0xA5A5_5A5A;
 
 /// Which rung of the convergence ladder produced a DC solution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -107,19 +116,24 @@ impl OpPoint {
     }
 }
 
-/// The retried convergence ladder behind [`SimSession::op_retry`].
-pub(crate) fn dc_op_retry(ses: &SimSession<'_>, retry: &Retry) -> Result<OpPoint, SimError> {
+/// The convergence ladder behind [`SimSession::op`]: plain Newton, gmin
+/// stepping and source stepping from a zero start, then up to
+/// [`RESTARTS`] passes of the same three rungs from seeded perturbed
+/// starts, each counted under `sim.dc_retries`. Only a failure a restart
+/// can plausibly fix (non-convergence, numeric singularity) restarts; the
+/// error is the last attempt's.
+pub(crate) fn dc_op(ses: &SimSession<'_>) -> Result<OpPoint, SimError> {
     let mut last = match dc_op_from(ses, None) {
         Ok(op) => return Ok(op),
         Err(e) => e,
     };
-    if retry.attempts == 0 || !retryable(&last) {
+    if !retryable(&last) {
         return Err(last);
     }
     let dim = ses.layout().dim();
-    for attempt in 1..=retry.attempts {
+    for attempt in 1..=RESTARTS {
         ams_trace::counter_add("sim.dc_retries", 1);
-        let x0: Vec<f64> = (0..dim).map(|i| retry.perturbation(attempt, i)).collect();
+        let x0: Vec<f64> = (0..dim).map(|i| restart_jitter(attempt, i)).collect();
         match dc_op_from(ses, Some(&x0)) {
             Ok(op) => return Ok(op),
             Err(e) if retryable(&e) => last = e,
@@ -127,6 +141,17 @@ pub(crate) fn dc_op_retry(ses: &SimSession<'_>, retry: &Retry) -> Result<OpPoint
         }
     }
     Err(last)
+}
+
+/// Deterministic jitter in `[-RESTART_JITTER, +RESTART_JITTER)` for
+/// unknown `i` on restart `attempt` (1 is the first restart).
+fn restart_jitter(attempt: u32, i: usize) -> f64 {
+    let bits = mix64(
+        RESTART_SEED ^ mix64(u64::from(attempt)) ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+    );
+    // Map to [-1, 1) using the top 53 bits for a clean f64 mantissa.
+    let unit = (bits >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
+    unit * RESTART_JITTER
 }
 
 /// True for failures that a perturbed restart can plausibly fix.
@@ -160,9 +185,9 @@ pub fn assumed_op(ckt: &Circuit, x: &[f64]) -> Result<OpPoint, SimError> {
     Ok(finish(ckt, layout, x.to_vec(), 0, DcStrategy::Assumed))
 }
 
-/// The convergence ladder behind [`SimSession::op`], optionally starting
-/// from a caller-provided iterate (the perturbed-restart path).
-pub(crate) fn dc_op_from(ses: &SimSession<'_>, x0: Option<&[f64]>) -> Result<OpPoint, SimError> {
+/// One pass of the ladder, optionally starting from a caller-provided
+/// iterate (a perturbed restart).
+fn dc_op_from(ses: &SimSession<'_>, x0: Option<&[f64]>) -> Result<OpPoint, SimError> {
     let _span = ams_trace::span("sim.dc_op");
     let mut iters = 0usize;
     let result = dc_solve(ses, x0, &mut iters);
@@ -200,8 +225,8 @@ fn dc_solve(
     // perfect matching fails here instead of as a mid-Newton zero pivot.
     ses.structural_gate()?;
     let layout = ses.layout().clone();
-    // Every ladder rung starts from the caller's initial point (zeros by
-    // default; a perturbed restart under `SimSession::op_retry`).
+    // Every ladder rung starts from the pass's initial point (zeros on the
+    // first pass, the seeded jitter on a restart).
     let start = |layout: &MnaLayout| -> Vec<f64> {
         match x0 {
             Some(v) if v.len() == layout.dim() => v.to_vec(),
@@ -764,9 +789,32 @@ mod tests {
     }
 
     #[test]
+    fn restart_jitter_is_deterministic_and_bounded() {
+        for attempt in 1..=RESTARTS + 1 {
+            for i in 0..20 {
+                let p = restart_jitter(attempt, i);
+                assert_eq!(p, restart_jitter(attempt, i));
+                assert!(p.abs() <= RESTART_JITTER, "out of range: {p}");
+            }
+        }
+        // Different restarts move different directions somewhere.
+        assert_ne!(restart_jitter(1, 0), restart_jitter(2, 0));
+        // The stream is pinned bit for bit: a restart that converges must
+        // land on the same operating point in every release.
+        for (attempt, i, bits) in [
+            (1, 0, 0x3f88_3b1f_1be3_960d_u64),
+            (1, 7, 0xbfa2_da22_47ef_b823),
+            (2, 0, 0x3f90_4695_f674_d09a),
+            (2, 41, 0xbf98_dd9a_d17c_987a),
+        ] {
+            assert_eq!(restart_jitter(attempt, i).to_bits(), bits);
+        }
+    }
+
+    #[test]
     fn structural_singularity_is_not_retryable() {
         // A proven-singular pattern can't be fixed by a perturbed restart:
-        // the retry ladder must not burn attempts on it.
+        // the ladder must not burn restarts on it.
         let e = SimError::StructurallySingular {
             equation: "KCL at node `x`".to_string(),
             message: "MNA system is structurally singular".to_string(),

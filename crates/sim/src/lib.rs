@@ -14,8 +14,8 @@
 //! repeated analyses share (operating point, linearization, sparse symbolic
 //! factorizations):
 //!
-//! * [`SimSession::op`] / [`SimSession::op_retry`] — Newton–Raphson DC with
-//!   gmin and source stepping, plus perturbed restarts.
+//! * [`SimSession::op`] — Newton–Raphson DC with gmin and source
+//!   stepping, then seeded perturbed restarts: one convergence ladder.
 //! * [`SimSession::ac`] — small-signal frequency response by node name.
 //! * [`SimSession::tran`] — trapezoidal integration with step halving.
 //! * [`SimSession::noise`] — output-referred noise PSD and integrated rms.

@@ -28,7 +28,6 @@
 
 use std::sync::{Arc, Mutex};
 
-use ams_guard::Retry;
 use ams_lint::StructuralAnalysis;
 use ams_netlist::Circuit;
 
@@ -58,11 +57,11 @@ pub(crate) enum RealSlot {
 ///
 /// Create with [`SimSession::new`] (backend auto-selected by unknown count,
 /// overridable via `AMS_SIM_BACKEND`) or [`SimSession::with_backend`], then
-/// call [`op`](SimSession::op), [`op_retry`](SimSession::op_retry),
-/// [`ac`](SimSession::ac), [`tran`](SimSession::tran) and
-/// [`noise`](SimSession::noise). Analyses share state: `ac` reuses the
-/// operating point `op` computed, and on the sparse backend every repeated
-/// solve against an unchanged matrix pattern skips symbolic analysis.
+/// call [`op`](SimSession::op), [`ac`](SimSession::ac),
+/// [`tran`](SimSession::tran) and [`noise`](SimSession::noise). Analyses
+/// share state: `ac` reuses the operating point `op` computed, and on the
+/// sparse backend every repeated solve against an unchanged matrix pattern
+/// skips symbolic analysis.
 #[derive(Debug)]
 pub struct SimSession<'c> {
     ckt: &'c Circuit,
@@ -220,15 +219,21 @@ impl<'c> SimSession<'c> {
 
     /// DC operating point (cached: repeated calls return the first result).
     ///
+    /// Runs the one convergence ladder: plain Newton, gmin stepping and
+    /// source stepping, then — when all three fail — up to two restarts
+    /// of the same rungs from seeded ±0.1 V perturbed starts, counted
+    /// under the `sim.dc_retries` trace counter.
+    ///
     /// # Errors
     ///
     /// Same as the DC ladder: [`SimError::Erc`], [`SimError::Singular`] /
-    /// [`SimError::SingularNode`], or [`SimError::NoConvergence`].
+    /// [`SimError::SingularNode`], or [`SimError::NoConvergence`]; after
+    /// restarts, the error is the last attempt's.
     pub fn op(&self) -> Result<OpPoint, SimError> {
         if let Some(op) = self.op_cache.lock().unwrap().as_ref() {
             return Ok(op.clone());
         }
-        let op = note_failure(dc::dc_op_from(self, None))?;
+        let op = note_failure(dc::dc_op(self))?;
         *self.op_cache.lock().unwrap() = Some(op.clone());
         Ok(op)
     }
@@ -256,23 +261,6 @@ impl<'c> SimSession<'c> {
     /// Panics if `x.len()` does not match the MNA dimension.
     pub fn dc_system(&self, x: &[f64]) -> (Triplets<f64>, Vec<f64>) {
         dc::dc_triplets(self.ckt, &self.layout, x)
-    }
-
-    /// DC operating point with deterministic perturbed restarts on
-    /// retryable failures (non-convergence, numeric singularity); counted
-    /// under the `sim.dc_retries` trace counter. Cached like
-    /// [`op`](SimSession::op).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`op`](SimSession::op); the error is from the last attempt.
-    pub fn op_retry(&self, retry: &Retry) -> Result<OpPoint, SimError> {
-        if let Some(op) = self.op_cache.lock().unwrap().as_ref() {
-            return Ok(op.clone());
-        }
-        let op = note_failure(dc::dc_op_retry(self, retry))?;
-        *self.op_cache.lock().unwrap() = Some(op.clone());
-        Ok(op)
     }
 
     /// Linearized small-signal network at the DC operating point (cached),
@@ -411,9 +399,6 @@ mod tests {
         let op2 = ses.op().unwrap();
         assert_eq!(op1.x, op2.x);
         assert!((op1.voltage(&ckt, "out").unwrap() - 1.0).abs() < 1e-9);
-        // op_retry must serve the cache rather than re-solving.
-        let op3 = ses.op_retry(&Retry::default()).unwrap();
-        assert_eq!(op1.x, op3.x);
     }
 
     #[test]

@@ -13,7 +13,6 @@ use crate::anneal::{AnnealConfig, ParamDef};
 use crate::cost::Perf;
 use crate::eqopt::{size_by_annealing, SizingResult};
 use ams_awe::AweModel;
-use ams_guard::Retry;
 use ams_netlist::{Circuit, Technology};
 use ams_sim::{log_frequencies, BatchSession, SimError, SimSession};
 use ams_topology::Spec;
@@ -201,12 +200,13 @@ impl SimulatedTemplate for TwoStageCircuit {
     }
 
     fn measure(&self, ckt: &Circuit, ac: AcEvaluator) -> Result<Perf, SimError> {
-        // Retry a failed bias solve from perturbed initial conditions
-        // before scoring the candidate infeasible: a marginal operating
-        // point that Newton misses from a zero start is often perfectly
-        // solvable, and discarding it would waste the candidate.
+        // The DC ladder restarts a failed bias solve from perturbed
+        // initial conditions before the candidate scores infeasible: a
+        // marginal operating point that Newton misses from a zero start is
+        // often perfectly solvable, and discarding it would waste the
+        // candidate.
         let ses = self.session(ckt);
-        let op = ses.op_retry(&Retry::default())?;
+        let op = ses.op()?;
         let net = ses.linearize()?;
         let out = ses
             .output_index("out")

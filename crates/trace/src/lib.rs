@@ -488,90 +488,6 @@ impl Snapshot {
         out.push_str("]}");
         out
     }
-
-    /// Renders the snapshot in Prometheus text exposition format
-    /// (offline string/file — no HTTP endpoint, no dependency).
-    ///
-    /// Counters become `ams_<name>_total` counters, histograms become
-    /// summaries (`quantile` labels plus `_sum`/`_count`), and span
-    /// aggregates become `ams_span_seconds_sum` / `ams_span_count`
-    /// families labeled by path.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            let m = prom_name(name);
-            let _ = writeln!(out, "# TYPE ams_{m}_total counter");
-            let _ = writeln!(out, "ams_{m}_total {v}");
-        }
-        for (name, h) in &self.histograms {
-            let m = prom_name(name);
-            let _ = writeln!(out, "# TYPE ams_{m} summary");
-            let _ = writeln!(out, "ams_{m}{{quantile=\"0.5\"}} {}", prom_f64(h.p50));
-            let _ = writeln!(out, "ams_{m}{{quantile=\"0.95\"}} {}", prom_f64(h.p95));
-            let _ = writeln!(out, "ams_{m}_sum {}", prom_f64(h.mean * h.count as f64));
-            let _ = writeln!(out, "ams_{m}_count {}", h.count);
-        }
-        if !self.spans.is_empty() {
-            out.push_str("# TYPE ams_span_seconds_sum gauge\n");
-            for (path, s) in &self.spans {
-                let _ = writeln!(
-                    out,
-                    "ams_span_seconds_sum{{path=\"{}\"}} {}",
-                    prom_label(path),
-                    prom_f64(s.total_us / 1e6)
-                );
-            }
-            out.push_str("# TYPE ams_span_count counter\n");
-            for (path, s) in &self.spans {
-                let _ = writeln!(
-                    out,
-                    "ams_span_count{{path=\"{}\"}} {}",
-                    prom_label(path),
-                    s.count
-                );
-            }
-        }
-        out
-    }
-}
-
-/// Sanitizes a metric name for Prometheus: `[a-zA-Z0-9_:]` pass through,
-/// everything else becomes `_`.
-fn prom_name(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
-}
-
-/// Escapes a Prometheus label value (backslash, quote, newline).
-fn prom_label(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats a sample value for Prometheus exposition.
-fn prom_f64(x: f64) -> String {
-    if x.is_nan() {
-        "NaN".to_string()
-    } else if x.is_infinite() {
-        if x > 0.0 { "+Inf" } else { "-Inf" }.to_string()
-    } else {
-        format!("{x}")
-    }
 }
 
 fn fmt_us(us: f64) -> String {
@@ -1149,31 +1065,6 @@ mod tests {
         assert!(text.contains("t.n"));
         assert!(text.contains("histograms:"));
         set_enabled(false);
-    }
-
-    #[test]
-    fn prometheus_exposition_renders_all_families() {
-        let _g = test_lock();
-        set_enabled(true);
-        reset();
-        {
-            let _a = span("t.phase");
-            counter_add("t.iters", 42);
-            for i in 1..=10 {
-                record("t.residual", i as f64);
-            }
-        }
-        let text = snapshot().to_prometheus();
-        assert!(text.contains("# TYPE ams_t_iters_total counter"));
-        assert!(text.contains("ams_t_iters_total 42"));
-        assert!(text.contains("# TYPE ams_t_residual summary"));
-        assert!(text.contains("ams_t_residual{quantile=\"0.5\"}"));
-        assert!(text.contains("ams_t_residual_count 10"));
-        assert!(text.contains("ams_t_residual_sum 55"));
-        assert!(text.contains("ams_span_seconds_sum{path=\"t.phase\"}"));
-        assert!(text.contains("ams_span_count{path=\"t.phase\"} 1"));
-        set_enabled(false);
-        reset();
     }
 
     #[test]

@@ -220,7 +220,7 @@ telemetry_events! {
     }
     /// A cooperative budget was exhausted.
     Budget = "budget" {
-        /// Resource name (`evals`, `newton_iters`, `wall_clock`).
+        /// Resource name (`evals` or `newton_iters`).
         resource: String,
         /// Configured limit.
         limit: u64,

@@ -1,8 +1,9 @@
 //! Fault injection and graceful degradation: a singular-pivot fault is
 //! injected into every DC solve and a rip-up fault into the router, then
-//! the full flow runs anyway — the guard's retry ladder, relaxed-router
-//! rung, and accept-degraded last resort turn what would be a crash or an
-//! opaque error into an honestly-labelled `Degraded` report.
+//! the full flow runs anyway — the DC ladder's perturbed restarts, the
+//! relaxed-router rung, and the accept-degraded last resort turn what would
+//! be a crash or an opaque error into an honestly-labelled `Degraded`
+//! report.
 //!
 //! Run with: `cargo run --release --example guard_demo`
 
@@ -86,8 +87,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         None => println!("  (nominal run: no forensics attached)"),
     }
 
-    // Device-level verification under the same plan: the retried DC ladder
-    // keeps absorbing the injected singular pivots.
+    // Device-level verification under the same plan: the DC ladder and its
+    // perturbed restarts keep absorbing the injected singular pivots.
     let template = TwoStageCircuit::new(Technology::generic_1p2um(), 5e-12);
     let x: Vec<f64> = template
         .params()
@@ -96,13 +97,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let ckt = template.build(&x);
     println!("\n== device-level DC under injected singular pivots ==");
-    match SimSession::new(&ckt).op_retry(&Retry::default()) {
+    match SimSession::new(&ckt).op() {
         Ok(op) => println!(
             "  recovered: strategy {:?}, {} Newton iterations",
             op.strategy, op.iterations
         ),
         Err(e) => {
-            println!("  still failing after retries: {e}");
+            println!("  still failing after restarts: {e}");
             // The very last rung: linearize at an assumed operating point
             // (ASTRX/OBLX-style dc-free biasing) so downstream small-signal
             // tools still get a model.

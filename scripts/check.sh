@@ -10,6 +10,9 @@ cargo fmt --all --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== cargo doc (deny rustdoc warnings: broken and private intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== cargo test (workspace, default worker count) =="
 cargo test --workspace --offline -q
 

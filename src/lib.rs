@@ -36,9 +36,9 @@
 //!   flight-recorder ring rendered as a Chrome trace, JSON Lines or a
 //!   failure forensics snapshot.
 //! * [`guard`] — robustness layer: deterministic fault injection,
-//!   evaluation budgets/deadlines, panic isolation, retry policies
-//!   backing the flow's graceful-degradation ladder, and the supervised
-//!   retry/backoff executor.
+//!   evaluation budgets and panic isolation, which make the recovery
+//!   ladders testable and bounded (the DC ladder in [`sim`], the flow's
+//!   graceful-degradation ladder in [`core`]).
 //! * [`ckpt`] — zero-dependency journaled checkpoint store: atomic
 //!   commits, per-record checksums, structured corruption errors; the
 //!   durability substrate behind crash-safe synthesis.
@@ -90,12 +90,10 @@ pub use ams_trace as trace;
 pub mod prelude {
     pub use ams_ckpt::{CkptError, CkptStore};
     pub use ams_core::{
-        supervised_synthesize, synthesize_opamp, synthesize_opamp_resumable, FlowCkpt, FlowConfig,
-        FlowOutcome, PulseDetectorModel, RecoveryPolicy, RfFrontEndModel,
+        synthesize_opamp, synthesize_opamp_resumable, FlowCkpt, FlowConfig, FlowOutcome,
+        PulseDetectorModel, RecoveryPolicy, RfFrontEndModel,
     };
-    pub use ams_guard::{
-        Budget, FaultKind, FaultPlan, Retry, SuperviseConfig, Supervisor, Trigger,
-    };
+    pub use ams_guard::{Budget, FaultKind, FaultPlan, Trigger};
     pub use ams_layout::{layout_cell, CellOptions, DesignRules};
     pub use ams_lint::{lint_circuit, lint_deck, Report, RuleCode, Severity};
     pub use ams_netlist::{parse_deck, parse_deck_full, Circuit, Device, Technology};

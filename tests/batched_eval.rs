@@ -55,7 +55,7 @@ fn counters_of(f: impl FnOnce()) -> BTreeMap<String, u64> {
 
 /// Solution bit patterns of one DC solve.
 fn op_bits(ses: &ams::sim::SimSession<'_>) -> Vec<u64> {
-    ses.op_retry(&Retry::default())
+    ses.op()
         .expect("candidate DC solve")
         .x
         .iter()

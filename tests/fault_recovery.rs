@@ -4,8 +4,8 @@
 //! verification workload must (a) never let a panic escape, (b) end in a
 //! classified state — nominal report, degraded report, or structured
 //! error — and (c) be byte-identical across same-seed runs (counters
-//! included). Wall-clock quantities (span timings, deadlines) are the
-//! only exemptions from the determinism contract.
+//! included). Wall-clock quantities (span timings) are the only
+//! exemptions from the determinism contract.
 //!
 //! The guard's fault and budget state is process-global, so every test in
 //! this file serializes on one lock.
@@ -92,7 +92,7 @@ fn two_stage_circuit() -> ams::netlist::Circuit {
     template.build(&x)
 }
 
-/// Runs the full workload — synthesis flow, retried device-level DC solve,
+/// Runs the full workload — synthesis flow, restarted device-level DC solve,
 /// and a transient — under an armed seeded fault plan, returning a
 /// canonical transcript plus the counter snapshot. Panics (fails the
 /// calling test) if any panic escapes the workload.
@@ -115,7 +115,7 @@ fn run_faulted(kind: FaultKind, seed: u64) -> (String, BTreeMap<String, u64>) {
             Err(e) => out.push_str(&format!("flow err {e}\n")),
         }
         let ckt = two_stage_circuit();
-        match SimSession::new(&ckt).op_retry(&Retry::default()) {
+        match SimSession::new(&ckt).op() {
             Ok(op) => out.push_str(&format!(
                 "dc ok strategy={:?} iters={}\n",
                 op.strategy, op.iterations
@@ -196,7 +196,7 @@ fn run_faulted_resumed(kind: FaultKind, seed: u64) -> (String, BTreeMap<String, 
             Err(e) => out.push_str(&format!("flow err {e}\n")),
         }
         let ckt = two_stage_circuit();
-        match SimSession::new(&ckt).op_retry(&Retry::default()) {
+        match SimSession::new(&ckt).op() {
             Ok(op) => out.push_str(&format!(
                 "dc ok strategy={:?} iters={}\n",
                 op.strategy, op.iterations
@@ -445,22 +445,82 @@ fn degraded_flow_report_carries_forensics() {
     }
 }
 
+/// The layout stage tag carries the policy bit. A run interrupted right
+/// after its strict layout stage and resumed on the same journal under the
+/// default policy must recompute that layout, relaxing the router, rather
+/// than replay the strict one: the resumed report equals an uninterrupted
+/// default run byte for byte.
+#[test]
+fn resume_under_the_other_policy_recomputes_the_layout() {
+    let _l = lock();
+    // Every first-attempt route fails, so only the default policy's
+    // relaxed router changes the layout.
+    let plan = || FaultPlan::new().fault(FaultKind::RouterRipup, Trigger::Always);
+    let tech = Technology::generic_1p2um();
+
+    fault::arm(plan());
+    let uninterrupted = synthesize_opamp(&opamp_spec(), &tech, 5e-12, &quick_config());
+    fault::disarm();
+    let uninterrupted = uninterrupted.expect("router faults degrade the flow, not fail it");
+    let FlowOutcome::Degraded { reasons } = &uninterrupted.outcome else {
+        panic!(
+            "expected a degraded outcome, got {:?}",
+            uninterrupted.outcome
+        );
+    };
+    assert!(
+        reasons.contains(&DegradeReason::RouterRelaxed),
+        "{reasons:?}"
+    );
+
+    let mut store = CkptStore::in_memory();
+    let mut strict = quick_config();
+    strict.recovery = RecoveryPolicy::strict();
+    fault::arm(plan());
+    let first = synthesize_opamp_resumable(
+        &opamp_spec(),
+        &tech,
+        5e-12,
+        &strict,
+        FlowCkpt::interrupting_after(&mut store, "layout.0.0.rx0"),
+    );
+    fault::disarm();
+    assert_eq!(
+        first.unwrap_err(),
+        FlowError::Interrupted {
+            stage: "layout.0.0.rx0".into()
+        }
+    );
+
+    fault::arm(plan());
+    let resumed = synthesize_opamp_resumable(
+        &opamp_spec(),
+        &tech,
+        5e-12,
+        &quick_config(),
+        FlowCkpt::new(&mut store),
+    );
+    fault::disarm();
+    let resumed = resumed.expect("the resumed default run degrades, not fails");
+    assert_eq!(canon(&resumed), canon(&uninterrupted));
+}
+
 #[test]
 fn dc_retry_recovers_from_injected_divergence() {
     let _l = lock();
     ams::trace::reset();
     ams::trace::set_enabled(true);
-    // A fully failing DC ladder makes exactly three newton() calls (plain,
-    // first gmin rung, first source rung); injecting divergence into calls
-    // 0..=2 fails the whole first solve, so retry #1 — from a perturbed
-    // start — must recover.
+    // A fully failing pass of the DC ladder makes exactly three newton()
+    // calls (plain, first gmin rung, first source rung); injecting
+    // divergence into calls 0..=2 fails the whole first pass, so the
+    // ladder's first perturbed restart must recover.
     fault::arm(FaultPlan::new().fault(FaultKind::NewtonDiverge, Trigger::At(vec![0, 1, 2])));
     let ckt = two_stage_circuit();
-    let op = SimSession::new(&ckt).op_retry(&Retry::default());
+    let op = SimSession::new(&ckt).op();
     fault::disarm();
     ams::trace::set_enabled(false);
     let counters = ams::trace::snapshot().counters;
-    let op = op.expect("retry must recover once injection stops");
+    let op = op.expect("a restart must recover once injection stops");
     assert!(op.iterations > 0);
     assert_eq!(counters.get("sim.dc_retries").copied(), Some(1));
     assert_eq!(counters.get("guard.fault.newton_diverge").copied(), Some(3));

@@ -9,8 +9,7 @@
 //! * with the collector off, `emit` stays a single atomic load —
 //!   smoke-checked like the collector's disabled path;
 //! * failure forensics snapshots capture and clear through the
-//!   last-failure slot;
-//! * the degradation a supervised retry adds reaches the stream.
+//!   last-failure slot.
 //!
 //! The collector and the exec worker count are process-global, so every
 //! test serializes on one mutex.
@@ -223,56 +222,4 @@ fn forensics_capture_and_clear() {
         "slot is take-once"
     );
     ams::trace::set_enabled(false);
-}
-
-/// Strict recovery on a spec no topology sizes: attempts 0–2 fail and
-/// attempt 3 runs the full ladder, so the report carries the
-/// supervised-retry degradation.
-#[test]
-fn supervised_retry_degradation_reaches_the_stream() {
-    let _guard = lock();
-    let spec = Spec::new()
-        .require("gain_db", Bound::AtLeast(60.0))
-        .require("ugf_hz", Bound::AtLeast(4.9e7))
-        .require("power_w", Bound::AtMost(6e-5))
-        .minimizing("power_w");
-    let mut cfg = FlowConfig {
-        sizing: AnnealConfig {
-            moves_per_stage: 150,
-            stages: 40,
-            seed: 3,
-            ..Default::default()
-        },
-        recovery: RecoveryPolicy::strict(),
-        ..Default::default()
-    };
-    cfg.layout.placer.moves_per_stage = 80;
-    cfg.layout.placer.stages = 25;
-    let mut store = CkptStore::in_memory();
-    let mut sup = Supervisor::new(SuperviseConfig::default());
-
-    ams::trace::set_enabled(true);
-    ams::trace::reset();
-    let (result, report) = supervised_synthesize(
-        &spec,
-        &Technology::generic_1p2um(),
-        5e-12,
-        &cfg,
-        &mut store,
-        &mut sup,
-    );
-    ams::trace::set_enabled(false);
-    let rep = result
-        .expect("not quarantined")
-        .expect("final attempt succeeds");
-    assert_eq!(report.retries, 3, "{report}");
-
-    let retry = TelemetryEvent::Degraded {
-        reason: ams::core::DegradeReason::SupervisedRetry { attempts: 4 }.to_string(),
-    };
-    assert_eq!(rep.events.last(), Some(&retry));
-    let jsonl = ams::trace::snapshot().to_jsonl();
-    let last = jsonl.lines().last().expect("the stream has events");
-    let (_, streamed) = TelemetryEvent::parse_json_line(last).expect("schema line");
-    assert_eq!(streamed, retry, "the stream ends with the retry label");
 }
