@@ -5,7 +5,7 @@
 //! | Procedural device generation \[32\] | [`devgen`] |
 //! | Device stacking: exact \[43\] and O(n) \[45\] | [`stack`] |
 //! | KOAN annealing placement (fold/merge/abut, symmetry) \[35\] | [`mod@place`] |
-//! | ANAGRAM II maze routing (net classes, crosstalk, over-device, symmetric differential) \[35\] | [`route`] |
+//! | ANAGRAM II maze routing (net classes, crosstalk, over-device, symmetric differential; A* that replays Dijkstra's paths exactly) \[35\] | [`route`] |
 //! | Analog compaction with symmetry \[48,49\] | [`compact`] |
 //! | Sensitivity-based parasitic constraint generation \[46\] | [`sensitivity`] |
 //! | The integrated macrocell flow (Fig. 2 experiment) | [`cell`] |
