@@ -1035,6 +1035,30 @@ mod tests {
     }
 
     #[test]
+    fn small_devices_route_without_relaxing_the_router() {
+        // These sizing seeds give narrow devices whose ports fall within one
+        // routing pitch of each other. Each port gets a pin cell of its own,
+        // so the nominal router completes and nothing degrades.
+        let spec = Spec::new()
+            .require("gain_db", Bound::AtLeast(60.0))
+            .require("ugf_hz", Bound::AtLeast(5e6))
+            .require("phase_margin_deg", Bound::AtLeast(55.0))
+            .minimizing("power_w");
+        for seed in [1, 9, 13] {
+            let config = FlowConfig {
+                sizing: AnnealConfig {
+                    seed,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            let report =
+                synthesize_opamp(&spec, &Technology::generic_1p2um(), 5e-12, &config).unwrap();
+            assert_eq!(report.outcome, FlowOutcome::Nominal, "seed {seed}");
+        }
+    }
+
+    #[test]
     fn post_layout_perf_reflects_parasitics() {
         let report = synthesize_opamp(
             &opamp_spec(),
