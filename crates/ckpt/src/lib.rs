@@ -2,12 +2,23 @@
 //!
 //! Long synthesis jobs (GA/anneal sizing, full opamp flows) checkpoint their
 //! state at stage boundaries so a crashed or killed process can resume
-//! without losing optimizer progress. The store is a small append-only
-//! journal of tagged records persisted with the classic crash-safe recipe:
-//! serialize everything to a temporary file in the same directory, `fsync`,
-//! then atomically `rename` over the destination. A reader therefore sees
-//! either the previous complete journal or the new complete journal — never
-//! a torn intermediate state.
+//! without losing optimizer progress. The store is an append-only journal
+//! of tagged records. A commit encodes only its new record, appends it to
+//! the open journal file and syncs it (`sync_data`) before returning, so
+//! the bytes a run writes grow linearly with its commits.
+//!
+//! The path never holds a header-less file. The first commit of a
+//! [`CkptStore::create`]d or salvaged store writes the whole journal with
+//! the classic recipe (temp file in the same directory, `fsync`, atomic
+//! `rename`) and keeps the renamed file open for the appends that follow.
+//! A failed write or sync drops that handle, and the next commit rewrites
+//! the whole journal the same way.
+//!
+//! A kill mid-append can leave a torn last record. Every record carries its
+//! own CRC, so the tear is detected, and the resume entry point
+//! [`CkptStore::open_or_create`] reads through [`CkptStore::recover`]: it
+//! keeps the complete records before the tear, reports what it dropped,
+//! and its next commit rewrites the journal without it.
 //!
 //! On-disk format (version 1, all integers little-endian):
 //!
@@ -26,18 +37,19 @@
 //!
 //! The crate is dependency-free apart from `ams-trace` (itself
 //! zero-dependency), which receives a `ckpt.write_us` histogram sample per
-//! commit. Commit *counters* are deliberately not emitted from inside the
-//! store: a resumed run re-commits fewer times than the original, and
-//! implicit counters here would break the byte-identical-counters resume
-//! contract. Callers that want `ckpt.commits` / `ckpt.bytes` totals read
-//! [`CkptStore::stats`] explicitly.
+//! file commit and per [`append_record`]. Commit *counters* are
+//! deliberately not emitted from inside the store: a resumed run
+//! re-commits fewer times than the original, and implicit counters here
+//! would break the byte-identical-counters resume contract. Callers that
+//! want `ckpt.commits` / `ckpt.bytes` totals read [`CkptStore::stats`]
+//! explicitly.
 
 pub mod codec;
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
 /// File magic: identifies a checkpoint journal regardless of extension.
@@ -250,7 +262,10 @@ pub struct Salvage {
 pub struct StoreStats {
     /// Number of successful commits.
     pub commits: u64,
-    /// Total bytes written across all commits (whole-journal rewrites).
+    /// Total bytes written across all commits: the whole journal for a
+    /// commit that rewrites it, the one new record for an append. An
+    /// in-memory store counts what a file-backed one would write: the
+    /// header with its first record, then each record alone.
     pub bytes_written: u64,
 }
 
@@ -260,96 +275,73 @@ pub struct CkptStore {
     path: Option<PathBuf>,
     records: Vec<CkptRecord>,
     stats: StoreStats,
+    /// The journal file, open for appends, while it holds exactly
+    /// `records`. `None` makes the next commit rewrite the whole journal.
+    file: Option<fs::File>,
 }
 
 impl CkptStore {
-    /// Creates an empty store that will commit to `path`.
-    pub fn create<P: Into<PathBuf>>(path: P) -> Self {
+    fn with(path: Option<PathBuf>, records: Vec<CkptRecord>, file: Option<fs::File>) -> Self {
         CkptStore {
-            path: Some(path.into()),
-            records: Vec::new(),
-            stats: StoreStats::default(),
-        }
-    }
-
-    /// Creates an empty store with no backing file. `commit` serializes (so
-    /// stats stay meaningful) but performs no i/o. Used by in-process
-    /// interrupt/resume tests and benches.
-    pub fn in_memory() -> Self {
-        CkptStore {
-            path: None,
-            records: Vec::new(),
-            stats: StoreStats::default(),
-        }
-    }
-
-    /// Strictly opens an existing journal; any structural defect is an error.
-    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, CkptError> {
-        let bytes = fs::read(path.as_ref()).map_err(|e| CkptError::Io {
-            op: "read",
-            message: e.to_string(),
-        })?;
-        let records = parse_journal(&bytes)?;
-        Ok(CkptStore {
-            path: Some(path.as_ref().to_path_buf()),
+            path,
             records,
             stats: StoreStats::default(),
-        })
+            file,
+        }
     }
 
-    /// Opens `path` if it exists (strict parse), otherwise creates an empty
-    /// store bound to it. The standard entry point for resumable jobs.
-    pub fn open_or_create<P: AsRef<Path>>(path: P) -> Result<Self, CkptError> {
+    /// Creates an empty store that will commit to `path`. Its first commit
+    /// writes the whole journal, replacing any file already there.
+    pub fn create<P: Into<PathBuf>>(path: P) -> Self {
+        Self::with(Some(path.into()), Vec::new(), None)
+    }
+
+    /// Creates an empty store with no backing file. `commit` performs no
+    /// i/o and only counts the bytes a file would get. Used by in-process
+    /// interrupt/resume tests and benches.
+    pub fn in_memory() -> Self {
+        Self::with(None, Vec::new(), None)
+    }
+
+    /// Strictly opens an existing journal; any structural defect is an
+    /// error. Later commits append to the file. A journal that cannot be
+    /// opened for writing still opens, and its next commit rewrites it.
+    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, CkptError> {
+        let path = path.as_ref();
+        let (bytes, file) = match fs::OpenOptions::new().read(true).append(true).open(path) {
+            Ok(mut f) => {
+                let mut bytes = Vec::new();
+                f.read_to_end(&mut bytes).map_err(io_err("read"))?;
+                (bytes, Some(f))
+            }
+            Err(_) => (fs::read(path).map_err(io_err("read"))?, None),
+        };
+        let records = parse_journal(&bytes)?;
+        Ok(Self::with(Some(path.to_path_buf()), records, file))
+    }
+
+    /// Opens `path` through [`CkptStore::recover`] if it exists, otherwise
+    /// creates an empty store bound to it. The standard entry point for
+    /// resumable jobs: a kill mid-append leaves a torn last record, which
+    /// this drops (the [`Salvage`] says what went) and the next commit
+    /// rewrites away. A damaged header is still an error.
+    pub fn open_or_create<P: AsRef<Path>>(path: P) -> Result<(Self, Salvage), CkptError> {
         if path.as_ref().exists() {
-            Self::open(path)
+            Self::recover(path)
         } else {
-            Ok(Self::create(path.as_ref()))
+            Ok((Self::create(path.as_ref()), Salvage::default()))
         }
     }
 
     /// Salvages the longest valid record prefix from `path`. The header must
     /// be intact; record-level corruption truncates the journal at the last
-    /// good record instead of failing.
+    /// good record instead of failing. The first commit rewrites the whole
+    /// journal, so the dropped bytes never stay ahead of a new record.
     pub fn recover<P: AsRef<Path>>(path: P) -> Result<(Self, Salvage), CkptError> {
-        let bytes = fs::read(path.as_ref()).map_err(|e| CkptError::Io {
-            op: "read",
-            message: e.to_string(),
-        })?;
-        check_header(&bytes)?;
-        let mut records = Vec::new();
-        let mut offset = HEADER_LEN;
-        let mut defect = None;
-        while offset < bytes.len() {
-            match parse_record(&bytes, offset, records.len()) {
-                Ok((rec, next)) => {
-                    if rec.seq != records.len() as u64 {
-                        defect = Some(CkptError::SequenceSkew {
-                            index: records.len(),
-                            expected: records.len() as u64,
-                            found: rec.seq,
-                        });
-                        break;
-                    }
-                    records.push(rec);
-                    offset = next;
-                }
-                Err(e) => {
-                    defect = Some(e);
-                    break;
-                }
-            }
-        }
-        let salvage = Salvage {
-            recovered: records.len(),
-            dropped_bytes: bytes.len() - offset,
-            defect,
-        };
+        let bytes = fs::read(path.as_ref()).map_err(io_err("read"))?;
+        let (records, salvage) = salvage_journal(&bytes)?;
         Ok((
-            CkptStore {
-                path: Some(path.as_ref().to_path_buf()),
-                records,
-                stats: StoreStats::default(),
-            },
+            Self::with(Some(path.as_ref().to_path_buf()), records, None),
             salvage,
         ))
     }
@@ -390,34 +382,43 @@ impl CkptStore {
         self.stats
     }
 
-    /// Appends a record and durably commits the whole journal: serialize to
-    /// `<path>.tmp`, `fsync`, rename over `path`. On any i/o failure the
-    /// record is still appended in memory but the error is returned so the
-    /// caller can decide whether to continue without durability.
+    /// Appends a record and makes it durable before returning. With an open
+    /// journal file the commit encodes only the new record, appends it and
+    /// syncs it (`sync_data`). Otherwise (the first commit of a created or
+    /// salvaged store, or the one after a failed write) it writes the whole
+    /// journal to `<path>.tmp`, `fsync`s, renames it over `path` and keeps
+    /// the renamed file open for later appends. On any i/o failure the
+    /// record is still appended in memory, the file handle is dropped, and
+    /// the error is returned so the caller can decide whether to continue
+    /// without durability.
     pub fn commit(&mut self, tag: &str, payload: Vec<u8>) -> Result<(), CkptError> {
+        assert!(tag.len() <= MAX_TAG, "checkpoint tag exceeds MAX_TAG");
         let seq = self.records.len() as u64;
         self.records.push(CkptRecord {
             seq,
-            tag: to_tag(tag),
+            tag: tag.to_string(),
             payload,
         });
-        self.flush()
-    }
-
-    /// Re-serializes and durably writes the current journal.
-    pub fn flush(&mut self) -> Result<(), CkptError> {
-        let bytes = self.serialize();
-        self.stats.commits += 1;
-        self.stats.bytes_written += bytes.len() as u64;
-        let Some(path) = self.path.clone() else {
+        let rec = &self.records[self.records.len() - 1];
+        let Some(path) = self.path.as_deref() else {
+            let header = if seq == 0 { HEADER_LEN } else { 0 };
+            self.stats.commits += 1;
+            self.stats.bytes_written += (header + record_len(&rec.tag, &rec.payload)) as u64;
             return Ok(());
         };
-        // Commit latency is an informational histogram sample
-        // (ckpt.write_us), never part of compared state.
-        // det-lint: allow(wall-clock): informational latency histogram only
-        let t0 = std::time::Instant::now();
-        write_atomic(&path, &bytes)?;
-        ams_trace::record("ckpt.write_us", t0.elapsed().as_micros() as f64);
+        let (file, written) = match self.file.take() {
+            Some(mut file) => {
+                let n = append_record(&mut file, seq, &rec.tag, &rec.payload)?;
+                (file, n)
+            }
+            None => {
+                let bytes = self.serialize();
+                (timed(|| write_atomic(path, &bytes))?, bytes.len() as u64)
+            }
+        };
+        self.file = Some(file);
+        self.stats.commits += 1;
+        self.stats.bytes_written += written;
         Ok(())
     }
 
@@ -428,53 +429,89 @@ impl CkptStore {
                 + self
                     .records
                     .iter()
-                    .map(|r| PRELUDE_LEN + r.tag.len() + r.payload.len() + 8)
+                    .map(|r| record_len(&r.tag, &r.payload))
                     .sum::<usize>(),
         );
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&0u32.to_le_bytes());
         for rec in &self.records {
-            let start = out.len();
-            out.extend_from_slice(&rec.seq.to_le_bytes());
-            out.extend_from_slice(&(rec.tag.len() as u16).to_le_bytes());
-            out.extend_from_slice(&(rec.payload.len() as u32).to_le_bytes());
-            out.extend_from_slice(rec.tag.as_bytes());
-            out.extend_from_slice(&rec.payload);
-            let crc = crc64(&out[start..]);
-            out.extend_from_slice(&crc.to_le_bytes());
+            encode_record_into(&mut out, rec.seq, &rec.tag, &rec.payload);
         }
         out
     }
 }
 
-fn to_tag(tag: &str) -> String {
-    // Tags are caller-controlled compile-time-ish strings; enforce the cap
-    // here so serialize() can cast lengths without checks.
+/// Appends one record to `file`, an open journal whose last complete record
+/// is `seq - 1`, and syncs its data: the append step of
+/// [`CkptStore::commit`], for writers that keep their records elsewhere
+/// (the persistent eval cache). Records a `ckpt.write_us` sample and
+/// returns the bytes written. After an error the file may end in a torn
+/// record, which [`CkptStore::recover`] drops.
+///
+/// # Panics
+///
+/// Panics if `tag` is longer than [`MAX_TAG`].
+pub fn append_record(
+    file: &mut fs::File,
+    seq: u64,
+    tag: &str,
+    payload: &[u8],
+) -> Result<u64, CkptError> {
     assert!(tag.len() <= MAX_TAG, "checkpoint tag exceeds MAX_TAG");
-    tag.to_string()
+    let mut bytes = Vec::with_capacity(record_len(tag, payload));
+    encode_record_into(&mut bytes, seq, tag, payload);
+    timed(|| {
+        file.write_all(&bytes).map_err(io_err("write"))?;
+        file.sync_data().map_err(io_err("sync"))?;
+        Ok(bytes.len() as u64)
+    })
 }
 
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
+/// Runs one file write and, if it succeeds, records its latency as a
+/// `ckpt.write_us` sample: informational, never part of compared state.
+fn timed<T>(write: impl FnOnce() -> Result<T, CkptError>) -> Result<T, CkptError> {
+    // det-lint: allow(wall-clock): informational latency histogram only
+    let t0 = std::time::Instant::now();
+    let out = write()?;
+    ams_trace::record("ckpt.write_us", t0.elapsed().as_micros() as f64);
+    Ok(out)
+}
+
+/// Encoded length of one record: prelude, tag, payload and CRC.
+fn record_len(tag: &str, payload: &[u8]) -> usize {
+    PRELUDE_LEN + tag.len() + payload.len() + 8
+}
+
+/// Appends one record's on-disk bytes to `out`. Callers have checked the
+/// tag against [`MAX_TAG`], so the length casts cannot truncate.
+fn encode_record_into(out: &mut Vec<u8>, seq: u64, tag: &str, payload: &[u8]) {
+    let start = out.len();
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&(tag.len() as u16).to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(tag.as_bytes());
+    out.extend_from_slice(payload);
+    let crc = crc64(&out[start..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+}
+
+fn io_err(op: &'static str) -> impl FnOnce(std::io::Error) -> CkptError {
+    move |e| CkptError::Io {
+        op,
+        message: e.to_string(),
+    }
+}
+
+/// Writes `bytes` to `<path>.tmp`, `fsync`s and renames it over `path`;
+/// returns the renamed file, still open at its end.
+fn write_atomic(path: &Path, bytes: &[u8]) -> Result<fs::File, CkptError> {
     let tmp = tmp_path(path);
-    let mut f = fs::File::create(&tmp).map_err(|e| CkptError::Io {
-        op: "create",
-        message: e.to_string(),
-    })?;
-    f.write_all(bytes).map_err(|e| CkptError::Io {
-        op: "write",
-        message: e.to_string(),
-    })?;
-    f.sync_all().map_err(|e| CkptError::Io {
-        op: "sync",
-        message: e.to_string(),
-    })?;
-    drop(f);
-    fs::rename(&tmp, path).map_err(|e| CkptError::Io {
-        op: "rename",
-        message: e.to_string(),
-    })?;
-    Ok(())
+    let mut f = fs::File::create(&tmp).map_err(io_err("create"))?;
+    f.write_all(bytes).map_err(io_err("write"))?;
+    f.sync_all().map_err(io_err("sync"))?;
+    fs::rename(&tmp, path).map_err(io_err("rename"))?;
+    Ok(f)
 }
 
 fn tmp_path(path: &Path) -> PathBuf {
@@ -507,22 +544,51 @@ fn check_header(bytes: &[u8]) -> Result<(), CkptError> {
 
 /// Parses a full journal byte image strictly.
 pub fn parse_journal(bytes: &[u8]) -> Result<Vec<CkptRecord>, CkptError> {
+    match salvage_journal(bytes)? {
+        (records, Salvage { defect: None, .. }) => Ok(records),
+        (
+            _,
+            Salvage {
+                defect: Some(e), ..
+            },
+        ) => Err(e),
+    }
+}
+
+/// Parses the longest valid record prefix of a journal byte image. The
+/// header must be intact; the first record-level defect ends the scan and
+/// is reported in the [`Salvage`] instead of failing.
+pub fn salvage_journal(bytes: &[u8]) -> Result<(Vec<CkptRecord>, Salvage), CkptError> {
     check_header(bytes)?;
     let mut records = Vec::new();
     let mut offset = HEADER_LEN;
+    let mut defect = None;
     while offset < bytes.len() {
-        let (rec, next) = parse_record(bytes, offset, records.len())?;
-        if rec.seq != records.len() as u64 {
-            return Err(CkptError::SequenceSkew {
-                index: records.len(),
-                expected: records.len() as u64,
-                found: rec.seq,
-            });
+        match parse_record(bytes, offset, records.len()) {
+            Ok((rec, next)) if rec.seq == records.len() as u64 => {
+                records.push(rec);
+                offset = next;
+            }
+            Ok((rec, _)) => {
+                defect = Some(CkptError::SequenceSkew {
+                    index: records.len(),
+                    expected: records.len() as u64,
+                    found: rec.seq,
+                });
+                break;
+            }
+            Err(e) => {
+                defect = Some(e);
+                break;
+            }
         }
-        records.push(rec);
-        offset = next;
     }
-    Ok(records)
+    let salvage = Salvage {
+        recovered: records.len(),
+        dropped_bytes: bytes.len() - offset,
+        defect,
+    };
+    Ok((records, salvage))
 }
 
 fn parse_record(
@@ -631,6 +697,40 @@ mod tests {
     }
 
     #[test]
+    fn commits_append_only_the_new_record() {
+        let path = tmp("append");
+        let _ = fs::remove_file(&path);
+        let mut store = CkptStore::create(&path);
+        let mut memory = CkptStore::in_memory();
+        for (i, tag) in ["alpha", "beta", "gamma"].into_iter().enumerate() {
+            let payload = vec![i as u8; 10 * i];
+            store.commit(tag, payload.clone()).unwrap();
+            memory.commit(tag, payload).unwrap();
+            // The first commit writes the header with its record; each
+            // later one adds exactly its own bytes.
+            let on_disk = fs::read(&path).unwrap();
+            assert_eq!(on_disk, store.serialize(), "after commit {i}");
+            assert_eq!(store.stats().bytes_written, on_disk.len() as u64);
+        }
+        // An in-memory store counts what the file got.
+        assert_eq!(memory.stats(), store.stats());
+        drop(store);
+
+        // A strictly reopened journal appends too.
+        let mut reopened = CkptStore::open(&path).unwrap();
+        let before = fs::metadata(&path).unwrap().len();
+        reopened.commit("delta", b"more".to_vec()).unwrap();
+        let on_disk = fs::read(&path).unwrap();
+        assert_eq!(on_disk, reopened.serialize());
+        assert_eq!(
+            reopened.stats().bytes_written,
+            on_disk.len() as u64 - before
+        );
+        assert_eq!(CkptStore::open(&path).unwrap().len(), 4);
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
     fn truncation_detected() {
         let mut store = CkptStore::in_memory();
         store.commit("t", vec![0u8; 32]).unwrap();
@@ -703,13 +803,17 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
 
         assert!(CkptStore::open(&path).is_err());
-        let (salvaged, report) = CkptStore::recover(&path).unwrap();
+        let (mut salvaged, report) = CkptStore::recover(&path).unwrap();
         assert_eq!(salvaged.len(), 2);
         assert_eq!(report.recovered, 2);
         assert!(report.dropped_bytes > 0);
         assert!(report.defect.is_some());
         assert_eq!(salvaged.find("two"), Some(&[2u8][..]));
         assert_eq!(salvaged.find("three"), None);
+        // The next commit rewrites the journal without the damaged bytes.
+        salvaged.commit("four", vec![4]).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), salvaged.serialize());
+        assert_eq!(CkptStore::open(&path).unwrap().len(), 3);
         let _ = fs::remove_file(&path);
     }
 

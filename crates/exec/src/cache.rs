@@ -20,7 +20,7 @@
 //! the value: cache behavior is deterministic and thread-count
 //! independent (see [`EvalCache::eval_batch`]).
 
-// det-lint: allow(hash-collection): keyed memoization, never iterated; results reduce in task order
+// det-lint: allow(hash-collection): keyed memoization; exports sort by insertion index
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -47,7 +47,10 @@ pub fn quantize(v: f64) -> u64 {
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CacheKey {
     tag: u64,
-    coords: Vec<u64>,
+    /// A boxed slice, not a `Vec`: dropping the capacity word pays for the
+    /// insertion index each [`EvalCache`] entry carries, so an entry
+    /// (key, cost, index) stays five words.
+    coords: Box<[u64]>,
 }
 
 /// Derives the canonical namespace tag for an evaluator from its stable
@@ -85,7 +88,10 @@ impl CacheKey {
 
     /// Rebuilds a key from its raw parts (checkpoint import).
     pub fn from_parts(tag: u64, coords: Vec<u64>) -> Self {
-        CacheKey { tag, coords }
+        CacheKey {
+            tag,
+            coords: coords.into_boxed_slice(),
+        }
     }
 
     /// The namespace tag.
@@ -127,9 +133,14 @@ impl CacheStats {
 /// compute of misses, and insertions happen serially after it, in item
 /// order. The cache's observable state therefore never depends on thread
 /// scheduling.
+///
+/// Each entry remembers when its key was first inserted, so persistence
+/// layers can write only what is new: [`EvalCache::mark`] names the
+/// present, and [`EvalCache::entries_since`] returns the entries first
+/// inserted after a mark, without keeping a second copy of any key.
 #[derive(Debug, Default)]
 pub struct EvalCache {
-    map: Mutex<HashMap<CacheKey, f64>>,
+    map: Mutex<HashMap<CacheKey, Slot>>,
     hits: AtomicU64,
     misses: AtomicU64,
     /// `AMS_EVAL_CACHE=off`: every request computes, nothing is stored.
@@ -177,26 +188,37 @@ impl EvalCache {
         self.len() == 0
     }
 
-    /// Exports every cached entry in sorted key order (deterministic, for
-    /// checkpoint serialization). Costs are returned as raw IEEE-754 bit
-    /// patterns so an export/import round trip is byte-exact.
-    pub fn export_entries(&self) -> Vec<(CacheKey, u64)> {
+    /// The present point in the cache's insertion order: the number of
+    /// distinct keys inserted so far. Pass it to
+    /// [`EvalCache::entries_since`] later to get what was added after it.
+    pub fn mark(&self) -> u64 {
+        lock(&self.map).len() as u64
+    }
+
+    /// Exports the entries whose keys were first inserted at or after
+    /// `mark` (every entry for `mark == 0`), in insertion order, which is
+    /// deterministic like every insertion. Costs are returned as raw
+    /// IEEE-754 bit patterns so an export/import round trip is byte-exact.
+    pub fn entries_since(&self, mark: u64) -> Vec<(CacheKey, u64)> {
         let map = lock(&self.map);
-        let mut out: Vec<(CacheKey, u64)> =
-            map.iter().map(|(k, v)| (k.clone(), v.to_bits())).collect();
-        out.sort();
-        out
+        let mut out: Vec<(u64, CacheKey, u64)> = map
+            .iter()
+            .filter(|(_, s)| s.seq >= mark)
+            .map(|(k, s)| (s.seq, k.clone(), s.cost.to_bits()))
+            .collect();
+        out.sort_unstable_by_key(|e| e.0);
+        out.into_iter().map(|(_, k, bits)| (k, bits)).collect()
     }
 
     /// Re-inserts entries previously produced by
-    /// [`EvalCache::export_entries`]. Existing entries with the same key
-    /// are overwritten; hit/miss statistics are untouched, so a resumed
-    /// optimizer's cache counters evolve exactly as the uninterrupted
-    /// run's did from this point on.
+    /// [`EvalCache::entries_since`], in order. Existing entries with the same key are overwritten and keep
+    /// their insertion index; hit/miss statistics are untouched, so a
+    /// resumed optimizer's cache counters evolve exactly as the
+    /// uninterrupted run's did from this point on.
     pub fn import_entries(&self, entries: &[(CacheKey, u64)]) {
         let mut map = lock(&self.map);
         for (k, bits) in entries {
-            map.insert(k.clone(), f64::from_bits(*bits));
+            insert(&mut map, k.clone(), f64::from_bits(*bits));
         }
     }
 
@@ -242,8 +264,8 @@ impl EvalCache {
             let map = lock(&self.map);
             for (i, x) in items.iter().enumerate() {
                 let k = key(x);
-                if let Some(&v) = map.get(&k) {
-                    out[i] = Some(v);
+                if let Some(s) = map.get(&k) {
+                    out[i] = Some(s.cost);
                     hits += 1;
                 } else if let Some(&slot) = first.get(&k) {
                     dup_of.push((i, slot));
@@ -274,7 +296,7 @@ impl EvalCache {
         if !self.disabled {
             let mut map = lock(&self.map);
             for (slot, &batch_idx) in compute.iter().enumerate() {
-                map.insert(key(&items[batch_idx]), computed[slot]);
+                insert(&mut map, key(&items[batch_idx]), computed[slot]);
             }
         }
         for (slot, &batch_idx) in compute.iter().enumerate() {
@@ -298,23 +320,40 @@ impl EvalCache {
         F: FnOnce() -> f64,
     {
         if !self.disabled {
-            if let Some(&v) = lock(&self.map).get(&key) {
+            if let Some(s) = lock(&self.map).get(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 ams_trace::counter_add("exec.cache.hit", 1);
-                return v;
+                return s.cost;
             }
         }
         let v = f();
         self.misses.fetch_add(1, Ordering::Relaxed);
         ams_trace::counter_add("exec.cache.miss", 1);
         if !self.disabled {
-            lock(&self.map).insert(key, v);
+            insert(&mut lock(&self.map), key, v);
         }
         v
     }
 }
 
-fn lock(m: &Mutex<HashMap<CacheKey, f64>>) -> std::sync::MutexGuard<'_, HashMap<CacheKey, f64>> {
+/// One cached cost and the index at which its key was first inserted.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    cost: f64,
+    seq: u64,
+}
+
+/// Stores `cost` under `key`. A new key takes the next insertion index
+/// (entries are never removed, so that is the map's length); an existing
+/// one keeps its index.
+fn insert(map: &mut HashMap<CacheKey, Slot>, key: CacheKey, cost: f64) {
+    let seq = map.len() as u64;
+    map.entry(key)
+        .and_modify(|s| s.cost = cost)
+        .or_insert(Slot { cost, seq });
+}
+
+fn lock(m: &Mutex<HashMap<CacheKey, Slot>>) -> std::sync::MutexGuard<'_, HashMap<CacheKey, Slot>> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
@@ -403,6 +442,29 @@ mod tests {
         });
         assert_eq!((a, b), (42.0, 42.0));
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
+    }
+
+    #[test]
+    fn entries_since_a_mark_are_the_new_keys_in_insertion_order() {
+        let _serial = serial();
+        let cache = EvalCache::new();
+        let key = |x: f64| CacheKey::for_candidate(5, &[x]);
+        cache.eval_batch(5, &[vec![3.0], vec![1.0]], |_, x| x[0]);
+        let mark = cache.mark();
+        assert_eq!(mark, 2);
+        cache.eval_batch(5, &[vec![2.0], vec![3.0], vec![0.5]], |_, x| x[0]);
+        // A re-imported old key keeps its index and is not new.
+        cache.import_entries(&[(key(1.0), 7.0f64.to_bits())]);
+        assert_eq!(
+            cache.entries_since(mark),
+            vec![(key(2.0), 2.0f64.to_bits()), (key(0.5), 0.5f64.to_bits())]
+        );
+        assert_eq!(cache.entries_since(0).len(), 4);
+        assert!(cache.entries_since(cache.mark()).is_empty());
+        // Importing the entries in order rebuilds the same insertion order.
+        let copy = EvalCache::new();
+        copy.import_entries(&cache.entries_since(0));
+        assert_eq!(copy.entries_since(0), cache.entries_since(0));
     }
 
     #[test]

@@ -3,16 +3,15 @@
 //! Optimizer front ends open an [`EvalCacheHandle`] at start-of-run. The
 //! handle resolves the cache *mode* (off / in-memory / on-disk, selected
 //! by an explicit [`EvalCachePolicy`] or the `AMS_EVAL_CACHE` environment
-//! variable), loads any previously persisted entries, and commits the
-//! accumulated cache back to disk at the optimizer's boundaries: each GA
+//! variable), loads any previously persisted entries, and commits what the
+//! cache gained back to disk at the optimizer's boundaries: each GA
 //! generation and polish round, and the end of an anneal.
 //!
 //! # On-disk format
 //!
 //! The cache file is an [`ams_ckpt`] journal (magic `AMSCKPT\0`, CRC-64
-//! per record, atomic temp+fsync+rename writes) holding one record tagged
-//! [`EVAL_CACHE_RECORD_TAG`]. The payload is the shared entry codec also
-//! used by the GA checkpoint record:
+//! per record) of records tagged [`EVAL_CACHE_RECORD_TAG`]. Each payload is
+//! the entry codec also used by the GA checkpoint record:
 //!
 //! ```text
 //! usize n                      entry count
@@ -20,6 +19,15 @@
 //!       u64s coords            quantized parameter bit patterns
 //!       u64  cost_bits }       cost as raw IEEE-754 bits
 //! ```
+//!
+//! The file holds the union of its records. A commit appends one record
+//! with the entries new since the handle's last commit, and syncs it; a
+//! commit with nothing new writes nothing. It appends only while the file
+//! is still the one the handle last read or wrote (same inode, same
+//! length). Otherwise another writer has been there, so the commit reads
+//! the file, takes the union with the whole cache, rewrites it as one
+//! record (temp file, `fsync`, `rename`), and appends to that file from
+//! then on.
 //!
 //! Costs round-trip as raw bits, so a warm-started run returns *exactly*
 //! the bytes a cold run would compute — warm vs. cold is bit-exact by
@@ -29,15 +37,20 @@
 //! # Failure containment
 //!
 //! A corrupted, truncated, or version-skewed cache file must never take
-//! down a synthesis run: [`EvalCacheHandle::open`] degrades to a cold
-//! start, records the structured [`CkptError`] for inspection via
+//! down a synthesis run: [`EvalCacheHandle::open`] warm-loads the records
+//! before the first defect (none, if the header is bad), records the
+//! structured [`CkptError`] for inspection via
 //! [`EvalCacheHandle::load_defect`], and bumps `exec.cache.disk_defect`.
-//! Nothing in this module panics on bad input.
+//! Its first commit then rewrites the file. Nothing in this module panics
+//! on bad input.
 
+use std::fs;
+use std::io::Read as _;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 use ams_ckpt::codec::{Dec, DecodeError, Enc};
-use ams_ckpt::{CkptError, CkptStore};
+use ams_ckpt::{salvage_journal, CkptError, CkptRecord, CkptStore};
 
 use crate::cache::{CacheKey, EvalCache};
 
@@ -54,9 +67,11 @@ pub const EVAL_CACHE_ENV: &str = "AMS_EVAL_CACHE";
 /// path ending in a separator), the per-fingerprint file is placed
 /// inside it — workloads stay in separate small journals. When set to
 /// any other path it names a single shared **file**; that is safe (keys
-/// carry their evaluator tag, so heterogeneous workloads never collide)
-/// but every commit rewrites the union of every workload ever cached
-/// there, so prefer directory form for anything long-lived.
+/// carry their evaluator tag, so heterogeneous workloads never collide),
+/// but a run warm-loads every workload ever cached there, and each time
+/// another run has written the file since this one's last commit, the
+/// commit rewrites that whole union. Prefer directory form for anything
+/// long-lived.
 pub const EVAL_CACHE_PATH_ENV: &str = "AMS_EVAL_CACHE_PATH";
 
 /// Resolved eval-cache operating mode.
@@ -174,21 +189,152 @@ pub fn decode_entries_from(dec: &mut Dec<'_>) -> Result<Vec<(CacheKey, u64)>, De
     Ok(entries)
 }
 
-/// Strictly reads a persisted cache file: journal parse, record lookup,
-/// payload decode, trailing-byte check. Any defect is a structured
-/// [`CkptError`] — never a panic. A file whose journal is valid but
-/// contains no cache record yields an empty entry list.
+/// Strictly reads a persisted cache file: journal parse, then the union of
+/// every [`EVAL_CACHE_RECORD_TAG`] record in journal order (a later record
+/// wins on a shared key), each payload decoded with its trailing-byte
+/// check. Any defect is a structured [`CkptError`] — never a panic. A file
+/// whose journal is valid but contains no cache record yields an empty
+/// entry list.
 pub fn read_entries(path: &Path) -> Result<Vec<(CacheKey, u64)>, CkptError> {
-    let store = CkptStore::open(path)?;
-    let Some(payload) = store.find(EVAL_CACHE_RECORD_TAG) else {
-        return Ok(Vec::new());
-    };
-    let mut dec = Dec::new(payload);
-    let entries = decode_entries_from(&mut dec)
-        .map_err(|e| CkptError::from(e.tagged(EVAL_CACHE_RECORD_TAG)))?;
-    dec.finish()
-        .map_err(|e| CkptError::from(e.tagged(EVAL_CACHE_RECORD_TAG)))?;
+    let mut entries = Vec::new();
+    decode_records(CkptStore::open(path)?.records(), &mut entries)?;
     Ok(entries)
+}
+
+/// Appends the entries of every cache record in `records` to `out`, in
+/// journal order; stops at the first payload that does not decode, keeping
+/// the records before it.
+fn decode_records(records: &[CkptRecord], out: &mut Vec<(CacheKey, u64)>) -> Result<(), CkptError> {
+    for rec in records.iter().filter(|r| r.tag == EVAL_CACHE_RECORD_TAG) {
+        let mut dec = Dec::new(&rec.payload);
+        let entries = decode_entries_from(&mut dec)
+            .and_then(|entries| dec.finish().map(|()| entries))
+            .map_err(|e| CkptError::from(e.tagged(EVAL_CACHE_RECORD_TAG)))?;
+        out.extend(entries);
+    }
+    Ok(())
+}
+
+/// The cache file as a handle last read or wrote it. A commit appends only
+/// while the file at the path still matches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FileState {
+    /// Device and inode.
+    id: (u64, u64),
+    len: u64,
+    /// Complete records in the file: the next record's sequence number.
+    records: u64,
+}
+
+impl FileState {
+    /// The state of a file with metadata `meta` holding `len` bytes and
+    /// `records` records; `None` where the platform gives no inode, which
+    /// makes every commit there read, union and rewrite.
+    fn of(meta: &fs::Metadata, len: u64, records: u64) -> Option<Self> {
+        #[cfg(unix)]
+        {
+            use std::os::unix::fs::MetadataExt as _;
+            Some(FileState {
+                id: (meta.dev(), meta.ino()),
+                len,
+                records,
+            })
+        }
+        #[cfg(not(unix))]
+        {
+            let _ = (meta, len, records);
+            None
+        }
+    }
+}
+
+/// Reads the cache file at `path` through one open handle, so the state
+/// it returns is that of the bytes it parsed. The entries of the valid
+/// prefix land in `entries` even when the file ends in a defect, which is
+/// then the error.
+fn read_into(
+    path: &Path,
+    entries: &mut Vec<(CacheKey, u64)>,
+) -> Result<Option<FileState>, CkptError> {
+    let io = |op| {
+        move |e: std::io::Error| CkptError::Io {
+            op,
+            message: e.to_string(),
+        }
+    };
+    let mut file = fs::File::open(path).map_err(io("open"))?;
+    let meta = file.metadata().map_err(io("stat"))?;
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes).map_err(io("read"))?;
+    let (records, salvage) = salvage_journal(&bytes)?;
+    decode_records(&records, entries)?;
+    match salvage.defect {
+        Some(defect) => Err(defect),
+        None => Ok(FileState::of(
+            &meta,
+            bytes.len() as u64,
+            records.len() as u64,
+        )),
+    }
+}
+
+/// Appends one cache record of `entries` to `path` if the file there is
+/// still the one `state` describes; returns the file's new state, or
+/// `None` if it was not or the write failed.
+fn append_if_unchanged(
+    path: &Path,
+    state: FileState,
+    entries: &[(CacheKey, u64)],
+) -> Option<FileState> {
+    let mut file = fs::OpenOptions::new().append(true).open(path).ok()?;
+    let meta = file.metadata().ok()?;
+    if FileState::of(&meta, meta.len(), state.records)? != state {
+        return None;
+    }
+    let mut enc = Enc::new();
+    encode_entries_into(&mut enc, entries);
+    let payload = enc.finish();
+    let n =
+        ams_ckpt::append_record(&mut file, state.records, EVAL_CACHE_RECORD_TAG, &payload).ok()?;
+    Some(FileState {
+        len: state.len + n,
+        records: state.records + 1,
+        ..state
+    })
+}
+
+/// Rewrites `path` as one record holding the union of the file's readable
+/// entries and the whole of `cache` (ours win on a shared key, though
+/// deterministic runs agree on every key); returns the new file's state.
+/// A failed write is counted under `exec.cache.disk_commit_err`.
+fn rewrite_union(path: &Path, cache: &EvalCache) -> Option<FileState> {
+    let mut on_disk = Vec::new();
+    let _ = read_into(path, &mut on_disk);
+    let merged = EvalCache::new();
+    merged.import_entries(&on_disk);
+    merged.import_entries(&cache.entries_since(0));
+    let mut enc = Enc::new();
+    encode_entries_into(&mut enc, &merged.entries_since(0));
+    let mut store = CkptStore::create(path);
+    if store.commit(EVAL_CACHE_RECORD_TAG, enc.finish()).is_err() {
+        ams_trace::counter_add("exec.cache.disk_commit_err", 1);
+        return None;
+    }
+    let len = store.stats().bytes_written;
+    // A file of another length is a writer that replaced ours meanwhile.
+    let meta = fs::metadata(path).ok().filter(|m| m.len() == len)?;
+    FileState::of(&meta, len, 1)
+}
+
+/// Disk-mode bookkeeping: what the file holds of this handle's cache.
+#[derive(Debug, Default)]
+struct Disk {
+    /// Cache mark at the last commit (or the warm load): entries from
+    /// here on are not on disk yet.
+    committed: u64,
+    /// The file as last read clean or written; `None` makes the next
+    /// commit read, union and rewrite.
+    state: Option<FileState>,
 }
 
 /// One optimizer run's view of the (possibly persistent) eval cache.
@@ -204,12 +350,13 @@ pub struct EvalCacheHandle {
     path: Option<PathBuf>,
     loaded: usize,
     defect: Option<CkptError>,
+    disk: Mutex<Disk>,
 }
 
 impl EvalCacheHandle {
     /// Resolves `policy`, builds the backing [`EvalCache`], and — in disk
     /// mode — warm-loads previously persisted entries. A defective cache
-    /// file degrades to a cold start (see module docs).
+    /// file warm-loads the records before its defect (see module docs).
     pub fn open(policy: &EvalCachePolicy, fingerprint: u64) -> Self {
         let (mode, path) = match policy {
             EvalCachePolicy::FromEnv => {
@@ -234,20 +381,24 @@ impl EvalCacheHandle {
             path,
             loaded: 0,
             defect: None,
+            disk: Mutex::new(Disk::default()),
         };
-        if let (EvalCacheMode::Disk, Some(p)) = (mode, handle.path.clone()) {
+        if let (EvalCacheMode::Disk, Some(p)) = (mode, handle.path.as_deref()) {
             if p.exists() {
-                match read_entries(&p) {
-                    Ok(entries) => {
-                        handle.cache.import_entries(&entries);
-                        handle.loaded = entries.len();
-                        ams_trace::counter_add("exec.cache.disk_loaded", entries.len() as u64);
-                    }
-                    Err(err) => {
-                        ams_trace::counter_add("exec.cache.disk_defect", 1);
-                        handle.defect = Some(err);
-                    }
-                }
+                let mut entries = Vec::new();
+                let read = read_into(p, &mut entries);
+                handle.cache.import_entries(&entries);
+                handle.loaded = handle.cache.len();
+                ams_trace::counter_add("exec.cache.disk_loaded", handle.loaded as u64);
+                let state = read.unwrap_or_else(|defect| {
+                    ams_trace::counter_add("exec.cache.disk_defect", 1);
+                    handle.defect = Some(defect);
+                    None
+                });
+                handle.disk = Mutex::new(Disk {
+                    committed: handle.cache.mark(),
+                    state,
+                });
             }
         }
         handle
@@ -273,34 +424,36 @@ impl EvalCacheHandle {
         self.loaded
     }
 
-    /// The structured defect that forced a cold start, if the cache file
-    /// existed but could not be read.
+    /// The structured defect found in the cache file at open, if it
+    /// existed but did not read clean. Entries before the defect were
+    /// still loaded.
     pub fn load_defect(&self) -> Option<&CkptError> {
         self.defect.as_ref()
     }
 
-    /// Persists the union of the backing cache and the file's current
-    /// contents (our values win on key collision, though values for one
-    /// key are identical across deterministic runs). No-op outside disk
-    /// mode. Write failures are contained: the run continues, the error
-    /// is counted under `exec.cache.disk_commit_err`.
+    /// Persists the entries the cache gained since the last commit (see
+    /// module docs): one appended record while the file is the one this
+    /// handle last read or wrote, a union rewrite otherwise, and nothing
+    /// when nothing is new. No-op outside disk mode. Write failures are
+    /// contained: the run continues, and the next commit with new entries
+    /// rewrites the file.
     pub fn commit(&self) {
         let (EvalCacheMode::Disk, Some(path)) = (self.mode, self.path.as_deref()) else {
             return;
         };
-        // Union-merge with concurrent writers sharing the file. Best
-        // effort: an unreadable existing file is simply overwritten.
-        let merged = EvalCache::new();
-        if let Ok(existing) = read_entries(path) {
-            merged.import_entries(&existing);
+        let mut disk = self.disk.lock().unwrap_or_else(|p| p.into_inner());
+        // Marked first: an entry inserted during the commit is sent again
+        // next time rather than never.
+        let mark = self.cache.mark();
+        let fresh = self.cache.entries_since(disk.committed);
+        if fresh.is_empty() {
+            return;
         }
-        merged.import_entries(&self.cache.export_entries());
-        let mut enc = Enc::new();
-        encode_entries_into(&mut enc, &merged.export_entries());
-        let mut store = CkptStore::create(path);
-        if store.commit(EVAL_CACHE_RECORD_TAG, enc.finish()).is_err() {
-            ams_trace::counter_add("exec.cache.disk_commit_err", 1);
-        }
+        disk.state = disk
+            .state
+            .and_then(|state| append_if_unchanged(path, state, &fresh))
+            .or_else(|| rewrite_union(path, &self.cache));
+        disk.committed = mark;
     }
 }
 
@@ -315,17 +468,21 @@ mod tests {
         dir.join(name)
     }
 
+    /// Six entries under two evaluator tags, in key order.
     fn sample_entries() -> Vec<(CacheKey, u64)> {
-        vec![
-            (
-                CacheKey::for_candidate(crate::cache::cache_tag("m1"), &[1.0, 2.0]),
-                42.5f64.to_bits(),
-            ),
-            (
-                CacheKey::for_candidate(crate::cache::cache_tag("m2"), &[3.0]),
-                (-1.25f64).to_bits(),
-            ),
-        ]
+        let mut entries: Vec<(CacheKey, u64)> = (0..6)
+            .map(|i| {
+                let tag = crate::cache::cache_tag(if i % 2 == 0 { "m1" } else { "m2" });
+                let key = CacheKey::for_candidate(tag, &[i as f64, 2.0]);
+                (key, (42.5 - i as f64 * 1.25).to_bits())
+            })
+            .collect();
+        entries.sort();
+        entries
+    }
+
+    fn file_len(path: &Path) -> u64 {
+        std::fs::metadata(path).expect("cache file").len()
     }
 
     #[test]
@@ -368,13 +525,27 @@ mod tests {
         let handle = EvalCacheHandle::open(&EvalCachePolicy::Disk(path.clone()), 0);
         assert_eq!(handle.mode(), EvalCacheMode::Disk);
         assert_eq!(handle.loaded_entries(), 0);
-        handle.cache().import_entries(&sample_entries());
-        handle.commit();
+        // Three commits with new entries between them: one record each.
+        for (i, part) in sample_entries().chunks(2).enumerate() {
+            handle.cache().import_entries(part);
+            handle.commit();
+            let records = CkptStore::open(&path).expect("valid journal").len();
+            assert_eq!(records, i + 1, "commit {i} appends one record");
+            // A commit with nothing new writes nothing.
+            let len = file_len(&path);
+            handle.commit();
+            assert_eq!(file_len(&path), len, "idle commit {i} wrote");
+        }
+        assert_eq!(read_entries(&path).expect("readable").len(), 6);
 
         let warm = EvalCacheHandle::open(&EvalCachePolicy::Disk(path.clone()), 0);
-        assert_eq!(warm.loaded_entries(), 2);
+        assert_eq!(warm.loaded_entries(), 6);
         assert!(warm.load_defect().is_none());
-        assert_eq!(warm.cache().export_entries(), sample_entries());
+        assert_eq!(warm.cache().entries_since(0), sample_entries());
+        // Nothing new since the warm load: the file is left alone.
+        let len = file_len(&path);
+        warm.commit();
+        assert_eq!(file_len(&path), len);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -382,13 +553,26 @@ mod tests {
     fn commit_union_merges_with_existing_file() {
         let path = tmp_path("union.ckpt");
         let _ = std::fs::remove_file(&path);
+        let entries = sample_entries();
+        // Interleaved commits from two handles on one file (a, b, a): each
+        // finds the file changed under it and rewrites the union.
         let a = EvalCacheHandle::open(&EvalCachePolicy::Disk(path.clone()), 0);
-        a.cache().import_entries(&sample_entries()[..1]);
-        a.commit();
         let b = EvalCacheHandle::open(&EvalCachePolicy::Disk(path.clone()), 0);
-        b.cache().import_entries(&sample_entries()[1..]);
+        a.cache().import_entries(&entries[..2]);
+        a.commit();
+        b.cache().import_entries(&entries[2..4]);
         b.commit();
-        assert_eq!(read_entries(&path).expect("readable").len(), 2);
+        a.cache().import_entries(&entries[4..]);
+        a.commit();
+        let mut on_disk = read_entries(&path).expect("readable");
+        on_disk.sort();
+        assert_eq!(on_disk, entries, "no entry lost");
+        // Then `a` appends again: the file is the one it wrote last.
+        let extra = CacheKey::for_candidate(crate::cache::cache_tag("m3"), &[9.0]);
+        a.cache().import_entries(&[(extra, 1.0f64.to_bits())]);
+        a.commit();
+        assert_eq!(CkptStore::open(&path).expect("valid").len(), 2);
+        assert_eq!(read_entries(&path).expect("readable").len(), 7);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -406,7 +590,7 @@ mod tests {
         // The run proceeds cold and the next commit repairs the file.
         handle.cache().import_entries(&sample_entries());
         handle.commit();
-        assert_eq!(read_entries(&path).expect("repaired").len(), 2);
+        assert_eq!(read_entries(&path).expect("repaired").len(), 6);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -416,14 +600,30 @@ mod tests {
         let good = tmp_path("good.ckpt");
         let _ = std::fs::remove_file(&good);
         let h = EvalCacheHandle::open(&EvalCachePolicy::Disk(good.clone()), 0);
-        h.cache().import_entries(&sample_entries());
+        let entries = sample_entries();
+        let (first, second) = entries.split_at(4);
+        h.cache().import_entries(first);
+        h.commit();
+        h.cache().import_entries(second);
         h.commit();
         let bytes = std::fs::read(&good).expect("read good");
         std::fs::write(&path, &bytes[..bytes.len() - 3]).expect("truncate");
         assert!(read_entries(&path).is_err());
-        let handle = EvalCacheHandle::open(&EvalCachePolicy::Disk(path), 0);
-        assert!(handle.load_defect().is_some());
+        // A torn tail warm-loads the records before it and reports the tear.
+        let handle = EvalCacheHandle::open(&EvalCachePolicy::Disk(path.clone()), 0);
+        assert!(matches!(
+            handle.load_defect(),
+            Some(CkptError::TruncatedRecord { index: 1, .. })
+        ));
+        assert_eq!(handle.loaded_entries(), 4);
+        assert_eq!(handle.cache().entries_since(0), first);
+        // Its first commit with something new rewrites the file whole.
+        handle.cache().import_entries(second);
+        handle.commit();
+        assert_eq!(CkptStore::open(&path).expect("repaired").len(), 1);
+        assert_eq!(read_entries(&path).expect("repaired").len(), 6);
         let _ = std::fs::remove_file(&good);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -5,15 +5,21 @@
 //! checkpointed on its own; `ams-core`'s resumable flow journals the
 //! sized cell it produces as one phase. The contract:
 //!
-//! * Every boundary commits the complete optimizer state — population,
-//!   per-species elites, loop counters, the serialized xoshiro256++ RNG
-//!   state, the eval-cache entries, and the trace-counter delta accrued
-//!   since the run began — to the caller's [`CkptStore`].
-//! * A resumed run restores that state, re-applies the counter delta, and
-//!   continues the exact RNG stream, so its final result **and** its final
-//!   trace counters are byte-identical to an uninterrupted same-seed run
-//!   (modulo `exec.steals`, which is scheduling-dependent and exempted
-//!   repo-wide).
+//! * Every boundary appends one record to the caller's [`CkptStore`]: the
+//!   complete optimizer state — population, per-species elites, loop
+//!   counters, the serialized xoshiro256++ RNG state, and the
+//!   trace-counter delta accrued since the run began — plus the eval-cache
+//!   entries first inserted since the previous boundary (a fresh run's
+//!   first record carries every entry the cache held, warm-loaded ones
+//!   included). A record therefore stays about the same size however long
+//!   the run.
+//! * A resumed run imports the cache entries of every record in journal
+//!   order, restores the last record's state, re-applies its counter
+//!   delta, and continues the exact RNG stream, so its final result
+//!   **and** its final trace counters are byte-identical to an
+//!   uninterrupted same-seed run (modulo `exec.steals`, which is
+//!   scheduling-dependent and exempted repo-wide). A journal whose records
+//!   each carry the whole cache reads the same way.
 //! * A run started with a checkpoint store but no prior records behaves
 //!   exactly like the plain [`evolve`](crate::genetic::evolve).
 //!

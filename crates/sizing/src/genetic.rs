@@ -12,16 +12,16 @@
 //! Population evaluation is parallel and memoized: children are bred
 //! serially (so the random stream is identical at any thread count), then
 //! each generation's costs are computed as one `ams-exec` batch through a
-//! per-run [`EvalCache`] keyed by (topology, quantized genes). Elitism
-//! updates and reductions run in index order, keeping the whole GA
-//! bit-reproducible regardless of worker count.
+//! per-run [`EvalCache`](ams_exec::EvalCache) keyed by (topology,
+//! quantized genes). Elitism updates and reductions run in index order,
+//! keeping the whole GA bit-reproducible regardless of worker count.
 
 use crate::anneal::{record_generation, record_start, ParamDef};
 use crate::ckpt::{CkptRun, SizingCkptError};
 use crate::cost::{eval_tag, CostCompiler};
 use crate::eqopt::{PerfModel, SizingResult};
 use ams_ckpt::codec::{Dec, DecodeError, Enc};
-use ams_exec::{CacheKey, EvalCache, EvalCacheHandle, EvalCachePolicy};
+use ams_exec::{CacheKey, EvalCacheHandle, EvalCachePolicy};
 use ams_prng::{Rng, SeedableRng, SmallRng};
 use ams_topology::Spec;
 
@@ -98,12 +98,13 @@ pub fn evolve(models: &[&dyn PerfModel], spec: &Spec, config: &GaConfig) -> GaRe
 /// boundaries.
 ///
 /// Each boundary commits the population, per-species elitism state, loop
-/// counters, serialized RNG state, the memoized evaluation cache, and the
-/// trace-counter delta accrued since the run began. Resuming with the same
-/// store continues the exact random stream with a warm cache, so the
-/// resumed run's `GaResult` and final trace counters are byte-identical to
-/// an uninterrupted same-seed run. `ck.halt_after` counts generation
-/// boundaries.
+/// counters, serialized RNG state, the evaluation-cache entries first
+/// inserted since the previous boundary, and the trace-counter delta
+/// accrued since the run began. Resuming with the same store imports the
+/// cache entries of every state record, then continues the exact random
+/// stream from the last one, so the resumed run's `GaResult` and final
+/// trace counters are byte-identical to an uninterrupted same-seed run.
+/// `ck.halt_after` counts generation boundaries.
 ///
 /// # Panics
 ///
@@ -150,7 +151,7 @@ fn decode_chromosome(d: &mut Dec<'_>) -> Result<Chromosome, DecodeError> {
     })
 }
 
-fn encode_ga(st: &GaState, cache: &EvalCache, delta: &[(String, u64)]) -> Vec<u8> {
+fn encode_ga(st: &GaState, entries: &[(CacheKey, u64)], delta: &[(String, u64)]) -> Vec<u8> {
     let mut e = Enc::new();
     e.counter_delta(delta);
     e.u64_slice(&st.rng.state());
@@ -173,15 +174,16 @@ fn encode_ga(st: &GaState, cache: &EvalCache, delta: &[(String, u64)]) -> Vec<u8
     e.u64(st.elitism_updates);
     e.u64(st.polish_improvements);
     e.u64(st.evals_requested);
-    // The memo cache travels with the state: a resumed run re-sees every
-    // hit the uninterrupted run would have, keeping exec.cache.* counters
-    // (and the budget meter, which only charges misses) byte-identical.
-    ams_exec::encode_entries_into(&mut e, &cache.export_entries());
+    // The memo cache travels with the state, one increment per record: a
+    // resumed run re-sees every hit the uninterrupted run would have,
+    // keeping exec.cache.* counters (and the budget meter, which only
+    // charges misses) byte-identical.
+    ams_exec::encode_entries_into(&mut e, entries);
     e.finish()
 }
 
 /// Decoded GA journal record: counter delta, optimizer state, and the
-/// exported eval-cache entries.
+/// eval-cache entries it carries.
 type GaCkptState = (Vec<(String, u64)>, GaState, Vec<(CacheKey, u64)>);
 
 fn decode_ga(payload: &[u8]) -> Result<GaCkptState, DecodeError> {
@@ -277,16 +279,26 @@ fn evolve_inner(
         )
     };
 
-    let resumed: Option<GaState> = match ck.as_ref().and_then(|c| c.store.find(GA_TAG)) {
-        Some(payload) => {
-            let (delta, st, entries) =
-                decode_ga(payload).map_err(|e| SizingCkptError::Store(e.tagged(GA_TAG).into()))?;
-            ams_ckpt::restore_delta(&delta);
+    // Each state record carries the cache entries new since the record
+    // before it, so the union over the journal is the cache at the last
+    // boundary; the last record holds the state to continue from. A
+    // journal whose records each carry the whole cache reads the same way.
+    let mut resumed = None;
+    for rec in ck.iter().flat_map(|c| c.store.records()) {
+        if rec.tag == GA_TAG {
+            let (delta, st, entries) = decode_ga(&rec.payload)
+                .map_err(|e| SizingCkptError::Store(e.tagged(GA_TAG).into()))?;
             cache.import_entries(&entries);
-            Some(st)
+            resumed = Some((delta, st));
         }
-        None => None,
-    };
+    }
+    let resumed: Option<GaState> = resumed.map(|(delta, st)| {
+        ams_ckpt::restore_delta(&delta);
+        st
+    });
+    // The cache mark the next state record starts from. A fresh run's
+    // first record carries every entry, warm-loaded ones included.
+    let mut journaled = if resumed.is_some() { cache.mark() } else { 0 };
 
     // Every boundary (post-init, each generation, each polish round)
     // persists the eval cache (a no-op outside disk mode) and, under a
@@ -300,7 +312,9 @@ fn evolve_inner(
             return Ok(());
         };
         let delta = ams_ckpt::delta_since(&counter_base);
-        ck.store.commit(GA_TAG, encode_ga(st, cache, &delta))?;
+        let entries = cache.entries_since(journaled);
+        journaled = cache.mark();
+        ck.store.commit(GA_TAG, encode_ga(st, &entries, &delta))?;
         match ck.halt_after {
             Some(n) if st.phase == PHASE_GENERATIONS && st.next.checked_sub(1) == Some(n) => {
                 Err(SizingCkptError::Halted { boundary: n })
@@ -705,7 +719,7 @@ mod tests {
             ..Default::default()
         };
         let uninterrupted = evolve(&[&two, &ota], &spec, &cfg);
-        for halt_at in [0usize, 3, cfg.generations - 1] {
+        for (halt_at, whole_cache) in [(0usize, false), (3, false), (3, true), (5, false)] {
             let mut store = ams_ckpt::CkptStore::in_memory();
             let err = evolve_ckpt(
                 &[&two, &ota],
@@ -718,14 +732,66 @@ mod tests {
                 err,
                 crate::ckpt::SizingCkptError::Halted { boundary: halt_at }
             );
+            if whole_cache {
+                store = with_whole_cache_records(&store);
+            }
             let resumed =
                 evolve_ckpt(&[&two, &ota], &spec, &cfg, CkptRun::new(&mut store)).unwrap();
             assert_eq!(
                 ga_canon(&uninterrupted),
                 ga_canon(&resumed),
-                "halt at {halt_at}"
+                "halt at {halt_at}, whole-cache records {whole_cache}"
             );
         }
+    }
+
+    /// Rewrites a journal into the older layout, where every state record
+    /// carries the whole cache in key order rather than its increment.
+    fn with_whole_cache_records(store: &ams_ckpt::CkptStore) -> ams_ckpt::CkptStore {
+        let cache = ams_exec::EvalCache::new();
+        let mut old = ams_ckpt::CkptStore::in_memory();
+        for rec in store.records() {
+            let (delta, st, entries) = decode_ga(&rec.payload).unwrap();
+            cache.import_entries(&entries);
+            let mut whole = cache.entries_since(0);
+            whole.sort();
+            old.commit(GA_TAG, encode_ga(&st, &whole, &delta)).unwrap();
+        }
+        old
+    }
+
+    #[test]
+    fn checkpoint_bytes_per_commit_do_not_grow_with_run_length() {
+        let (two, ota) = models();
+        let spec = Spec::new()
+            .require("gain_db", Bound::AtLeast(60.0))
+            .minimizing("power_w");
+        let per_commit = |generations: usize| {
+            let path = std::env::temp_dir().join(format!(
+                "ams_ga_linear_io_{}_{generations}.ckpt",
+                std::process::id()
+            ));
+            let cfg = GaConfig {
+                population: 16,
+                generations,
+                eval_cache: EvalCachePolicy::Memory,
+                ..Default::default()
+            };
+            let mut store = ams_ckpt::CkptStore::create(&path);
+            evolve_ckpt(&[&two, &ota], &spec, &cfg, CkptRun::new(&mut store)).unwrap();
+            let on_disk = std::fs::read(&path).unwrap();
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(on_disk, store.serialize(), "{generations} generations");
+            let stats = store.stats();
+            assert_eq!(stats.commits, 1 + generations as u64 + 16);
+            assert_eq!(stats.bytes_written, on_disk.len() as u64);
+            stats.bytes_written as f64 / stats.commits as f64
+        };
+        let (short, long) = (per_commit(8), per_commit(64));
+        assert!(
+            long <= 1.5 * short,
+            "bytes per commit grew from {short:.0} at 8 generations to {long:.0} at 64"
+        );
     }
 
     #[test]
@@ -761,7 +827,7 @@ mod tests {
         for (what, payload) in [
             ("garbage", vec![0xFF; 7]),
             ("truncated", record[..record.len() / 2].to_vec()),
-            ("phase 2", encode_ga(&bad_phase, &EvalCache::new(), &[])),
+            ("phase 2", encode_ga(&bad_phase, &[], &[])),
         ] {
             let mut store = ams_ckpt::CkptStore::in_memory();
             store.commit(GA_TAG, payload).unwrap();

@@ -8,6 +8,10 @@
 //! byte-compare an interrupted-and-resumed run against an uninterrupted
 //! one.
 //!
+//! The journal opens through `CkptStore::open_or_create`, which drops a
+//! torn or corrupt last record (a kill mid-append) and resumes from the
+//! records before it.
+//!
 //! Crash hooks (both fire right after the named generation's boundary
 //! commit, i.e. at the worst possible moment — state durable, successor
 //! work lost):
@@ -81,7 +85,17 @@ fn main() {
     ams::trace::set_enabled(true);
 
     let mut store = match CkptStore::open_or_create(&args.ckpt) {
-        Ok(s) => s,
+        Ok((store, salvage)) => {
+            // A kill mid-append leaves a torn last record; resume from the
+            // records before it. Stderr only: stdout is the transcript.
+            if let Some(defect) = salvage.defect {
+                eprintln!(
+                    "ckpt_harness: resuming from {} records, dropped {} bytes: {defect}",
+                    salvage.recovered, salvage.dropped_bytes
+                );
+            }
+            store
+        }
         Err(e) => {
             eprintln!("ckpt_harness: cannot open journal: {e}");
             std::process::exit(3);

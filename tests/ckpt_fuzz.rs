@@ -9,16 +9,25 @@
 //! panic. Like `parser_fuzz.rs`, this is a pinned-seed corpus: a failure
 //! reproduces from its printed case alone.
 
-use ams::ckpt::{parse_journal, CkptError, CkptStore, Salvage};
+use ams::ckpt::{parse_journal, CkptError, CkptStore, Salvage, HEADER_LEN};
 use ams::prelude::*;
 use ams::sizing::{evolve_ckpt, CkptRun, GaConfig, TwoStageModel};
 use ams_prng::{Rng, SeedableRng, SmallRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A realistic journal: the GA's actual checkpoint stream (RNG state,
-/// population, eval-cache export, counter deltas) rather than toy bytes.
+/// population, eval-cache increments, counter deltas) rather than toy
+/// bytes, as a file-backed store appends it.
 fn valid_journal() -> Vec<u8> {
-    let mut store = CkptStore::in_memory();
+    // Tests run in parallel: each call writes its own file.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "ams_ckpt_fuzz_appended_{}_{}.ckpt",
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
+    ));
+    let mut store = CkptStore::create(&path);
     let two = TwoStageModel::new(Technology::generic_1p2um(), 5e-12);
     let spec = Spec::new()
         .require("gain_db", Bound::AtLeast(60.0))
@@ -29,7 +38,13 @@ fn valid_journal() -> Vec<u8> {
         ..Default::default()
     };
     evolve_ckpt(&[&two], &spec, &cfg, CkptRun::new(&mut store)).expect("seed GA run succeeds");
-    let bytes = store.serialize();
+    let bytes = std::fs::read(&path).expect("journal file");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(
+        bytes,
+        store.serialize(),
+        "appends must build the full image"
+    );
     assert!(bytes.len() > 64, "journal should be non-trivial");
     bytes
 }
@@ -212,18 +227,43 @@ fn payload_bit_flip_is_caught_by_the_checksum() {
 #[test]
 fn recovery_salvages_the_valid_prefix_of_a_torn_tail() {
     let bytes = valid_journal();
-    let full = parse_journal(&bytes).expect("journal is valid").len();
-    // Tear the tail mid-record: drop the last 5 bytes.
-    let torn = &bytes[..bytes.len() - 5];
+    let records = parse_journal(&bytes).expect("journal is valid");
+    // Where each record starts, then the end of the file. A record is a
+    // 14-byte prelude, its tag and payload, and an 8-byte CRC.
+    let mut boundaries = vec![HEADER_LEN];
+    for r in &records {
+        boundaries.push(boundaries[boundaries.len() - 1] + 14 + r.tag.len() + r.payload.len() + 8);
+    }
+    assert_eq!(boundaries[records.len()], bytes.len());
+    // Every record boundary, and every cut inside the last record: each
+    // prelude, tag, payload and CRC offset.
+    let last = boundaries[records.len() - 1];
+    let mut cuts = boundaries.clone();
+    cuts.extend(last + 1..bytes.len());
     let path = std::env::temp_dir().join(format!("ams_ckpt_fuzz_torn_{}.ckpt", std::process::id()));
-    std::fs::write(&path, torn).expect("write torn journal");
-    let (store, salvage) = CkptStore::recover(&path).expect("salvage succeeds");
+    for cut in cuts {
+        std::fs::write(&path, &bytes[..cut]).expect("write torn journal");
+        let complete = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
+        // Through the resume entry point: exactly the complete records.
+        let (mut store, salvage) = CkptStore::open_or_create(&path).expect("header is intact");
+        assert_eq!(store.records(), &records[..complete], "cut at {cut}");
+        assert_eq!(salvage.recovered, complete, "cut at {cut}");
+        assert_eq!(
+            salvage.dropped_bytes,
+            cut - boundaries[complete],
+            "cut at {cut}"
+        );
+        assert_eq!(
+            salvage.defect.is_some(),
+            salvage.dropped_bytes > 0,
+            "cut at {cut}: the defect that stopped the scan is reported"
+        );
+        // The next commit leaves a journal the strict reader accepts.
+        store
+            .commit("probe", vec![0xA5; 3])
+            .expect("commit after salvage");
+        let reopened = CkptStore::open(&path).expect("strict parse after the next commit");
+        assert_eq!(reopened.len(), complete + 1, "cut at {cut}");
+    }
     let _ = std::fs::remove_file(&path);
-    assert_eq!(store.len(), full - 1, "exactly the torn record is lost");
-    assert_eq!(salvage.recovered, full - 1);
-    assert!(salvage.dropped_bytes > 0);
-    assert!(
-        salvage.defect.is_some(),
-        "the defect that stopped the scan is reported"
-    );
 }

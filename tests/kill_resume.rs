@@ -4,11 +4,16 @@
 //! byte-identical (result and trace counters) to a run that was never
 //! interrupted.
 //!
+//! A kill can also land mid-append and leave a torn last record, so the
+//! resume must also hold for a journal that ends in part of a record or
+//! in a record whose checksum fails.
+//!
 //! The child is `src/bin/ckpt_harness.rs`; see its docs for the
 //! transcript format. `exec.steals` is scheduling-dependent and already
 //! excluded by the harness itself; everything else must match to the
 //! byte.
 
+use ams::ckpt::{parse_journal, CkptRecord, CkptStore};
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -126,4 +131,74 @@ fn double_crash_then_resume_is_still_identical() {
     let resumed = run_to_completion(&journal, 11);
     assert_eq!(resumed, reference);
     let _ = std::fs::remove_file(&journal);
+}
+
+/// Record `index` of `records` as a journal file holds it.
+fn record_bytes(records: &[CkptRecord], index: usize) -> Vec<u8> {
+    let image = |n: usize| {
+        let mut store = CkptStore::in_memory();
+        for r in &records[..n] {
+            store
+                .commit(&r.tag, r.payload.clone())
+                .expect("in-memory commit");
+        }
+        store.serialize()
+    };
+    let (before, after) = (image(index), image(index + 1));
+    after[before.len()..].to_vec()
+}
+
+#[test]
+fn torn_append_after_sigabrt_resumes_byte_identical() {
+    // The uninterrupted run's journal holds the record the aborted run
+    // was about to append.
+    let reference_journal = tmp_journal("torn_ref");
+    let reference = run_to_completion(&reference_journal, 13);
+    let full = parse_journal(&std::fs::read(&reference_journal).unwrap()).unwrap();
+    let _ = std::fs::remove_file(&reference_journal);
+
+    let crashed = tmp_journal("torn_abrt");
+    let status = harness()
+        .args(["--ckpt", crashed.to_str().unwrap()])
+        .args(["--seed", "13", "--gens", "8", "--abort-at-gen", "3"])
+        .status()
+        .expect("harness spawns");
+    assert!(!status.success(), "abort leg must die abnormally");
+    let crashed_bytes = std::fs::read(&crashed).unwrap();
+    let _ = std::fs::remove_file(&crashed);
+    let committed = parse_journal(&crashed_bytes)
+        .expect("the abort leaves whole records")
+        .len();
+    let next = record_bytes(&full, committed);
+
+    // Cuts inside the 14-byte prelude, the tag, the payload and the CRC.
+    let n = next.len();
+    let mut tails: Vec<(String, Vec<u8>)> = [1, 8, 13, 17, n / 2, n - 9, n - 1]
+        .into_iter()
+        .map(|k| (format!("first {k} of {n} bytes"), next[..k].to_vec()))
+        .collect();
+    let mut flipped = next.clone();
+    flipped[n - 3] ^= 0x10;
+    tails.push((
+        "a whole record with one CRC bit flipped".to_string(),
+        flipped,
+    ));
+
+    for (what, tail) in tails {
+        let journal = tmp_journal("torn");
+        let mut bytes = crashed_bytes.clone();
+        bytes.extend_from_slice(&tail);
+        std::fs::write(&journal, &bytes).unwrap();
+        let resumed = run_to_completion(&journal, 13);
+        assert_eq!(
+            resumed, reference,
+            "resume after a torn append ({what}) diverged from the uninterrupted run"
+        );
+        // The resumed run's first commit rewrote the tear away.
+        assert!(
+            CkptStore::open(&journal).is_ok(),
+            "journal left unparseable after resuming from {what}"
+        );
+        let _ = std::fs::remove_file(&journal);
+    }
 }
