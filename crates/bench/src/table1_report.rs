@@ -76,6 +76,11 @@ pub struct GridScalingRow {
     /// ladder). Measured by [`measure_grid_impedance`] in the full bench
     /// only; `None` (and left out of the JSON) in the quick report.
     pub impedance_s: Option<f64>,
+    /// Wall time of one transient of the grid with a spike train on its
+    /// core tap, the run `ams_rail::evaluate` makes. Measured by
+    /// [`measure_grid_transient`] up to [`GRID_TRANSIENT_MAX_N`]; `None`
+    /// (and left out of the JSON) above it.
+    pub tran_s: Option<f64>,
 }
 
 impl GridScalingRow {
@@ -123,18 +128,18 @@ impl GridScalingSample {
 
 /// Wall times and cache behaviour of the `parallel_speedup` phase.
 pub struct SpeedupSample {
-    /// Serial (1-worker) GA wall time, microseconds.
+    /// Cold serial (1-worker) GA wall time, microseconds.
     pub serial_us: u64,
-    /// 4-worker GA wall time, microseconds.
+    /// Cold 4-worker GA wall time, microseconds.
     pub par4_us: u64,
     /// Eval-cache hit rate of the cold serial run (within-run reuse only).
     pub cold_hit_rate: f64,
-    /// Eval-cache hit rate of the 4-worker run, warm-started from the
-    /// serial run's persisted cache — the headline persistence number.
+    /// Eval-cache hit rate of the warm leg, which reopens the serial run's
+    /// persisted cache — the headline persistence number.
     pub cache_hit_rate: f64,
     /// Cost-function evaluations per wall-second of the cold serial run.
     pub serial_evals_per_sec: f64,
-    /// Cost-function evaluations per wall-second of the warm 4-worker run.
+    /// Cost-function evaluations per wall-second of the cold 4-worker run.
     pub par4_evals_per_sec: f64,
     /// Hardware threads available on this host.
     pub hw_threads: usize,
@@ -314,6 +319,7 @@ pub fn measure_grid_scaling(
                 predicted_fill: structural.predicted_fill,
                 btf_blocks: structural.btf.as_ref().map_or(0, |b| b.num_blocks()),
                 impedance_s: None,
+                tran_s: None,
             });
         }
         ams_trace::counter_add("bench.grid.largest_unknowns", {
@@ -346,37 +352,87 @@ pub fn measure_grid_impedance(phases: &mut Vec<Phase>, grid: &mut GridScalingSam
     })
 }
 
+/// Largest grid side the `grid_transient` phase simulates.
+pub const GRID_TRANSIENT_MAX_N: usize = 64;
+
+/// The `grid_transient` phase: one transient of every `grid_scaling` grid
+/// up to [`GRID_TRANSIENT_MAX_N`], timed into the row's `tran_s`. Each
+/// grid gets one fixed spike train on its core tap, and the run is the one
+/// `ams_rail::evaluate` makes: two spike periods plus 2 ns at a 150th of
+/// the period. The DC point is solved before the phase starts, so the
+/// phase's counters are the transients' alone.
+pub fn measure_grid_transient(phases: &mut Vec<Phase>, grid: &mut GridScalingSample) {
+    const PERIOD: f64 = 5e-9;
+    let rows: Vec<&mut GridScalingRow> = grid
+        .rows
+        .iter_mut()
+        .filter(|r| r.n <= GRID_TRANSIENT_MAX_N)
+        .collect();
+    let circuits: Vec<_> = rows
+        .iter()
+        .map(|r| {
+            let mut spec = GridSpec::synthetic(r.n);
+            spec.taps[0].spike = Some((0.2, 0.2e-9, 0.5e-9, PERIOD));
+            PowerGrid::uniform(spec, 10e-6).to_circuit()
+        })
+        .collect();
+    let sessions: Vec<_> = circuits
+        .iter()
+        .map(|ckt| {
+            let ses = ams_sim::SimSession::new(ckt);
+            ses.op().expect("grid DC solve");
+            ses
+        })
+        .collect();
+    traced("grid_transient", phases, || {
+        for (row, ses) in rows.into_iter().zip(&sessions) {
+            let t0 = Instant::now();
+            let res = ses
+                .tran(2.0 * PERIOD + 2e-9, PERIOD / 150.0)
+                .expect("grid transient");
+            row.tran_s = Some(t0.elapsed().as_secs_f64());
+            assert!(res.times.len() > 300, "{0}×{0} transient too short", row.n);
+        }
+    })
+}
+
 /// The `parallel_speedup` phase: the same seeded GA topology-selection
-/// run on the simulation-backed Table 1 model, serial then at 4 workers.
-/// The model's per-candidate cost is a genuine DC-Newton + AC-sweep
-/// simulation, so the ratio measures the exec pool's scaling rather than
-/// closure overhead. `hw_threads` is recorded alongside: on a box with
-/// fewer than 4 hardware threads the extra workers time-slice one core
-/// and the measured ratio reflects that, not the engine.
+/// run on the simulation-backed Table 1 model, serial, at 4 workers, and
+/// warm. The model's per-candidate cost is a genuine DC-Newton + AC-sweep
+/// simulation, so the ratio of the two cold legs measures the exec pool's
+/// scaling rather than closure overhead. `hw_threads` is recorded
+/// alongside: on a box with fewer than 4 hardware threads the extra
+/// workers time-slice one core and the measured ratio reflects that, not
+/// the engine.
 ///
-/// Both legs share one on-disk eval cache (an explicit `Disk` policy, so
-/// the measurement never depends on the ambient `AMS_EVAL_CACHE`): the
-/// serial run starts cold and persists every computed cost at its
-/// generation boundaries; the 4-worker run warm-starts from that file.
-/// The warm leg's hit rate is the headline persistence number, and its
-/// champion must still be bit-identical to the cold one — a cached cost
-/// is the exact bits the same workload computes fresh.
+/// Every leg has an explicit `Disk` eval cache, so the measurement never
+/// depends on the ambient `AMS_EVAL_CACHE`. The serial and 4-worker legs
+/// each start cold on a fresh file of their own; the warm leg reopens the
+/// file the serial leg persisted at its generation boundaries, and its hit
+/// rate is the headline persistence number. Every leg's champion must be
+/// bit-identical to the serial one: a cached cost is the exact bits the
+/// same workload computes fresh.
 pub fn measure_parallel_speedup(phases: &mut Vec<Phase>, ga: &GaConfig) -> SpeedupSample {
     traced("parallel_speedup", phases, || {
         let model = SimulatedPulseDetectorModel::new(Technology::generic_1p2um());
         let models: [&dyn PerfModel; 1] = [&model];
-        let cache_path = std::env::temp_dir().join(format!(
-            "ams_bench_speedup_cache_{}.ckpt",
-            std::process::id()
-        ));
-        // A stale file from a crashed previous run would make the "cold"
-        // leg warm; start from a guaranteed-absent file.
-        let _ = std::fs::remove_file(&cache_path);
-        let ga = GaConfig {
-            eval_cache: ams_exec::EvalCachePolicy::Disk(cache_path.clone()),
-            ..ga.clone()
+        let cache_path = |leg: &str| {
+            std::env::temp_dir().join(format!(
+                "ams_bench_speedup_{leg}_{}.ckpt",
+                std::process::id()
+            ))
         };
-        let run = |threads: usize| {
+        let (serial_path, par4_path) = (cache_path("serial"), cache_path("par4"));
+        // A stale file from a crashed previous run would make a "cold"
+        // leg warm; start from guaranteed-absent files.
+        for path in [&serial_path, &par4_path] {
+            let _ = std::fs::remove_file(path);
+        }
+        let run = |threads: usize, path: &Path| {
+            let ga = GaConfig {
+                eval_cache: ams_exec::EvalCachePolicy::Disk(path.to_path_buf()),
+                ..ga.clone()
+            };
             ams_exec::set_threads(Some(threads));
             let hits0 = ams_trace::snapshot().counters;
             let t0 = Instant::now();
@@ -394,15 +450,20 @@ pub fn measure_parallel_speedup(phases: &mut Vec<Phase>, ga: &GaConfig) -> Speed
             let hit_rate = h as f64 / (h + m).max(1) as f64;
             (us, hit_rate, r)
         };
-        let (serial_us, cold_hit_rate, r1) = run(1);
-        let (par4_us, warm_hit_rate, r4) = run(4);
+        let (serial_us, cold_hit_rate, r1) = run(1, &serial_path);
+        let (par4_us, _, r4) = run(4, &par4_path);
+        let (_, warm_hit_rate, warm) = run(4, &serial_path);
         ams_exec::set_threads(None);
-        let _ = std::fs::remove_file(&cache_path);
+        for path in [&serial_path, &par4_path] {
+            let _ = std::fs::remove_file(path);
+        }
         // Determinism spot check: the champion must depend on neither the
         // worker count nor the cache warmth.
-        assert_eq!(r1.topology, r4.topology);
-        assert_eq!(r1.sizing.cost.to_bits(), r4.sizing.cost.to_bits());
-        assert_eq!(r1.sizing.params, r4.sizing.params);
+        for r in [&r4, &warm] {
+            assert_eq!(r1.topology, r.topology);
+            assert_eq!(r1.sizing.cost.to_bits(), r.sizing.cost.to_bits());
+            assert_eq!(r1.sizing.params, r.sizing.params);
+        }
         // The warm leg replays the serial leg's persisted work, so its hit
         // rate can only improve on the cold one.
         assert!(
@@ -538,7 +599,7 @@ impl Table1Report {
                 "\n    {{\"n\": {}, \"unknowns\": {}, \"dense_s\": {}, \"sparse_s\": {:.6}, \
                  \"refactor_s\": {:.6}, \"evals_per_sec\": {:.2}, \
                  \"fill_in\": {}, \"predicted_fill\": {}, \"fill_ratio\": {}, \
-                 \"btf_blocks\": {}{}}}",
+                 \"btf_blocks\": {}{}{}}}",
                 r.n,
                 r.unknowns,
                 r.dense_s.map_or("null".to_string(), |d| format!("{d:.6}")),
@@ -551,7 +612,9 @@ impl Table1Report {
                     .map_or("null".to_string(), |f| format!("{f:.4}")),
                 r.btf_blocks,
                 r.impedance_s
-                    .map_or(String::new(), |z| format!(", \"impedance_s\": {z:.6}"))
+                    .map_or(String::new(), |z| format!(", \"impedance_s\": {z:.6}")),
+                r.tran_s
+                    .map_or(String::new(), |t| format!(", \"tran_s\": {t:.6}"))
             );
         }
         json.push_str("\n  ],\n");
@@ -624,7 +687,8 @@ impl Table1Report {
 
 /// Collects a reduced ("quick") Table 1 report: the quick anneal budget,
 /// a small GA speedup sample, and grids up to 24×24 — from below the
-/// auto-sparse threshold to past it, all factored on the CSC kernel.
+/// auto-sparse threshold to past it, all factored on the CSC kernel — each
+/// with its transient.
 /// Runs in a few seconds and produces deterministic counters for a fixed
 /// build, which is what the `ams-report diff` self-check gate compares.
 pub fn collect_quick() -> Table1Report {
@@ -659,7 +723,8 @@ pub fn collect_quick() -> Table1Report {
             ..Default::default()
         },
     );
-    let grid = measure_grid_scaling(&mut phases, &[8, 12, 16, 24], 16);
+    let mut grid = measure_grid_scaling(&mut phases, &[8, 12, 16, 24], 16);
+    measure_grid_transient(&mut phases, &mut grid);
 
     let snap = ams_trace::snapshot();
     ams_trace::set_enabled(trace_was_on);

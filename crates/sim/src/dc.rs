@@ -20,7 +20,7 @@ use crate::backend::Backend;
 use crate::error::SimError;
 use crate::linalg::SingularMatrix;
 use crate::mna::{LinearNet, MnaLayout, Stamper};
-use crate::session::{RealSlot, SimSession};
+use crate::session::SimSession;
 use crate::sparse::Triplets;
 
 /// Maximum Newton iterations per homotopy stage.
@@ -449,7 +449,7 @@ fn newton(
         let solved = if fault::trip(FaultKind::LuPivot) {
             Err(SingularMatrix { pivot: 0 })
         } else {
-            ses.solve_stamped(st, RealSlot::Dc)
+            ses.solve_stamped(st)
         };
         let new_x = match solved.map_err(|e| resolve_singular(ckt, layout, e)) {
             Ok(v) => v,

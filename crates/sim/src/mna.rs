@@ -13,7 +13,9 @@ use crate::backend::Backend;
 use crate::csc::CscLu;
 use crate::error::SimError;
 use crate::linalg::{Lu, Matrix, Scalar, SingularMatrix};
-use crate::sparse::{factor_counted, solve_cached, BlockStructure, Triplets};
+use crate::sparse::{
+    count_refresh, factor_counted, solve_cached, BlockStructure, Refresh, Triplets,
+};
 
 /// Maps circuit nodes and voltage-defined branches to MNA unknown indices.
 #[derive(Debug, Clone)]
@@ -80,6 +82,9 @@ pub(crate) enum StamperMatrix<T> {
     /// Triplet list for the sparse backend; the push *sequence* is the
     /// pattern key that lets [`CscLu::refactor`] skip symbolic analysis.
     Sparse(Triplets<T>),
+    /// No matrix: matrix stamps are dropped, and only the right-hand side
+    /// is built, for a solve against a [`HeldFactor`].
+    RhsOnly,
 }
 
 /// An MNA system under construction: `A·x = z`, real for DC and transient,
@@ -120,6 +125,7 @@ impl<T: Scalar> Stamper<T> {
         match &mut self.a {
             StamperMatrix::Dense(m) => m[(i, j)] = m[(i, j)].add(v),
             StamperMatrix::Sparse(t) => t.push(i, j, v),
+            StamperMatrix::RhsOnly => {}
         }
     }
 
@@ -135,6 +141,7 @@ impl<T: Scalar> Stamper<T> {
         match self.a {
             StamperMatrix::Dense(m) => m.solve(&self.z),
             StamperMatrix::Sparse(t) => solve_cached(slot, &t, &self.z, btf),
+            StamperMatrix::RhsOnly => panic!("solve of a stamper that holds no matrix"),
         }
     }
 
@@ -148,6 +155,7 @@ impl<T: Scalar> Stamper<T> {
                 let lu = factor_counted(&t, None)?;
                 Ok(Factored::Sparse(t, Box::new(lu)))
             }
+            StamperMatrix::RhsOnly => panic!("factor of a stamper that holds no matrix"),
         }
     }
 
@@ -187,6 +195,76 @@ impl<T: Scalar> Factored<T> {
     }
 }
 
+/// A real system held across right-hand sides until its matrix is
+/// stamped again: the transient's system at one step size. Its solves give
+/// the bits a fresh stamp of the same matrix would. A dense re-stamp keeps
+/// an [`Lu`], whose solves agree with the one-shot elimination bit for
+/// bit. A sparse re-stamp keeps its triplets and refactors the held
+/// [`CscLu`] over its pivots while the pattern holds, as a factor slot does
+/// (see `solve_cached`), so a run factors afresh only at its first stamp.
+#[derive(Debug, Default)]
+pub(crate) struct HeldFactor(Option<Factored<f64>>);
+
+impl HeldFactor {
+    /// Stamps a new `dim × dim` system with `stamp` in place of the held
+    /// one, factors it on `backend` and solves its right-hand side. The
+    /// held matrix is released before the new one is stamped, and sparse
+    /// triplets are refilled in their own storage, so a re-stamp never
+    /// holds two matrices. After an error nothing is held.
+    pub(crate) fn restamp(
+        &mut self,
+        dim: usize,
+        backend: Backend,
+        stamp: &dyn Fn(&mut Stamper),
+    ) -> Result<Vec<f64>, SingularMatrix> {
+        let mut slot = None;
+        let mut st = match self.0.take() {
+            Some(Factored::Sparse(mut t, lu)) => {
+                t.clear();
+                slot = Some(*lu);
+                Stamper::over_triplets(t)
+            }
+            _ => Stamper::with_backend(dim, backend),
+        };
+        stamp(&mut st);
+        match st.a {
+            StamperMatrix::Dense(m) => {
+                let lu = m.lu()?;
+                let x = lu.solve(&st.z);
+                self.0 = Some(Factored::Dense(lu));
+                Ok(x)
+            }
+            StamperMatrix::Sparse(t) => {
+                let x = solve_cached(&mut slot, &t, &st.z, || None)?;
+                self.0 = slot.map(|lu| Factored::Sparse(t, Box::new(lu)));
+                Ok(x)
+            }
+            StamperMatrix::RhsOnly => unreachable!("a re-stamp always stamps a matrix"),
+        }
+    }
+
+    /// Stamps only a right-hand side with `stamp` and solves the held
+    /// matrix against it. A sparse solve counts as a kept factorization
+    /// (`sim.sparse.symbolic_reuse`, `sim.sparse.reuse`), as a re-stamp of
+    /// the same values would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if nothing is held.
+    pub(crate) fn solve(&self, dim: usize, stamp: &dyn Fn(&mut Stamper)) -> Vec<f64> {
+        let held = self
+            .0
+            .as_ref()
+            .expect("a held solve follows a successful re-stamp");
+        let mut rhs = Stamper::rhs_only(dim);
+        stamp(&mut rhs);
+        if matches!(held, Factored::Sparse(..)) {
+            count_refresh(Refresh::Reused);
+        }
+        held.solve(&rhs.z)
+    }
+}
+
 impl Stamper {
     /// Fresh zeroed dense system of dimension `dim`.
     pub fn new(dim: usize) -> Self {
@@ -196,6 +274,25 @@ impl Stamper {
     /// Fresh zeroed system of dimension `dim` on the given backend.
     pub fn with_backend(dim: usize, backend: Backend) -> Self {
         Stamper::over(vec![0.0; dim], backend)
+    }
+
+    /// A zeroed right-hand side of dimension `dim` with no matrix: the
+    /// same stamps build the same `z` bit for bit, for a solve against a
+    /// [`HeldFactor`].
+    fn rhs_only(dim: usize) -> Self {
+        Stamper {
+            a: StamperMatrix::RhsOnly,
+            z: vec![0.0; dim],
+        }
+    }
+
+    /// A sparse system stamped into the empty triplet list `t`.
+    fn over_triplets(t: Triplets<f64>) -> Self {
+        debug_assert!(t.is_empty(), "stamping over pushed triplets");
+        Stamper {
+            z: vec![0.0; t.dim()],
+            a: StamperMatrix::Sparse(t),
+        }
     }
 
     /// Stamps a conductance `g` between unknowns `i` and `j`
@@ -264,6 +361,7 @@ impl Stamper {
         match &self.a {
             StamperMatrix::Dense(m) => m.mul_vec(x),
             StamperMatrix::Sparse(t) => t.mul_vec(x),
+            StamperMatrix::RhsOnly => panic!("mul_vec of a stamper that holds no matrix"),
         }
     }
 
@@ -271,12 +369,12 @@ impl Stamper {
     ///
     /// # Panics
     ///
-    /// Panics when called on a sparse-backed stamper.
+    /// Panics when called on a stamper without a dense matrix.
     #[cfg(test)]
     fn into_dense(self) -> (Matrix, Vec<f64>) {
         match self.a {
             StamperMatrix::Dense(m) => (m, self.z),
-            StamperMatrix::Sparse(_) => panic!("into_dense on a sparse stamper"),
+            _ => panic!("into_dense on a non-dense stamper"),
         }
     }
 
@@ -285,11 +383,11 @@ impl Stamper {
     ///
     /// # Panics
     ///
-    /// Panics when called on a dense-backed stamper.
+    /// Panics when called on a stamper without triplets.
     pub(crate) fn into_triplets(self) -> (Triplets<f64>, Vec<f64>) {
         match self.a {
             StamperMatrix::Sparse(t) => (t, self.z),
-            StamperMatrix::Dense(_) => panic!("into_triplets on a dense stamper"),
+            _ => panic!("into_triplets on a non-sparse stamper"),
         }
     }
 }
@@ -528,6 +626,46 @@ mod tests {
         let (a, _) = st.into_dense();
         assert_eq!(a[(1, 1)], 2.0);
         assert_eq!(a[(0, 0)], 0.0);
+    }
+
+    #[test]
+    fn held_factor_solves_match_slot_solves_bitwise() {
+        // A divider with a branch, stamped into the held factor twice with
+        // different values; every re-stamp, and every right-hand side
+        // solved against the held matrix, must give the bits that stamping
+        // the full system and solving it through a factor slot gives.
+        let stamp = |g: f64| {
+            move |st: &mut Stamper| {
+                st.conductance(Some(0), Some(1), 1.0 / 3.0);
+                st.conductance(Some(1), None, g);
+                st.voltage_branch(2, Some(0), None, 1.5);
+            }
+        };
+        let bits = |x: Vec<f64>| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for backend in [Backend::Dense, Backend::Sparse] {
+            let mut slot = None;
+            let mut slot_solve = |f: &dyn Fn(&mut Stamper)| {
+                let mut st = Stamper::with_backend(3, backend);
+                f(&mut st);
+                bits(st.solve_in(&mut slot, || None).unwrap())
+            };
+            let mut held = HeldFactor::default();
+            for g in [0.7, 0.2] {
+                let x = held.restamp(3, backend, &stamp(g)).unwrap();
+                assert_eq!(bits(x), slot_solve(&stamp(g)), "{backend:?}: re-stamp");
+                for i in [-2e-3, 5e-3] {
+                    let rhs = |st: &mut Stamper| {
+                        stamp(g)(st);
+                        st.current_into(Some(1), i);
+                    };
+                    assert_eq!(
+                        bits(held.solve(3, &rhs)),
+                        slot_solve(&rhs),
+                        "{backend:?}: held solve at g = {g}, i = {i}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

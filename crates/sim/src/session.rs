@@ -2,11 +2,12 @@
 //!
 //! A session binds a circuit to one [`MnaLayout`] and one [`Backend`]
 //! choice, and carries every cache that makes repeated analyses cheap: the
-//! DC operating point, the linearized small-signal network, and the DC and
-//! transient factor slots its solves go through. On the sparse backend a
-//! slot turns each Newton iteration or timestep into a numeric
-//! refactorization instead of a full factorization, or into no
-//! factorization at all when the re-stamped values did not change.
+//! DC operating point, the linearized small-signal network, and the DC
+//! factor slot its Newton solves go through. On the sparse backend the
+//! slot turns each Newton iteration into a numeric refactorization instead
+//! of a full factorization, or into no factorization at all when the
+//! re-stamped values did not change. A transient run holds its own factor
+//! (see [`SimSession::tran`]).
 //!
 //! ```
 //! use ams_sim::SimSession;
@@ -42,17 +43,6 @@ use crate::noise::{self, NoiseResult};
 use crate::sparse::{BlockStructure, Triplets};
 use crate::tran::{self, TranResult};
 
-/// Which cached real factorization slot a solve belongs to. DC and
-/// transient stamps have different patterns (companion models add entries),
-/// so they reuse symbolic analyses independently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RealSlot {
-    /// DC Newton iterations (all homotopy rungs share one pattern).
-    Dc,
-    /// Transient companion-model solves.
-    Tran,
-}
-
 /// One circuit bound to a layout, a solver backend, and analysis caches.
 ///
 /// Create with [`SimSession::new`] (backend auto-selected by unknown count,
@@ -70,7 +60,6 @@ pub struct SimSession<'c> {
     op_cache: Mutex<Option<OpPoint>>,
     net_cache: Mutex<Option<Arc<LinearNet>>>,
     dc_lu: Mutex<Option<CscLu<f64>>>,
-    tran_lu: Mutex<Option<CscLu<f64>>>,
     structural: Mutex<Option<Arc<StructuralAnalysis>>>,
 }
 
@@ -97,7 +86,6 @@ impl<'c> SimSession<'c> {
             op_cache: Mutex::new(None),
             net_cache: Mutex::new(None),
             dc_lu: Mutex::new(None),
-            tran_lu: Mutex::new(None),
             structural: Mutex::new(None),
         }
     }
@@ -308,7 +296,9 @@ impl<'c> SimSession<'c> {
 
     /// Transient analysis from the (cached) DC operating point: trapezoidal
     /// integration with a backward-Euler start-up step and local step
-    /// halving, exactly as the standalone analysis ran it.
+    /// halving. The run holds its own factor: a circuit without a MOS is
+    /// factored only when the step size or the integrator changes, and
+    /// every other step solves one right-hand side against that factor.
     ///
     /// # Errors
     ///
@@ -337,27 +327,15 @@ impl<'c> SimSession<'c> {
         note_failure(noise::analyze(self.ckt, &op, &net, idx, freqs, temp_k))
     }
 
-    /// Solves the stamped system `A·x = z` against the slot's cached
-    /// factorization (used only on the sparse backend).
-    pub(crate) fn solve_stamped(
-        &self,
-        st: Stamper,
-        slot: RealSlot,
-    ) -> Result<Vec<f64>, SingularMatrix> {
-        let cache = match slot {
-            RealSlot::Dc => &self.dc_lu,
-            RealSlot::Tran => &self.tran_lu,
-        };
-        // A fresh DC factorization gets the analyzer's BTF permutation:
-        // the kernel nests its AMD order inside the block partition and
+    /// Solves a stamped DC Newton system `A·x = z` against the session's
+    /// cached DC factorization (used only on the sparse backend).
+    pub(crate) fn solve_stamped(&self, st: Stamper) -> Result<Vec<f64>, SingularMatrix> {
+        // A fresh factorization gets the analyzer's BTF permutation: the
+        // kernel nests its AMD order inside the block partition and
         // carries it as metadata. Cloned only when no factorization is
         // cached yet, and only when the structural pass already ran (the
-        // DC gate runs it before the first solve). The analyzer models the
-        // DC pattern, so the transient slot gets no hint.
-        st.solve_in(&mut cache.lock().unwrap(), || {
-            if slot != RealSlot::Dc {
-                return None;
-            }
+        // DC gate runs it before the first solve).
+        st.solve_in(&mut self.dc_lu.lock().unwrap(), || {
             let structural = self.structural.lock().unwrap();
             structural.as_ref().and_then(|a| a.btf.as_ref()).map(|b| {
                 Arc::new(BlockStructure {

@@ -14,10 +14,12 @@
 //!    points), only the numeric elimination repeats over the frozen
 //!    pattern; no symbolic analysis.
 //! 3. **Factor reuse** — when the re-stamped values are also bit-identical
-//!    to the ones the factors came from (a linear circuit's Newton
-//!    iterations, fixed-step transient on a linear grid), the elimination
-//!    would replay the same arithmetic on the same inputs, so it is
-//!    skipped and the cached factors serve the solve.
+//!    to the ones the factors came from (a linear circuit's DC Newton
+//!    iterations), the elimination would replay the same arithmetic on the
+//!    same inputs, so it is skipped and the cached factors serve the
+//!    solve. A linear transient does not re-stamp at all while its step
+//!    size holds: it stamps only the right-hand side and solves against
+//!    the factor it keeps.
 //!
 //! The kernel is generic over [`Scalar`] so one implementation serves the
 //! real analyses (DC, transient) and the complex ones (AC, noise), where
@@ -71,6 +73,13 @@ impl<T: Scalar> Triplets<T> {
     /// True when no entry has been pushed.
     pub fn is_empty(&self) -> bool {
         self.vals.is_empty()
+    }
+
+    /// Removes every entry, keeping the storage for the next stamp.
+    pub(crate) fn clear(&mut self) {
+        self.rows.clear();
+        self.cols.clear();
+        self.vals.clear();
     }
 
     /// Adds `v` at `(i, j)`. Zero values are kept: they hold a place in the
@@ -201,8 +210,10 @@ impl BlockStructure {
 /// `sim.sparse.fill_in` per fresh factorization, `sim.sparse.symbolic_reuse`
 /// per solve that skipped it, split into `sim.sparse.refactor` (a numeric
 /// refactor ran) and `sim.sparse.reuse` (served from unchanged factors).
-/// Every sparse solve in the crate funnels through here, via the
-/// stamper's one solve dispatch, so the counters stay consistent.
+/// Every sparse stamp the crate solves funnels through here, via the
+/// stamper's one solve dispatch or a transient's re-stamp, so the counters
+/// stay consistent; a transient's solve against its held factor counts as
+/// a kept one (see [`count_refresh`]).
 pub(crate) fn solve_cached<T: Scalar>(
     lu: &mut Option<CscLu<T>>,
     t: &Triplets<T>,
@@ -212,14 +223,7 @@ pub(crate) fn solve_cached<T: Scalar>(
     let hint = match lu.as_mut() {
         Some(f) => {
             if let Ok(refresh) = f.refactor(t) {
-                ams_trace::counter_add("sim.sparse.symbolic_reuse", 1);
-                ams_trace::counter_add(
-                    match refresh {
-                        Refresh::Reused => "sim.sparse.reuse",
-                        Refresh::Numeric => "sim.sparse.refactor",
-                    },
-                    1,
-                );
+                count_refresh(refresh);
                 return Ok(f.solve_refined(t, b));
             }
             // Pattern changed or the replayed pivots decayed: discard and
@@ -233,6 +237,20 @@ pub(crate) fn solve_cached<T: Scalar>(
     let x = f.solve_refined(t, b);
     *lu = Some(f);
     Ok(x)
+}
+
+/// Counts a solve that skipped symbolic analysis under
+/// `sim.sparse.symbolic_reuse`, and under `sim.sparse.reuse` or
+/// `sim.sparse.refactor` by how its factors were brought up to date.
+pub(crate) fn count_refresh(refresh: Refresh) {
+    ams_trace::counter_add("sim.sparse.symbolic_reuse", 1);
+    ams_trace::counter_add(
+        match refresh {
+            Refresh::Reused => "sim.sparse.reuse",
+            Refresh::Numeric => "sim.sparse.refactor",
+        },
+        1,
+    );
 }
 
 /// A fresh symbolic + numeric [`CscLu::factor`], counted under

@@ -4,10 +4,19 @@
 //! classic SPICE combination: A-stable, second-order accurate, and free of
 //! the artificial damping pure BE would add to ringing power-grid
 //! waveforms (experiment E4 relies on this). The step is fixed; a point
-//! where Newton fails is retried as two half steps. Each Newton iteration
-//! stamps the DC device table ([`stamp_device`]) and adds only the
-//! integrator companions of the capacitors, the inductors and the MOS
-//! charge pairs.
+//! where Newton fails is retried as two half steps. A stamp is the DC
+//! device table ([`stamp_device`]) plus only the integrator companions of
+//! the capacitors, the inductors and the MOS charge pairs.
+//!
+//! The run holds the factor of the last matrix it stamped. A MOS is the
+//! one device whose stamp and charges read the iterate, so a circuit with
+//! one re-stamps the full matrix at every Newton iteration. Any other
+//! circuit's matrix depends only on the step size and the integrator: it
+//! is stamped and refactored only when one of them changes (the first
+//! trapezoidal step, a halving, the shortened last step), and every other
+//! step stamps only its right-hand side and solves it against the held
+//! factor. That system does not read the iterate either, so each step
+//! solves it once and repeats only the damped update.
 
 use ams_guard::budget;
 use ams_guard::fault::{self, FaultKind};
@@ -15,8 +24,9 @@ use ams_netlist::{Circuit, Device};
 
 use crate::dc::{damped_update, stamp_device, MosBias};
 use crate::error::SimError;
-use crate::mna::{MnaLayout, Stamper};
-use crate::session::{RealSlot, SimSession};
+use crate::linalg::SingularMatrix;
+use crate::mna::{HeldFactor, MnaLayout, Stamper};
+use crate::session::SimSession;
 
 const MAX_ITER: usize = 60;
 const VNTOL: f64 = 1e-6;
@@ -105,6 +115,8 @@ struct TranStats {
     newton_iters: u64,
     /// Newton solves that failed and triggered a retry.
     rejected: u64,
+    /// Linear solves that ran, against a fresh or a held factor.
+    solves: u64,
 }
 
 /// A capacitance held constant over a step, with its integration state.
@@ -288,31 +300,40 @@ pub(crate) fn run(ses: &SimSession<'_>, tstop: f64, dt: f64) -> Result<TranResul
         ));
     }
     let _span = ams_trace::span("sim.transient");
-    let mut stats = TranStats::default();
     let op = ses.op()?;
     let layout = ses.layout().clone();
-    let mut state = State::new(ses.circuit(), &layout, op.x);
+    let mut run = Run {
+        ses,
+        state: State::new(ses.circuit(), &layout, op.x),
+        held: HeldFactor::default(),
+        held_step: None,
+        nonlinear: ses
+            .circuit()
+            .devices()
+            .any(|(_, dev)| matches!(dev, Device::Mos(_))),
+        stats: TranStats::default(),
+    };
 
     let mut times = vec![0.0];
-    let mut solutions = vec![state.x.clone()];
+    let mut solutions = vec![run.state.x.clone()];
     let mut t = 0.0;
     let mut first_step = true;
 
     while t < tstop - 1e-15 {
         let step = dt.min(tstop - t);
-        t = match advance(ses, &mut state, t, step, first_step, 0, &mut stats) {
+        t = match run.advance(t, step, first_step, 0) {
             Ok(t_next) => t_next,
             Err(e) => {
-                flush_stats(&stats);
+                flush_stats(&run.stats);
                 return Err(e);
             }
         };
         first_step = false;
         times.push(t);
-        solutions.push(state.x.clone());
+        solutions.push(run.state.x.clone());
     }
 
-    flush_stats(&stats);
+    flush_stats(&run.stats);
     Ok(TranResult {
         times,
         solutions,
@@ -325,48 +346,132 @@ fn flush_stats(stats: &TranStats) {
     ams_trace::counter_add("sim.tran_step_halvings", stats.halvings);
     ams_trace::counter_add("sim.tran_newton_iters", stats.newton_iters);
     ams_trace::counter_add("sim.tran_newton_rejects", stats.rejected);
-    // `sim.lu_factors` counts Newton linear solves: one per transient
-    // iteration, whether the sparse kernel factored, refactored or kept
-    // its factors (the `sim.sparse.*` counters split those).
-    ams_trace::counter_add("sim.lu_factors", stats.newton_iters);
-    ams_trace::counter_add("sim.lu_solves", stats.newton_iters);
+    // `sim.lu_factors` counts linear solves, as in DC: one per Newton
+    // iteration of a circuit with a MOS, one per step attempt of a linear
+    // one, whether the held factor was refactored or kept (the
+    // `sim.sparse.*` counters split those).
+    ams_trace::counter_add("sim.lu_factors", stats.solves);
+    ams_trace::counter_add("sim.lu_solves", stats.solves);
 }
 
-/// Advances `state` by one (possibly recursively halved) timestep and
-/// returns the new time. A failure aborts the whole run, so a rejected
-/// step needs no rollback: only accepted steps commit.
-fn advance(
-    ses: &SimSession<'_>,
-    state: &mut State,
-    t: f64,
-    h: f64,
-    use_be: bool,
-    depth: usize,
-    stats: &mut TranStats,
-) -> Result<f64, SimError> {
-    let t_new = t + h;
-    state.refresh(ses.circuit(), ses.layout());
-    let iters_before = stats.newton_iters;
-    match newton_step(ses, state, t_new, h, use_be, &mut stats.newton_iters) {
-        Ok(new_x) => {
-            stats.accepted += 1;
-            tran_step_event(t_new, h, true, stats.newton_iters - iters_before);
-            state.commit(new_x, h, use_be);
-            Ok(t_new)
+/// One transient run: the state at t_n, the factor the run holds, and
+/// its tallies.
+struct Run<'r, 'c> {
+    ses: &'r SimSession<'c>,
+    state: State,
+    /// Factor of the last matrix stamped.
+    held: HeldFactor,
+    /// Step size (bits) and integrator the held matrix was stamped for;
+    /// `None` before the first stamp and after a failed one.
+    held_step: Option<(u64, bool)>,
+    /// Whether the circuit has a MOS, the one device whose stamp and
+    /// charges read the iterate: then every Newton iteration re-stamps.
+    nonlinear: bool,
+    stats: TranStats,
+}
+
+impl Run<'_, '_> {
+    /// Advances the state by one (possibly recursively halved) timestep
+    /// and returns the new time. A failure aborts the whole run, so a
+    /// rejected step needs no rollback: only accepted steps commit.
+    fn advance(&mut self, t: f64, h: f64, use_be: bool, depth: usize) -> Result<f64, SimError> {
+        let t_new = t + h;
+        if self.nonlinear {
+            self.state.refresh(self.ses.circuit(), self.ses.layout());
         }
-        Err(_) if depth < MAX_HALVINGS => {
-            stats.rejected += 1;
-            stats.halvings += 1;
-            tran_step_event(t_new, h, false, stats.newton_iters - iters_before);
-            // Halve: two sub-steps, BE on the first half for damping.
-            let t1 = advance(ses, state, t, h / 2.0, true, depth + 1, stats)?;
-            advance(ses, state, t1, h / 2.0, false, depth + 1, stats)
+        let iters_before = self.stats.newton_iters;
+        match self.newton_step(t_new, h, use_be) {
+            Ok(new_x) => {
+                self.stats.accepted += 1;
+                tran_step_event(t_new, h, true, self.stats.newton_iters - iters_before);
+                self.state.commit(new_x, h, use_be);
+                Ok(t_new)
+            }
+            Err(_) if depth < MAX_HALVINGS => {
+                self.stats.rejected += 1;
+                self.stats.halvings += 1;
+                tran_step_event(t_new, h, false, self.stats.newton_iters - iters_before);
+                // Halve: two sub-steps, BE on the first half for damping.
+                let t1 = self.advance(t, h / 2.0, true, depth + 1)?;
+                self.advance(t1, h / 2.0, false, depth + 1)
+            }
+            Err(e) => {
+                self.stats.rejected += 1;
+                tran_step_event(t_new, h, false, self.stats.newton_iters - iters_before);
+                Err(e)
+            }
         }
-        Err(e) => {
-            stats.rejected += 1;
-            tran_step_event(t_new, h, false, stats.newton_iters - iters_before);
-            Err(e)
+    }
+
+    /// Newton solve at one time point. A linear step's system does not
+    /// read the iterate, so it is solved once and the later iterations
+    /// repeat only the damped update against that solution.
+    fn newton_step(&mut self, t_new: f64, h: f64, use_be: bool) -> Result<Vec<f64>, SimError> {
+        // Injection site: fail this step's Newton solve so the caller
+        // enters its step-halving recovery path (and, past MAX_HALVINGS,
+        // its error path) exactly as a genuinely stiff point would.
+        if fault::trip(FaultKind::TranHalving) {
+            return Err(SimError::NoConvergence {
+                analysis: "tran",
+                iterations: MAX_ITER,
+            });
         }
+        let n_signal = self.ses.layout().n_signal_nodes();
+        let mut x = self.state.x.clone();
+        let mut new_x = Vec::new();
+        for iter in 0..MAX_ITER {
+            self.stats.newton_iters += 1;
+            let _ = budget::charge_newton(1);
+            if iter == 0 || self.nonlinear {
+                new_x = self
+                    .solve(&x, t_new, h, use_be)
+                    .map_err(SimError::Singular)?;
+            }
+            let (converged, _) = damped_update(&mut x, &new_x, n_signal, MAX_STEP, VNTOL, RELTOL);
+            if x.iter().any(|v| !v.is_finite()) {
+                break;
+            }
+            if converged {
+                return Ok(x);
+            }
+        }
+        Err(SimError::NoConvergence {
+            analysis: "tran",
+            iterations: MAX_ITER,
+        })
+    }
+
+    /// Solves the system at iterate `x`: the DC device stamps plus the
+    /// integrator companions. The matrix is stamped and factored only when
+    /// the circuit has a MOS or the step differs from the held one;
+    /// otherwise only the right-hand side is stamped and solved against
+    /// the held factor, which gives the same bits.
+    fn solve(
+        &mut self,
+        x: &[f64],
+        t_new: f64,
+        h: f64,
+        use_be: bool,
+    ) -> Result<Vec<f64>, SingularMatrix> {
+        let (ckt, layout) = (self.ses.circuit(), self.ses.layout());
+        let react = &self.state.react;
+        let stamp = |st: &mut Stamper| {
+            for (k, ((_, dev), r)) in ckt.devices().zip(react).enumerate() {
+                stamp_device(layout, k, dev, x, |w| w.value_at(t_new), st);
+                r.stamp(h, use_be, st);
+            }
+        };
+        self.stats.solves += 1;
+        let step = Some((h.to_bits(), use_be));
+        if !self.nonlinear && self.held_step == step {
+            return Ok(self.held.solve(layout.dim(), &stamp));
+        }
+        self.held_step = None;
+        let new_x = self
+            .held
+            .restamp(layout.dim(), self.ses.backend(), &stamp)?;
+        self.held_step = step;
+        Ok(new_x)
     }
 }
 
@@ -378,59 +483,6 @@ fn tran_step_event(time_s: f64, dt_s: f64, accepted: bool, newton_iters: u64) {
         accepted,
         newton_iters,
     });
-}
-
-/// Newton solve at one time point: the DC device stamps plus the
-/// integrator companions.
-fn newton_step(
-    ses: &SimSession<'_>,
-    state: &State,
-    t_new: f64,
-    h: f64,
-    use_be: bool,
-    iters: &mut u64,
-) -> Result<Vec<f64>, SimError> {
-    // Injection site: fail this step's Newton solve so the caller enters
-    // its step-halving recovery path (and, past MAX_HALVINGS, its error
-    // path) exactly as a genuinely stiff point would.
-    if fault::trip(FaultKind::TranHalving) {
-        return Err(SimError::NoConvergence {
-            analysis: "tran",
-            iterations: MAX_ITER,
-        });
-    }
-    let (ckt, layout) = (ses.circuit(), ses.layout());
-    let mut x = state.x.clone();
-    for _ in 0..MAX_ITER {
-        *iters += 1;
-        let _ = budget::charge_newton(1);
-        let mut st = Stamper::with_backend(layout.dim(), ses.backend());
-        for (k, ((_, dev), r)) in ckt.devices().zip(&state.react).enumerate() {
-            stamp_device(layout, k, dev, &x, |w| w.value_at(t_new), &mut st);
-            r.stamp(h, use_be, &mut st);
-        }
-        let new_x = ses
-            .solve_stamped(st, RealSlot::Tran)
-            .map_err(SimError::Singular)?;
-        let (converged, _) = damped_update(
-            &mut x,
-            &new_x,
-            layout.n_signal_nodes(),
-            MAX_STEP,
-            VNTOL,
-            RELTOL,
-        );
-        if x.iter().any(|v| !v.is_finite()) {
-            break;
-        }
-        if converged {
-            return Ok(x);
-        }
-    }
-    Err(SimError::NoConvergence {
-        analysis: "tran",
-        iterations: MAX_ITER,
-    })
 }
 
 #[cfg(test)]
