@@ -10,7 +10,9 @@
 //! The path never holds a header-less file. The first commit of a
 //! [`CkptStore::create`]d or salvaged store writes the whole journal with
 //! the classic recipe (temp file in the same directory, `fsync`, atomic
-//! `rename`) and keeps the renamed file open for the appends that follow.
+//! `rename`, then on Unix an `fsync` of the directory, so the new name
+//! survives a power loss) and keeps the renamed file open for the appends
+//! that follow.
 //! A failed write or sync drops that handle, and the next commit rewrites
 //! the whole journal the same way.
 //!
@@ -386,11 +388,13 @@ impl CkptStore {
     /// journal file the commit encodes only the new record, appends it and
     /// syncs it (`sync_data`). Otherwise (the first commit of a created or
     /// salvaged store, or the one after a failed write) it writes the whole
-    /// journal to `<path>.tmp`, `fsync`s, renames it over `path` and keeps
-    /// the renamed file open for later appends. On any i/o failure the
-    /// record is still appended in memory, the file handle is dropped, and
-    /// the error is returned so the caller can decide whether to continue
-    /// without durability.
+    /// journal to `<path>.tmp`, `fsync`s, renames it over `path`, syncs the
+    /// directory on Unix so the journal's name is as durable as its bytes,
+    /// and keeps the renamed file open for later appends. On any i/o
+    /// failure, a failed directory sync included, the record is still
+    /// appended in memory, the file handle is dropped, and the error is
+    /// returned so the caller can decide whether to continue without
+    /// durability.
     pub fn commit(&mut self, tag: &str, payload: Vec<u8>) -> Result<(), CkptError> {
         assert!(tag.len() <= MAX_TAG, "checkpoint tag exceeds MAX_TAG");
         let seq = self.records.len() as u64;
@@ -503,7 +507,8 @@ fn io_err(op: &'static str) -> impl FnOnce(std::io::Error) -> CkptError {
     }
 }
 
-/// Writes `bytes` to `<path>.tmp`, `fsync`s and renames it over `path`;
+/// Writes `bytes` to `<path>.tmp`, `fsync`s and renames it over `path`,
+/// then syncs the directory so the new name survives a power loss;
 /// returns the renamed file, still open at its end.
 fn write_atomic(path: &Path, bytes: &[u8]) -> Result<fs::File, CkptError> {
     let tmp = tmp_path(path);
@@ -511,7 +516,29 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<fs::File, CkptError> {
     f.write_all(bytes).map_err(io_err("write"))?;
     f.sync_all().map_err(io_err("sync"))?;
     fs::rename(&tmp, path).map_err(io_err("rename"))?;
+    sync_dir(path)?;
     Ok(f)
+}
+
+/// Syncs the directory that holds `path`, making a rename into it
+/// durable: until then, a power loss may take the new name, and every
+/// record appended behind it, with it.
+#[cfg(unix)]
+fn sync_dir(path: &Path) -> Result<(), CkptError> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(io_err("sync_dir"))
+}
+
+/// Directory handles cannot be synced through `std` off Unix; the rename
+/// is as durable as the platform makes it.
+#[cfg(not(unix))]
+fn sync_dir(_path: &Path) -> Result<(), CkptError> {
+    Ok(())
 }
 
 fn tmp_path(path: &Path) -> PathBuf {
@@ -823,6 +850,19 @@ mod tests {
         assert_ne!(crc64(b"a"), crc64(b"b"));
         let x = crc64(b"checkpoint");
         assert_eq!(x, crc64(b"checkpoint"));
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_directory_that_cannot_be_synced_is_a_structured_error() {
+        let path = std::env::temp_dir()
+            .join(format!("ams_ckpt_no_such_dir_{}", std::process::id()))
+            .join("journal");
+        match sync_dir(&path) {
+            Err(CkptError::Io { op, .. }) => assert_eq!(op, "sync_dir"),
+            other => panic!("expected a sync_dir i/o error, got {other:?}"),
+        }
+        assert!(sync_dir(&tmp("dir_sync")).is_ok());
     }
 
     #[test]

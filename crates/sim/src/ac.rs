@@ -4,10 +4,23 @@
 //! network comes from [`linearize`](crate::linearize) at a DC operating
 //! point. This is the "full simulation" reference that the AWE macromodel
 //! in `ams-awe` is benchmarked against (experiment E7).
+//!
+//! Every sweep is an [`AcScan`]: an iterator that solves one frequency
+//! each time it is asked, in the order the caller gives, in one system
+//! buffer it restamps at every point. [`SimSession::ac`] collects a scan
+//! over an ascending list; a reading that needs only some points (the
+//! highest frequency above a line, say) walks the scan and drops it once
+//! it has its answer, and the points it never asked for cost nothing.
+//!
+//! [`SimSession::ac`]: crate::SimSession::ac
 
+use std::sync::Arc;
+
+use crate::csc::CscLu;
 use crate::error::SimError;
 use crate::linalg::Complex;
 use crate::mna::{LinearNet, Stamper};
+use crate::session::note_failure;
 
 /// Result of an AC sweep at one output unknown.
 #[derive(Debug, Clone)]
@@ -122,6 +135,13 @@ pub(crate) fn complex_system(
     rhs: Vec<Complex>,
 ) -> Stamper<Complex> {
     let mut st = Stamper::over(rhs, net.backend());
+    stamp_pattern(net, s, transposed, &mut st);
+    st
+}
+
+/// Adds `G + sC` over the net's assembled pattern into `st`'s matrix, in
+/// the pattern's row-major order.
+fn stamp_pattern(net: &LinearNet, s: Complex, transposed: bool, st: &mut Stamper<Complex>) {
     for e in net.pattern() {
         let v = Complex::real(e.g) + s * e.c;
         if transposed {
@@ -130,7 +150,6 @@ pub(crate) fn complex_system(
             st.add(e.row, e.col, v);
         }
     }
-    st
 }
 
 /// A real excitation vector as a complex right-hand side.
@@ -157,29 +176,65 @@ pub fn solve_at(net: &LinearNet, s: Complex, excitation: &[f64]) -> Result<Vec<C
     Ok(complex_system(net, s, false, complex_rhs(excitation)).solve()?)
 }
 
-/// Runs an AC sweep and extracts one output unknown — the engine behind
-/// [`crate::SimSession::ac`]. On the sparse backend the pattern is factored
-/// symbolically at the first frequency and numerically refactored at every
-/// later one.
-pub(crate) fn sweep_net(
-    net: &LinearNet,
-    out_index: usize,
-    freqs: &[f64],
-) -> Result<AcSweep, SimError> {
-    if freqs.is_empty() {
-        return Err(SimError::BadParameter("empty frequency list".into()));
+/// A lazy AC sweep of one output unknown: each [`Iterator::next`] solves
+/// `(G + jωC)·x = b` at the next frequency the caller's list gives and
+/// yields that frequency with the output's complex value. Made by
+/// [`SimSession::ac_scan`](crate::SimSession::ac_scan).
+///
+/// The scan keeps one system buffer for all its points. On the dense
+/// backend that is one matrix, zeroed, stamped and eliminated in place at
+/// every point, so each value has the bits a fresh solve at that
+/// frequency gives, whatever the order. On the sparse backend the
+/// triplets are refilled in their own storage and solved against the
+/// scan's factor slot: the first point is factored symbolically and every
+/// later one refactored numerically over its pivot order, so values
+/// depend on the order in the last bits. Each point it stamps and solves
+/// bumps the `sim.ac_points` counter; a failed solve yields
+/// [`SimError::Singular`], recorded in the forensics slot, and the scan
+/// can go on to the next point.
+#[derive(Debug)]
+pub struct AcScan<I> {
+    net: Arc<LinearNet>,
+    out: usize,
+    freqs: I,
+    system: Stamper<Complex>,
+    lu: Option<CscLu<Complex>>,
+}
+
+impl<I: Iterator<Item = f64>> AcScan<I> {
+    /// A scan of unknown `out` of `net` over `freqs`.
+    pub(crate) fn new(net: Arc<LinearNet>, out: usize, freqs: I) -> Self {
+        let system = Stamper::over(vec![Complex::ZERO; net.dim()], net.backend());
+        AcScan {
+            net,
+            out,
+            freqs,
+            system,
+            lu: None,
+        }
     }
-    let mut lu = None;
-    let mut values = Vec::with_capacity(freqs.len());
-    for &f in freqs {
+}
+
+impl<I: Iterator<Item = f64>> Iterator for AcScan<I> {
+    type Item = Result<(f64, Complex), SimError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let f = self.freqs.next()?;
+        ams_trace::counter_add("sim.ac_points", 1);
         let s = Complex::new(0.0, 2.0 * std::f64::consts::PI * f);
-        let st = complex_system(net, s, false, complex_rhs(&net.b));
-        values.push(st.solve_in(&mut lu, || None)?[out_index]);
+        let st = &mut self.system;
+        st.clear();
+        stamp_pattern(&self.net, s, false, st);
+        for (z, &b) in st.z.iter_mut().zip(&self.net.b) {
+            *z = Complex::real(b);
+        }
+        let solved = st.solve_in_place(&mut self.lu, || None);
+        Some(note_failure(
+            solved
+                .map(|()| (f, st.z[self.out]))
+                .map_err(SimError::Singular),
+        ))
     }
-    Ok(AcSweep {
-        freqs: freqs.to_vec(),
-        values,
-    })
 }
 
 #[cfg(test)]
@@ -282,9 +337,8 @@ mod tests {
         let freqs = log_frequencies(1.0, 1e6, 31);
         let [d, s] = [Backend::Dense, Backend::Sparse].map(|backend| {
             let ses = SimSession::with_backend(&ckt, backend);
-            let net = ses.linearize().unwrap();
-            assert_eq!(net.backend(), backend);
-            sweep_net(&net, ses.output_index("out").unwrap(), &freqs).unwrap()
+            assert_eq!(ses.linearize().unwrap().backend(), backend);
+            ses.ac("out", &freqs).unwrap()
         });
         for (a, b) in d.values.iter().zip(&s.values) {
             assert!((*a - *b).abs() < 1e-9, "dense {a:?} vs sparse {b:?}");

@@ -16,7 +16,8 @@
 //!
 //! * [`SimSession::op`] — Newton–Raphson DC with gmin and source
 //!   stepping, then seeded perturbed restarts: one convergence ladder.
-//! * [`SimSession::ac`] — small-signal frequency response by node name.
+//! * [`SimSession::ac`] — small-signal frequency response by node name;
+//!   [`SimSession::ac_scan`] solves its points lazily, in the caller's order.
 //! * [`SimSession::tran`] — trapezoidal integration with step halving.
 //! * [`SimSession::noise`] — output-referred noise PSD and integrated rms.
 //!
@@ -65,7 +66,7 @@ mod session;
 pub mod sparse;
 mod tran;
 
-pub use ac::{log_frequencies, solve_at, AcSweep};
+pub use ac::{log_frequencies, solve_at, AcScan, AcSweep};
 pub use backend::Backend;
 pub use batch::{BatchBindError, BatchSession};
 pub use csc::CscLu;

@@ -320,7 +320,8 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Solves `A x = b` once, consuming the matrix: the right-hand side
-    /// rides through the elimination, so no permutation is kept.
+    /// rides through the elimination, so no permutation is kept. A
+    /// wrapper over [`Matrix::solve_in_place`].
     ///
     /// # Errors
     ///
@@ -330,15 +331,38 @@ impl<T: Scalar> Matrix<T> {
     ///
     /// Panics if `b.len()` does not match the dimension.
     pub fn solve(mut self, b: &[T]) -> Result<Vec<T>, SingularMatrix> {
-        assert_eq!(b.len(), self.n_rows, "dimension mismatch");
         let mut x = b.to_vec();
-        self.eliminate(&mut x, |_, _| {})?;
-        self.back_substitute(&mut x);
+        self.solve_in_place(&mut x)?;
         Ok(x)
     }
 
+    /// Solves `A x = b` in place: `x` holds `b` on entry and the solution
+    /// on success. The matrix is overwritten by its factors, so a caller
+    /// that solves one system after another in the same storage zeroes
+    /// it ([`Matrix::fill_zero`]) and stamps it again in between.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SingularMatrix`] when a pivot underflows; `x` and the
+    /// matrix then hold partial elimination results.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` does not match the dimension.
+    pub fn solve_in_place(&mut self, x: &mut [T]) -> Result<(), SingularMatrix> {
+        assert_eq!(x.len(), self.n_rows, "dimension mismatch");
+        self.eliminate(x, |_, _| {})?;
+        self.back_substitute(x);
+        Ok(())
+    }
+
+    /// Sets every entry to zero, keeping the storage.
+    pub fn fill_zero(&mut self) {
+        self.data.fill(T::ZERO);
+    }
+
     /// The one elimination loop behind [`Matrix::lu`] and
-    /// [`Matrix::solve`]: partial pivoting on [`Scalar::pivot_key`],
+    /// [`Matrix::solve_in_place`]: partial pivoting on [`Scalar::pivot_key`],
     /// leaving the unit-lower multipliers below the diagonal and `U` on and
     /// above it. Row exchanges and row updates are replayed on `rhs` when
     /// it is non-empty; `swapped(k, p)` hears every exchange.

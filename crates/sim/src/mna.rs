@@ -134,15 +134,44 @@ impl<T: Scalar> Stamper<T> {
     /// holds, see `solve_cached`). `btf` supplies the structural block
     /// partition when a fresh sparse factorization needs one.
     pub(crate) fn solve_in(
-        self,
+        mut self,
         slot: &mut Option<CscLu<T>>,
         btf: impl FnOnce() -> Option<Arc<BlockStructure>>,
     ) -> Result<Vec<T>, SingularMatrix> {
-        match self.a {
-            StamperMatrix::Dense(m) => m.solve(&self.z),
-            StamperMatrix::Sparse(t) => solve_cached(slot, &t, &self.z, btf),
+        self.solve_in_place(slot, btf)?;
+        Ok(self.z)
+    }
+
+    /// [`Stamper::solve_in`] without giving the storage up: `z` holds the
+    /// solution on success. A dense matrix is eliminated where it stands,
+    /// so it holds factors, not the stamped values, until the next
+    /// [`Stamper::clear`].
+    pub(crate) fn solve_in_place(
+        &mut self,
+        slot: &mut Option<CscLu<T>>,
+        btf: impl FnOnce() -> Option<Arc<BlockStructure>>,
+    ) -> Result<(), SingularMatrix> {
+        match &mut self.a {
+            StamperMatrix::Dense(m) => m.solve_in_place(&mut self.z),
+            StamperMatrix::Sparse(t) => {
+                self.z = solve_cached(slot, t, &self.z, btf)?;
+                Ok(())
+            }
             StamperMatrix::RhsOnly => panic!("solve of a stamper that holds no matrix"),
         }
+    }
+
+    /// Zeroes the matrix and the right-hand side for the next stamp,
+    /// keeping their storage: a dense matrix is filled with zeros and the
+    /// sparse triplets are emptied, as a fresh stamper of the same
+    /// backend would start.
+    pub(crate) fn clear(&mut self) {
+        match &mut self.a {
+            StamperMatrix::Dense(m) => m.fill_zero(),
+            StamperMatrix::Sparse(t) => t.clear(),
+            StamperMatrix::RhsOnly => {}
+        }
+        self.z.fill(T::ZERO);
     }
 
     /// Factors `A` on this stamper's backend and keeps the factor for any

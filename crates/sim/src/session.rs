@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex};
 use ams_lint::StructuralAnalysis;
 use ams_netlist::Circuit;
 
-use crate::ac::{sweep_net, AcSweep};
+use crate::ac::{AcScan, AcSweep};
 use crate::backend::Backend;
 use crate::csc::CscLu;
 use crate::dc::{self, OpPoint};
@@ -276,9 +276,11 @@ impl<'c> SimSession<'c> {
         Ok(net)
     }
 
-    /// AC sweep of the named output node over `freqs`. On the sparse
-    /// backend the `G + jωC` pattern is factored symbolically once and
-    /// refactored numerically at each subsequent frequency point.
+    /// AC sweep of the named output node over `freqs`: the ascending
+    /// [`collect`](Iterator::collect) of [`ac_scan`](SimSession::ac_scan)
+    /// over the list. On the sparse backend the `G + jωC` pattern is
+    /// factored symbolically at the first point and refactored
+    /// numerically at each later one.
     ///
     /// # Errors
     ///
@@ -287,11 +289,71 @@ impl<'c> SimSession<'c> {
     /// * Any error from [`op`](SimSession::op), or
     ///   [`SimError::Singular`] at a frequency point.
     pub fn ac(&self, out: &str, freqs: &[f64]) -> Result<AcSweep, SimError> {
+        // The scan linearizes and resolves `out` first, so a bias or node
+        // error is reported ahead of an empty list.
+        let scan = self.ac_scan(out, freqs.iter().copied())?;
+        if freqs.is_empty() {
+            return note_failure(Err(SimError::BadParameter("empty frequency list".into())));
+        }
+        let values = scan
+            .map(|point| point.map(|(_, v)| v))
+            .collect::<Result<_, _>>()?;
+        Ok(AcSweep {
+            freqs: freqs.to_vec(),
+            values,
+        })
+    }
+
+    /// A lazy AC sweep of the named output node: an [`AcScan`] that
+    /// solves each frequency of `freqs` only when asked, in the order
+    /// given, and yields `(frequency, value)`. A caller that needs only
+    /// some points walks the scan as far as it must and drops it; the
+    /// points it never reached are never stamped or solved. Each solved
+    /// point counts under `sim.ac_points`. On the dense backend a point's
+    /// value has the same bits in any order and in
+    /// [`ac`](SimSession::ac); on the sparse backend the first point sets
+    /// the factor's pivot order, so values agree with `ac`'s to roundoff.
+    ///
+    /// ```
+    /// use ams_sim::{log_frequencies, SimSession};
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let ckt = ams_netlist::parse_deck("
+    ///     Vin in 0 DC 0 AC 1
+    ///     R1 in out 1k
+    ///     C1 out 0 1n
+    /// ")?;
+    /// let freqs = log_frequencies(1.0, 1e9, 61);
+    /// // The highest frequency still within 3 dB of the 1 V input: a scan
+    /// // from the top stops at the first point at or above the line.
+    /// let mut corner = None;
+    /// for point in SimSession::new(&ckt).ac_scan("out", freqs.iter().rev().copied())? {
+    ///     let (f, v) = point?;
+    ///     if v.abs() >= std::f64::consts::FRAC_1_SQRT_2 {
+    ///         corner = Some(f);
+    ///         break;
+    ///     }
+    /// }
+    /// assert!(corner.is_some_and(|f| f > 1e5 && f < 2e5));
+    /// # Ok(())
+    /// # }
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// * [`SimError::UnknownNode`] — `out` does not name a non-ground node.
+    /// * Any error from [`op`](SimSession::op). A point's
+    ///   [`SimError::Singular`] is that point's item.
+    pub fn ac_scan<I: IntoIterator<Item = f64>>(
+        &self,
+        out: &str,
+        freqs: I,
+    ) -> Result<AcScan<I::IntoIter>, SimError> {
         let net = self.linearize()?;
         let idx = self
             .output_index(out)
             .ok_or_else(|| SimError::UnknownNode(out.to_string()))?;
-        note_failure(sweep_net(&net, idx, freqs))
+        Ok(AcScan::new(net, idx, freqs.into_iter()))
     }
 
     /// Transient analysis from the (cached) DC operating point: trapezoidal
@@ -350,7 +412,7 @@ impl<'c> SimSession<'c> {
 /// Stamps a failing analysis into the global forensics slot so flow-level
 /// reports can attach the flight recorder. No cost on the Ok path; no-op
 /// while the collector is off.
-fn note_failure<T>(r: Result<T, SimError>) -> Result<T, SimError> {
+pub(crate) fn note_failure<T>(r: Result<T, SimError>) -> Result<T, SimError> {
     if let Err(e) = &r {
         if ams_trace::enabled() {
             ams_trace::record_failure(&format!("SimError: {e}"));

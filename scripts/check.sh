@@ -30,6 +30,10 @@ for backend in dense sparse; do
     AMS_SIM_BACKEND=$backend cargo test --offline -q -p ams-sim -p ams-rail -p ams-awe -p ams-symbolic
     # The AWE sizing consumers: cell-sized moment solves on either factor.
     AMS_SIM_BACKEND=$backend cargo test --offline -q -p ams-sizing -- simopt oblx
+    # The Table 1 model's top-down AC scan: its first point sets the
+    # sparse factor's pivot order, and its reading must equal the full
+    # sweep's on either factor.
+    AMS_SIM_BACKEND=$backend cargo test --offline -q -p ams-core -- pulse_detector
 done
 
 echo "== dense/sparse backend equivalence (exemplars, grids, seeded deck generator) =="
