@@ -1,6 +1,6 @@
-//! Shared Table 1 instrumented-run collection and `BENCH_table1.json`
-//! emission, used by both the Criterion bench (`benches/table1.rs`, full
-//! sizes) and the `ams-report quick-bench` subcommand (reduced sizes).
+//! The one instrumented Table 1 collector and its `BENCH_table1.json`
+//! emitter, behind `ams-report bench` (the ledger, with its gates) and
+//! `ams-report quick-bench` (the same phases at reduced sizes).
 //!
 //! The JSON schema is the regression-diff contract of `ams-report`:
 //! counters and structural fields (fill-in, unknowns, BTF blocks) are
@@ -9,11 +9,12 @@
 //! as informational by the diff.
 
 use ams_ckpt::CkptStore;
-use ams_core::{table1_spec, SimulatedPulseDetectorModel};
-use ams_netlist::Technology;
+use ams_core::{synthesize_opamp, table1_spec, FlowConfig, SimulatedPulseDetectorModel};
+use ams_netlist::{Circuit, Technology};
 use ams_rail::{GridSpec, PowerGrid};
 use ams_sizing::{
-    evolve, evolve_ckpt, AnnealConfig, CkptRun, GaConfig, PerfModel, SizingCkptError, TwoStageModel,
+    evolve, evolve_ckpt, AnnealConfig, CkptRun, GaConfig, PerfModel, SimulatedTemplate,
+    SizingCkptError, TwoStageCircuit, TwoStageModel,
 };
 use ams_topology::{Bound, Spec};
 use ams_trace::HistSummary;
@@ -22,7 +23,66 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Instant;
 
-use crate::run_table1;
+use crate::{run_awe_vs_ac, run_table1};
+
+/// The sizes one collection runs its phases at, and the gates its report
+/// must pass. Every preset runs the same phases in the same order.
+pub struct Preset {
+    /// Anneal budget of the `table1_sizing` phase.
+    sizing: AnnealConfig,
+    /// GA of the `parallel_speedup` phase.
+    speedup_ga: GaConfig,
+    /// Checkpointed GA of the `crash_resume` phase.
+    crash_ga: GaConfig,
+    /// Grid sides of the `grid_scaling` phase, smallest first.
+    grid_sizes: &'static [usize],
+    /// Largest grid side the dense backend also solves.
+    dense_max_n: usize,
+    /// The gates the report must pass: one message per failed gate.
+    gates: fn(&Table1Report) -> Vec<String>,
+}
+
+fn ga(population: usize, generations: usize, seed: u64) -> GaConfig {
+    GaConfig {
+        population,
+        generations,
+        seed,
+        ..Default::default()
+    }
+}
+
+impl Preset {
+    /// Sizes that run in a few seconds, for the `quick-bench` self-diff:
+    /// the quick anneal budget, small GAs, and grids up to 24×24 — from
+    /// below the auto-sparse threshold to past it. No gates: the ledger's
+    /// bounds are set for the ledger's sizes.
+    pub fn quick() -> Self {
+        Preset {
+            sizing: AnnealConfig::quick(),
+            speedup_ga: ga(16, 3, 11),
+            crash_ga: ga(12, 4, 5),
+            grid_sizes: &[8, 12, 16, 24],
+            dense_max_n: 16,
+            gates: |_| Vec::new(),
+        }
+    }
+
+    /// The ledger's sizes: the default anneal budget, larger GAs, and
+    /// grids to 256×256 (≈66k unknowns). Dense stops at 24×24, since its
+    /// LU grows as the sixth power of the side; sparse continues through
+    /// the BTF∘AMD + CSC kernel's range. The report must pass the
+    /// ledger's gates.
+    pub fn ledger() -> Self {
+        Preset {
+            sizing: AnnealConfig::default(),
+            speedup_ga: ga(48, 6, 11),
+            crash_ga: ga(24, 8, 5),
+            grid_sizes: &[8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256],
+            dense_max_n: 24,
+            gates: ledger_gates,
+        }
+    }
+}
 
 /// One named phase of the trajectory: the counters it contributed.
 pub struct Phase {
@@ -33,7 +93,7 @@ pub struct Phase {
 }
 
 /// Runs `f` and records the counter delta it produced as a named phase.
-pub fn traced<T>(name: &'static str, phases: &mut Vec<Phase>, f: impl FnOnce() -> T) -> T {
+fn traced<T>(name: &'static str, phases: &mut Vec<Phase>, f: impl FnOnce() -> T) -> T {
     let before = ams_trace::snapshot().counters;
     let out = f();
     let after = ams_trace::snapshot().counters;
@@ -73,13 +133,12 @@ pub struct GridScalingRow {
     pub btf_blocks: usize,
     /// Wall time of one `ams_rail::supply_impedance` call at the grid
     /// centre at 200 MHz (its own DC solve, one linearization and the AWE
-    /// ladder). Measured by [`measure_grid_impedance`] in the full bench
-    /// only; `None` (and left out of the JSON) in the quick report.
-    pub impedance_s: Option<f64>,
+    /// ladder), measured by the `grid_impedance` phase.
+    pub impedance_s: f64,
     /// Wall time of one transient of the grid with a spike train on its
-    /// core tap, the run `ams_rail::evaluate` makes. Measured by
-    /// [`measure_grid_transient`] up to [`GRID_TRANSIENT_MAX_N`]; `None`
-    /// (and left out of the JSON) above it.
+    /// core tap, the run `ams_rail::evaluate` makes. Measured by the
+    /// `grid_transient` phase up to [`GRID_TRANSIENT_MAX_N`]; `None` (and
+    /// left out of the JSON) above it.
     pub tran_s: Option<f64>,
 }
 
@@ -170,7 +229,7 @@ pub struct CrashResumeSample {
 /// crash-safety contract the `kill_resume` integration test proves with
 /// real signals. The journals are real files so every commit's fsync-path
 /// latency lands in the `ckpt.write_us` histogram.
-pub fn measure_crash_resume(phases: &mut Vec<Phase>, ga: &GaConfig) -> CrashResumeSample {
+fn measure_crash_resume(phases: &mut Vec<Phase>, ga: &GaConfig) -> CrashResumeSample {
     traced("crash_resume", phases, || {
         let two = TwoStageModel::new(Technology::generic_1p2um(), 5e-12);
         let models: [&dyn PerfModel; 1] = [&two];
@@ -231,7 +290,7 @@ pub fn measure_crash_resume(phases: &mut Vec<Phase>, ga: &GaConfig) -> CrashResu
 /// crossover. Dense stops at `dense_max_n`; sparse continues through
 /// every entry of `sizes`. Fill-in comes from the `sim.sparse.fill_in`
 /// counter delta of each solve.
-pub fn measure_grid_scaling(
+fn measure_grid_scaling(
     phases: &mut Vec<Phase>,
     sizes: &[usize],
     dense_max_n: usize,
@@ -318,7 +377,7 @@ pub fn measure_grid_scaling(
                 fill_in,
                 predicted_fill: structural.predicted_fill,
                 btf_blocks: structural.btf.as_ref().map_or(0, |b| b.num_blocks()),
-                impedance_s: None,
+                impedance_s: f64::NAN,
                 tran_s: None,
             });
         }
@@ -339,14 +398,14 @@ pub fn measure_grid_scaling(
 /// and solves DC first, so its cost is a multiple of the row's
 /// `sparse_s`: the AC side of a grid costs one linearization and one
 /// moment set on top of the DC factor, not an `n × n` matrix.
-pub fn measure_grid_impedance(phases: &mut Vec<Phase>, grid: &mut GridScalingSample) {
+fn measure_grid_impedance(phases: &mut Vec<Phase>, grid: &mut GridScalingSample) {
     traced("grid_impedance", phases, || {
         for row in &mut grid.rows {
             let g = PowerGrid::uniform(GridSpec::synthetic(row.n), 10e-6);
             let t0 = Instant::now();
             let z = ams_rail::supply_impedance(&g, row.n / 2, row.n / 2, 200e6)
                 .expect("grid supply impedance");
-            row.impedance_s = Some(t0.elapsed().as_secs_f64());
+            row.impedance_s = t0.elapsed().as_secs_f64();
             assert!(z.is_finite() && z > 0.0, "{0}×{0} impedance {z}", row.n);
         }
     })
@@ -361,7 +420,7 @@ pub const GRID_TRANSIENT_MAX_N: usize = 64;
 /// `ams_rail::evaluate` makes: two spike periods plus 2 ns at a 150th of
 /// the period. The DC point is solved before the phase starts, so the
 /// phase's counters are the transients' alone.
-pub fn measure_grid_transient(phases: &mut Vec<Phase>, grid: &mut GridScalingSample) {
+fn measure_grid_transient(phases: &mut Vec<Phase>, grid: &mut GridScalingSample) {
     const PERIOD: f64 = 5e-9;
     let rows: Vec<&mut GridScalingRow> = grid
         .rows
@@ -412,7 +471,7 @@ pub fn measure_grid_transient(phases: &mut Vec<Phase>, grid: &mut GridScalingSam
 /// rate is the headline persistence number. Every leg's champion must be
 /// bit-identical to the serial one: a cached cost is the exact bits the
 /// same workload computes fresh.
-pub fn measure_parallel_speedup(phases: &mut Vec<Phase>, ga: &GaConfig) -> SpeedupSample {
+fn measure_parallel_speedup(phases: &mut Vec<Phase>, ga: &GaConfig) -> SpeedupSample {
     traced("parallel_speedup", phases, || {
         let model = SimulatedPulseDetectorModel::new(Technology::generic_1p2um());
         let models: [&dyn PerfModel; 1] = [&model];
@@ -496,6 +555,10 @@ pub struct Table1Report {
     pub sizing_evals: u64,
     /// Headline throughput: sizing evaluations per second of the gate run.
     pub evals_per_sec: f64,
+    /// Whether the `opamp_flow_place_route` phase routed every net.
+    pub flow_complete: bool,
+    /// Newton iterations of the `two_stage_dc_newton` solve.
+    pub dc_iterations: usize,
     /// Parallel-speedup phase sample.
     pub speedup: SpeedupSample,
     /// Crash/resume phase sample.
@@ -599,7 +662,7 @@ impl Table1Report {
                 "\n    {{\"n\": {}, \"unknowns\": {}, \"dense_s\": {}, \"sparse_s\": {:.6}, \
                  \"refactor_s\": {:.6}, \"evals_per_sec\": {:.2}, \
                  \"fill_in\": {}, \"predicted_fill\": {}, \"fill_ratio\": {}, \
-                 \"btf_blocks\": {}{}{}}}",
+                 \"btf_blocks\": {}, \"impedance_s\": {:.6}{}}}",
                 r.n,
                 r.unknowns,
                 r.dense_s.map_or("null".to_string(), |d| format!("{d:.6}")),
@@ -611,8 +674,7 @@ impl Table1Report {
                 r.fill_ratio()
                     .map_or("null".to_string(), |f| format!("{f:.4}")),
                 r.btf_blocks,
-                r.impedance_s
-                    .map_or(String::new(), |z| format!(", \"impedance_s\": {z:.6}")),
+                r.impedance_s,
                 r.tran_s
                     .map_or(String::new(), |t| format!(", \"tran_s\": {t:.6}"))
             );
@@ -685,60 +747,291 @@ impl Table1Report {
     }
 }
 
-/// Collects a reduced ("quick") Table 1 report: the quick anneal budget,
-/// a small GA speedup sample, and grids up to 24×24 — from below the
-/// auto-sparse threshold to past it, all factored on the CSC kernel — each
-/// with its transient.
-/// Runs in a few seconds and produces deterministic counters for a fixed
-/// build, which is what the `ams-report diff` self-check gate compares.
-pub fn collect_quick() -> Table1Report {
+/// The two-stage opamp template at the geometric midpoint of every
+/// parameter range: the circuit of the DC and fault-recovery phases.
+fn two_stage_midpoint() -> Circuit {
+    let template = TwoStageCircuit::new(Technology::generic_1p2um(), 5e-12);
+    let x: Vec<f64> = template
+        .params()
+        .iter()
+        .map(|pd| (pd.lo * pd.hi).sqrt())
+        .collect();
+    template.build(&x)
+}
+
+/// The `opamp_flow_place_route` phase's spec: a two-stage-class opamp at
+/// minimum power.
+fn opamp_spec() -> Spec {
+    Spec::new()
+        .require("gain_db", Bound::AtLeast(60.0))
+        .require("ugf_hz", Bound::AtLeast(5e6))
+        .require("phase_margin_deg", Bound::AtLeast(55.0))
+        .require("slew_v_per_s", Bound::AtLeast(4e6))
+        .require("swing_v", Bound::AtLeast(2.0))
+        .minimizing("power_w")
+}
+
+/// A reduced sizing and placer budget, so the flow phase costs well under
+/// a second.
+fn quick_flow_config() -> FlowConfig {
+    let mut c = FlowConfig {
+        sizing: AnnealConfig {
+            moves_per_stage: 150,
+            stages: 40,
+            seed: 3,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    c.layout.placer.moves_per_stage = 80;
+    c.layout.placer.stages = 25;
+    c
+}
+
+/// The `fault_recovery` phase: periodic singular pivots injected into the
+/// retried DC ladder. Its counter delta records how much recovery
+/// machinery engaged (`guard.fault.*`, `sim.dc_retries`,
+/// `sim.dc_converged_assumed`).
+fn fault_drill() {
+    ams_guard::fault::arm(ams_guard::FaultPlan::new().fault(
+        ams_guard::FaultKind::LuPivot,
+        ams_guard::Trigger::Every {
+            period: 7,
+            offset: 3,
+        },
+    ));
+    let ckt = two_stage_midpoint();
+    if ams_sim::SimSession::new(&ckt).op().is_err() {
+        // Even the restarted ladder lost to the injection storm: take the
+        // assumed-bias last resort so the phase always completes.
+        let dim = ams_sim::MnaLayout::new(&ckt).dim();
+        let _ = ams_sim::assumed_op(&ckt, &vec![0.0; dim]);
+    }
+    ams_guard::fault::disarm();
+}
+
+/// Runs every phase at `preset`'s sizes with the trace collector armed,
+/// then checks the preset's gates with the collector off. Returns the
+/// report, or one message per failed gate.
+///
+/// The phases, in order: `table1_sizing`, `opamp_flow_place_route`,
+/// `two_stage_dc_newton`, `fault_recovery`, `parallel_speedup`,
+/// `crash_resume`, `grid_scaling`, `grid_impedance` and `grid_transient`.
+/// Their counters are deterministic for a fixed build and preset, which is
+/// what `ams-report diff` compares.
+pub fn collect(preset: &Preset) -> Result<Table1Report, Vec<String>> {
     let trace_was_on = ams_trace::enabled();
     ams_trace::set_enabled(true);
     ams_trace::reset();
     let mut phases = Vec::new();
 
     let t0 = Instant::now();
-    let t = traced("table1_sizing", &mut phases, || {
-        run_table1(&AnnealConfig::quick())
-    });
+    let t = traced("table1_sizing", &mut phases, || run_table1(&preset.sizing));
     let wall_s = t0.elapsed().as_secs_f64();
     let sizing_evals = phases
         .last()
         .and_then(|p| p.counters.iter().find(|(k, _)| k == "sizing.anneal_evals"))
         .map_or(0, |&(_, v)| v);
-
-    let ga = GaConfig {
-        population: 16,
-        generations: 3,
-        seed: 11,
-        ..Default::default()
-    };
-    let speedup = measure_parallel_speedup(&mut phases, &ga);
-    let crash = measure_crash_resume(
-        &mut phases,
-        &GaConfig {
-            population: 12,
-            generations: 4,
-            seed: 5,
-            ..Default::default()
-        },
-    );
-    let mut grid = measure_grid_scaling(&mut phases, &[8, 12, 16, 24], 16);
+    let flow_complete = traced("opamp_flow_place_route", &mut phases, || {
+        synthesize_opamp(
+            &opamp_spec(),
+            &Technology::generic_1p2um(),
+            5e-12,
+            &quick_flow_config(),
+        )
+        .expect("quick opamp flow")
+        .layout
+        .is_complete()
+    });
+    let dc_iterations = traced("two_stage_dc_newton", &mut phases, || {
+        ams_sim::SimSession::new(&two_stage_midpoint())
+            .op()
+            .expect("two-stage DC")
+            .iterations
+    });
+    traced("fault_recovery", &mut phases, fault_drill);
+    let speedup = measure_parallel_speedup(&mut phases, &preset.speedup_ga);
+    let crash = measure_crash_resume(&mut phases, &preset.crash_ga);
+    let mut grid = measure_grid_scaling(&mut phases, preset.grid_sizes, preset.dense_max_n);
+    measure_grid_impedance(&mut phases, &mut grid);
     measure_grid_transient(&mut phases, &mut grid);
 
     let snap = ams_trace::snapshot();
-    ams_trace::set_enabled(trace_was_on);
-    Table1Report {
+    ams_trace::set_enabled(false);
+    let report = Table1Report {
         wall_s,
         feasible: t.feasible,
         power_reduction: t.power_reduction,
         sizing_evals,
         evals_per_sec: sizing_evals as f64 / wall_s.max(1e-9),
+        flow_complete,
+        dc_iterations,
         speedup,
         crash,
         grid,
         counters: snap.counters,
         histograms: snap.histograms,
         phases,
+    };
+    let failed = (preset.gates)(&report);
+    ams_trace::set_enabled(trace_was_on);
+    if failed.is_empty() {
+        Ok(report)
+    } else {
+        Err(failed)
     }
+}
+
+/// Counters every ledger run must move: one per layer the phases drive.
+const HEADLINE_COUNTERS: [&str; 6] = [
+    "sim.newton_iters",
+    "sizing.anneal_moves",
+    "layout.route_expansions",
+    "guard.faults_injected",
+    "exec.tasks",
+    "exec.cache.hit",
+];
+
+/// The ledger's gates: one message per gate `r` fails. It reads the
+/// 64×64, 96×96 and 256×256 grid rows, so it needs the ledger's sizes.
+/// Last, it times E7's AWE-vs-AC run, so `collect` calls it with the
+/// trace collector off.
+fn ledger_gates(r: &Table1Report) -> Vec<String> {
+    let mut failed = Vec::new();
+    let mut check = |ok: bool, msg: String| {
+        if !ok {
+            failed.push(msg);
+        }
+    };
+    check(r.feasible, "Table 1 synthesis must be feasible".into());
+    check(
+        r.power_reduction > 3.0,
+        format!("power reduction {}", r.power_reduction),
+    );
+    check(
+        r.flow_complete,
+        "quick opamp flow left a net unrouted".into(),
+    );
+    check(
+        r.dc_iterations > 0,
+        "two-stage DC reports no Newton iteration".into(),
+    );
+    // The warm leg reopens the serial leg's persisted cache, so its hit
+    // rate is the persistence acceptance gate.
+    check(
+        r.speedup.cache_hit_rate >= 0.25,
+        format!(
+            "warm eval-cache hit rate {:.3} below the 0.25 persistence gate",
+            r.speedup.cache_hit_rate
+        ),
+    );
+    // Wall-clock speedup is only meaningful with real parallel hardware:
+    // on a single hardware thread 4 workers time-slice one core, so the
+    // gate is skipped (and the report flags `speedup_valid: false`).
+    if r.speedup.hw_threads > 1 {
+        let ratio = r.speedup.serial_us as f64 / r.speedup.par4_us.max(1) as f64;
+        check(
+            ratio >= 0.6,
+            format!(
+                "cold 4-worker run {ratio:.2}× vs cold serial — it must not be \
+                 drastically slower on {} hardware threads",
+                r.speedup.hw_threads
+            ),
+        );
+    }
+    let grid = &r.grid;
+    check(
+        grid.speedup_common >= 10.0,
+        format!(
+            "sparse must beat dense ≥10× at the {0}×{0} grid, got {1:.1}×",
+            grid.common_n, grid.speedup_common
+        ),
+    );
+    let row = |n: usize| {
+        grid.rows
+            .iter()
+            .find(|row| row.n == n)
+            .unwrap_or_else(|| panic!("{n}×{n} row missing from grid scaling"))
+    };
+    // The ordering/CSC acceptance gates. The Markowitz-era record for the
+    // 64×64 grid was 5.15 s; the CSC kernel must beat it by ≥10×.
+    let (r64, r96, r256) = (row(64), row(96), row(256));
+    check(
+        r64.sparse_s < 0.515,
+        format!(
+            "64×64 DC took {:.3} s — the AMD+CSC path must be ≥10× under the \
+             5.15 s Markowitz-era record",
+            r64.sparse_s
+        ),
+    );
+    check(
+        r256.unknowns > 65_000,
+        format!(
+            "256×256 grid should stamp ≈66k unknowns, got {}",
+            r256.unknowns
+        ),
+    );
+    check(
+        r256.sparse_s < 5.0,
+        format!(
+            "256×256 first DC solve (analyze + factor + damped-Newton \
+             refactors) took {:.3} s (budget 5 s)",
+            r256.sparse_s
+        ),
+    );
+    check(
+        r256.refactor_s < 1.0,
+        format!(
+            "256×256 cached-pattern refactor+solve took {:.3} s per \
+             linearization (budget 1 s)",
+            r256.refactor_s
+        ),
+    );
+    // Grid-scale AC: a supply-impedance call solves DC, linearizes into
+    // triplets and runs the AWE ladder against the DC factor, so it costs
+    // a small multiple of the DC solve (it took 28.6 s at 64×64 when the
+    // linearized network was dense) and finishes at 256×256.
+    check(
+        r64.impedance_s <= 4.0 * r64.sparse_s,
+        format!(
+            "64×64 supply impedance took {:.3} s, over 4× the {:.3} s DC solve",
+            r64.impedance_s, r64.sparse_s
+        ),
+    );
+    check(
+        r256.impedance_s.is_finite(),
+        "256×256 supply impedance has no finite time".into(),
+    );
+    // Fill must stay near-linear in unknowns across the CSC range: for a
+    // 2-D mesh the AMD order's fill-per-unknown grows ~logarithmically,
+    // so the 256×256 density may not even double the 96×96 one.
+    let density = |row: &GridScalingRow| row.fill_in as f64 / row.unknowns as f64;
+    check(
+        density(r256) <= 2.0 * density(r96),
+        format!(
+            "fill density grew super-linearly: {:.1} per unknown at 256×256 \
+             vs {:.1} at 96×96",
+            density(r256),
+            density(r96)
+        ),
+    );
+    // The forecast band is a hard gate here, not just a report warning.
+    let warnings = grid.fill_warnings();
+    check(
+        warnings.is_empty(),
+        format!("fill forecast drifted: {warnings:?}"),
+    );
+    for key in HEADLINE_COUNTERS {
+        check(
+            r.counters.get(key).copied().unwrap_or(0) > 0,
+            format!("headline counter {key} missing from instrumented run"),
+        );
+    }
+    // E7: the AWE macromodel must beat the full 100-point AC sweep.
+    let awe = run_awe_vs_ac();
+    check(
+        awe.speedup > 2.0,
+        format!("AWE should beat the sweep: {:.1}x", awe.speedup),
+    );
+    failed
 }

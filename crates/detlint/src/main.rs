@@ -28,10 +28,10 @@
 //! reported in sorted order and the process exits 1 when any remain, so
 //! `scripts/check.sh` can gate on it.
 //!
-//! Crate exemptions: `ams-bench` and `criterion` (the microbench harness)
-//! are timing tools by definition and are skipped entirely, as is this
-//! crate; `ams-trace` may read the wall clock (it timestamps spans);
-//! `ams-exec` may spawn threads (it is the scheduler).
+//! Crate exemptions: `ams-bench` is the timing harness by definition and
+//! is skipped entirely, as is this crate; `ams-trace` may read the wall
+//! clock (it timestamps spans); `ams-exec` may spawn threads (it is the
+//! scheduler).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -155,8 +155,8 @@ fn allowed_rules(line: &str) -> Vec<Rule> {
 /// Which rules each crate is exempt from (`None` = skip the crate).
 fn crate_exemptions(crate_dir: &str) -> Option<&'static [Rule]> {
     match crate_dir {
-        // Timing harnesses and this lint itself.
-        "bench" | "microbench" | "detlint" => None,
+        // The timing harness and this lint itself.
+        "bench" | "detlint" => None,
         "trace" => Some(&[Rule::ClockRead]),
         "exec" => Some(&[Rule::ThreadSpawn]),
         _ => Some(&[]),

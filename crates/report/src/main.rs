@@ -1,9 +1,13 @@
-//! `ams-report`: regression reporting over `BENCH_table1.json` documents.
+//! `ams-report`: the Table 1 ledger run and regression reporting over
+//! `BENCH_table1.json` documents.
 //!
 //! Subcommands:
 //!
-//! * `quick-bench -o FILE` — run the reduced instrumented Table 1
-//!   collection (sub-second) and write the report JSON.
+//! * `bench -o FILE` — run the ledger collection (about 20 s in a release
+//!   build), check every ledger gate, and write the report JSON. On a
+//!   failed gate it prints every failure, writes nothing and exits 1.
+//! * `quick-bench -o FILE` — run the same phases at reduced sizes (a few
+//!   seconds, no gates) and write the report JSON.
 //! * `summary FILE` — print the headline metrics, grid-scaling table with
 //!   fill ratios, histograms and top counters of a report.
 //! * `diff BASELINE CANDIDATE [--tol key=rel]... [--default-tol rel]` —
@@ -13,13 +17,15 @@
 //! * `inject FILE -o FILE [--counter NAME]...` — write a copy of FILE
 //!   with a synthetic counter regression, for exercising the diff gate.
 
+use ams_bench::table1_report::{collect, Preset};
 use ams_report::{diff, inject_regression, load, render_json, summary, DiffOptions};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: ams-report quick-bench -o FILE\n\
+        "usage: ams-report bench -o FILE\n\
+         \x20      ams-report quick-bench -o FILE\n\
          \x20      ams-report summary FILE\n\
          \x20      ams-report diff BASELINE CANDIDATE [--tol key=rel]... [--default-tol rel]\n\
          \x20      ams-report inject FILE -o FILE [--counter NAME]..."
@@ -30,7 +36,8 @@ fn usage() -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("quick-bench") => quick_bench(&args[1..]),
+        Some("bench") => bench(&args[1..], &Preset::ledger()),
+        Some("quick-bench") => bench(&args[1..], &Preset::quick()),
         Some("summary") => cmd_summary(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
         Some("inject") => cmd_inject(&args[1..]),
@@ -45,11 +52,24 @@ fn out_path(args: &[String]) -> Option<PathBuf> {
         .map(PathBuf::from)
 }
 
-fn quick_bench(args: &[String]) -> ExitCode {
+fn bench(args: &[String], preset: &Preset) -> ExitCode {
     let Some(path) = out_path(args) else {
         return usage();
     };
-    let report = ams_bench::table1_report::collect_quick();
+    let report = match collect(preset) {
+        Ok(report) => report,
+        Err(failed) => {
+            for f in &failed {
+                eprintln!("gate failed: {f}");
+            }
+            eprintln!(
+                "error: {} gate(s) failed; {} not written",
+                failed.len(),
+                path.display()
+            );
+            return ExitCode::FAILURE;
+        }
+    };
     match report.write(&path) {
         Ok(()) => {
             println!(

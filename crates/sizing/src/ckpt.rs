@@ -73,6 +73,13 @@ pub enum SizingCkptError {
         /// Boundary index that was committed before halting.
         boundary: usize,
     },
+    /// The journal's state record decodes but does not fit this run: it
+    /// was written by a run with other models or another population.
+    Mismatch {
+        /// The state field that differs: `"species"`, `"population"`,
+        /// `"topology"` or `"genes"`.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for SizingCkptError {
@@ -81,6 +88,12 @@ impl fmt::Display for SizingCkptError {
             SizingCkptError::Store(e) => write!(f, "checkpoint store: {e}"),
             SizingCkptError::Halted { boundary } => {
                 write!(f, "halted after committing boundary {boundary}")
+            }
+            SizingCkptError::Mismatch { field } => {
+                write!(
+                    f,
+                    "checkpoint state does not fit this run: its {field} differs"
+                )
             }
         }
     }

@@ -230,6 +230,33 @@ fn decode_ga(payload: &[u8]) -> Result<GaCkptState, DecodeError> {
     Ok((delta, st, entries))
 }
 
+/// Checks that a decoded state record fits this run, so a journal from
+/// another run is a structured error rather than an out-of-range index:
+/// one species slot per model, the configured population, and every
+/// chromosome a valid topology with that model's gene count.
+fn check_fit(
+    st: &GaState,
+    param_defs: &[Vec<ParamDef>],
+    population: usize,
+) -> Result<(), SizingCkptError> {
+    let mismatch = |field| Err(SizingCkptError::Mismatch { field });
+    if st.species_best.len() != param_defs.len() {
+        return mismatch("species");
+    }
+    if st.pop.len() != population {
+        return mismatch("population");
+    }
+    for c in st.pop.iter().chain(st.species_best.iter().flatten()) {
+        let Some(defs) = param_defs.get(c.topology) else {
+            return mismatch("topology");
+        };
+        if c.genes.len() != defs.len() {
+            return mismatch("genes");
+        }
+    }
+    Ok(())
+}
+
 fn evolve_inner(
     models: &[&dyn PerfModel],
     spec: &Spec,
@@ -288,6 +315,7 @@ fn evolve_inner(
         if rec.tag == GA_TAG {
             let (delta, st, entries) = decode_ga(&rec.payload)
                 .map_err(|e| SizingCkptError::Store(e.tagged(GA_TAG).into()))?;
+            check_fit(&st, &param_defs, config.population)?;
             cache.import_entries(&entries);
             resumed = Some((delta, st));
         }
@@ -824,22 +852,68 @@ mod tests {
             polish_improvements: 0,
             evals_requested: 0,
         };
-        for (what, payload) in [
-            ("garbage", vec![0xFF; 7]),
-            ("truncated", record[..record.len() / 2].to_vec()),
-            ("phase 2", encode_ga(&bad_phase, &[], &[])),
+        // The real record with one field of its state changed.
+        let edited = |edit: fn(&mut GaState)| {
+            let (delta, mut st, entries) = decode_ga(&record).unwrap();
+            edit(&mut st);
+            encode_ga(&st, &entries, &delta)
+        };
+        let both: [&dyn PerfModel; 2] = [&two, &ota];
+        let one: [&dyn PerfModel; 1] = [&two];
+        // (case, payload, resuming models, resuming population, the field
+        // a record that decodes but does not fit names).
+        for (what, payload, models, population, field) in [
+            ("garbage", vec![0xFF; 7], &both[..], 8, None),
+            (
+                "truncated",
+                record[..record.len() / 2].to_vec(),
+                &both,
+                8,
+                None,
+            ),
+            ("phase 2", encode_ga(&bad_phase, &[], &[]), &both, 8, None),
+            ("one model", record.clone(), &one, 8, Some("species")),
+            (
+                "population 16",
+                record.clone(),
+                &both,
+                16,
+                Some("population"),
+            ),
+            (
+                "topology 2",
+                edited(|st| st.pop[0].topology = 2),
+                &both,
+                8,
+                Some("topology"),
+            ),
+            (
+                "short genes",
+                edited(|st| {
+                    st.pop[0].genes.pop();
+                }),
+                &both,
+                8,
+                Some("genes"),
+            ),
         ] {
             let mut store = ams_ckpt::CkptStore::in_memory();
             store.commit(GA_TAG, payload).unwrap();
-            let err =
-                evolve_ckpt(&[&two, &ota], &spec, &cfg, CkptRun::new(&mut store)).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    SizingCkptError::Store(ams_ckpt::CkptError::Decode { .. })
+            let cfg = GaConfig {
+                population,
+                ..cfg.clone()
+            };
+            let err = evolve_ckpt(models, &spec, &cfg, CkptRun::new(&mut store)).unwrap_err();
+            match field {
+                Some(field) => assert_eq!(err, SizingCkptError::Mismatch { field }, "{what}"),
+                None => assert!(
+                    matches!(
+                        err,
+                        SizingCkptError::Store(ams_ckpt::CkptError::Decode { .. })
+                    ),
+                    "{what}: {err}"
                 ),
-                "{what}: {err}"
-            );
+            }
         }
     }
 

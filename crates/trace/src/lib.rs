@@ -5,7 +5,7 @@
 //! iteration counts). This crate makes every solver in the workspace
 //! answerable to the question "where did the time and the iterations go?"
 //! without pulling in any external dependency, in the same hand-rolled
-//! spirit as `ams-prng` and the local criterion shim.
+//! spirit as `ams-prng`.
 //!
 //! # What it records
 //!

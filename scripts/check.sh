@@ -93,9 +93,13 @@ cargo test --offline --release --manifest-path perfbench/Cargo.toml
 echo "== workspace determinism lint (det-lint) =="
 cargo run --offline -q -p ams-detlint
 
-echo "== ams-report regression-diff self-check =="
+echo "== ams-report: ledger gates and regression-diff self-check =="
 report_tmp="$(mktemp -d)"
 trap 'rm -rf "$report_tmp"' EXIT
+# The ledger run checks every paper-claim gate it holds; its counters
+# must match the committed ledger exactly.
+cargo run --offline -q --release -p ams-report -- bench -o "$report_tmp/ledger.json"
+cargo run --offline -q --release -p ams-report -- diff BENCH_table1.json "$report_tmp/ledger.json"
 # Positive gate: two same-seed quick benches must diff clean.
 cargo run --offline -q --release -p ams-report -- quick-bench -o "$report_tmp/a.json"
 cargo run --offline -q --release -p ams-report -- quick-bench -o "$report_tmp/b.json"
