@@ -587,7 +587,7 @@ impl Table1Report {
     /// produced malformed JSON (checked by re-parsing).
     pub fn render_json(&self) -> String {
         let mut json = String::from("{\n  \"bench\": \"table1_pulse_detector_synthesis\",\n");
-        let _ = writeln!(json, "  \"wall_s_quick\": {:.6},", self.wall_s);
+        let _ = writeln!(json, "  \"table1_sizing_wall_s\": {:.6},", self.wall_s);
         let _ = writeln!(json, "  \"feasible\": {},", self.feasible);
         let _ = writeln!(json, "  \"power_reduction\": {:.4},", self.power_reduction);
         let _ = writeln!(json, "  \"sizing_evals\": {},", self.sizing_evals);

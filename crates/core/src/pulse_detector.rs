@@ -18,9 +18,7 @@
 
 use ams_netlist::{units, Circuit, Device, Technology};
 use ams_sim::{log_frequencies, BatchSession, SimError, SimSession};
-use ams_sizing::{ParamDef, Perf, PerfModel};
-// det-lint: allow(hash-collection): Perf maps are built keyed and read by key; ordered walks go through Spec bounds
-use std::collections::HashMap;
+use ams_sizing::{ParamDef, PerfModel};
 use std::sync::OnceLock;
 
 /// Semi-Gaussian shaper order (number of integrators).
@@ -31,6 +29,18 @@ const FORM_SERIES: f64 = 0.45;
 const FORM_PARALLEL: f64 = 0.84;
 /// Peak gain of a normalized CR–RC⁴ shaper (nⁿe⁻ⁿ/n!).
 const SHAPER_PEAK: f64 = 0.195;
+
+/// The metric list both pulse-detector models write, in slot order.
+const METRICS: &[&str] = &[
+    "csa_bw_hz",
+    "peaking_time_s",
+    "counting_rate_hz",
+    "noise_rms_e",
+    "gain_v_per_fc",
+    "output_range_v",
+    "power_w",
+    "area_m2",
+];
 
 /// The pulse-detector performance model (equation-based, AMGIE-style).
 #[derive(Debug, Clone)]
@@ -96,7 +106,11 @@ impl PerfModel for PulseDetectorModel {
         ]
     }
 
-    fn evaluate(&self, x: &[f64]) -> Perf {
+    fn metrics(&self) -> &'static [&'static str] {
+        METRICS
+    }
+
+    fn evaluate_into(&self, x: &[f64], out: &mut [f64]) {
         let (id1, vov1, cf, tau, i_shaper, post_gain) = (x[0], x[1], x[2], x[3], x[4], x[5]);
         let n = &self.tech.nmos;
         let vdd = self.tech.vdd;
@@ -145,16 +159,16 @@ impl PerfModel for PulseDetectorModel {
         // gm1/(2π·C_tot) is a spec in its own right.
         let csa_bw = gm1 / (2.0 * std::f64::consts::PI * c_tot);
 
-        let mut perf: Perf = HashMap::new();
-        perf.insert("csa_bw_hz".into(), csa_bw);
-        perf.insert("peaking_time_s".into(), peaking_time);
-        perf.insert("counting_rate_hz".into(), counting_rate);
-        perf.insert("noise_rms_e".into(), noise_rms_e);
-        perf.insert("gain_v_per_fc".into(), gain_v_per_fc);
-        perf.insert("output_range_v".into(), output_range);
-        perf.insert("power_w".into(), power);
-        perf.insert("area_m2".into(), area);
-        perf
+        out.copy_from_slice(&[
+            csa_bw,
+            peaking_time,
+            counting_rate,
+            noise_rms_e,
+            gain_v_per_fc,
+            output_range,
+            power,
+            area,
+        ]);
     }
 }
 
@@ -337,16 +351,20 @@ impl PerfModel for SimulatedPulseDetectorModel {
         PulseDetectorModel::new(self.tech.clone()).params()
     }
 
-    fn evaluate(&self, x: &[f64]) -> Perf {
+    fn metrics(&self) -> &'static [&'static str] {
+        METRICS
+    }
+
+    fn evaluate_into(&self, x: &[f64], out: &mut [f64]) {
         let ckt = self.build_csa(x[0], x[1], x[2]);
-        self.score(x, self.simulate_csa(&ckt, x[2]))
+        self.score(x, self.simulate_csa(&ckt, x[2]), out);
     }
 }
 
 impl SimulatedPulseDetectorModel {
-    /// The performance of parameter point `x` given its simulated CSA
-    /// (`Err` scores as infeasible).
-    fn score(&self, x: &[f64], sim: Result<CsaOperating, SimError>) -> Perf {
+    /// Writes the performance of parameter point `x` given its simulated
+    /// CSA (`Err` scores as infeasible) into `out`, in [`METRICS`] order.
+    fn score(&self, x: &[f64], sim: Result<CsaOperating, SimError>, out: &mut [f64]) {
         let (id1, vov1, cf, tau, i_shaper, post_gain) = (x[0], x[1], x[2], x[3], x[4], x[5]);
         let vdd = self.tech.vdd;
         let temp = self.tech.temp_k;
@@ -357,8 +375,7 @@ impl SimulatedPulseDetectorModel {
         let gain_v_per_fc = (1.0 / cf) * SHAPER_PEAK * post_gain * 1e-15;
         let output_range = (vdd / 2.0 - 0.7).max(0.0);
 
-        let mut perf: Perf = HashMap::new();
-        match sim {
+        let (csa_bw, noise_rms_e, power) = match sim {
             Ok(csa) => {
                 let c_tot = self.detector_cap + cf + csa.cgs1;
                 let four_kt = 4.0 * units::BOLTZMANN * temp;
@@ -366,32 +383,31 @@ impl SimulatedPulseDetectorModel {
                 let enc2_series =
                     FORM_SERIES * c_tot * c_tot * four_kt * (2.0 / 3.0) / csa.gm1 / tau / (q * q);
                 let enc2_parallel = FORM_PARALLEL * 2.0 * q * self.leakage * tau / (q * q);
-                perf.insert("csa_bw_hz".into(), csa.csa_bw);
-                perf.insert("noise_rms_e".into(), (enc2_series + enc2_parallel).sqrt());
-                perf.insert(
-                    "power_w".into(),
+                (
+                    csa.csa_bw,
+                    (enc2_series + enc2_parallel).sqrt(),
                     (2.0 * csa.idd + SHAPER_ORDER * i_shaper + 0.3 * i_shaper + 20e-6) * vdd,
-                );
+                )
             }
-            Err(_) => {
-                // Bias or AC failure: infeasible, not a panic.
-                perf.insert("csa_bw_hz".into(), 0.0);
-                perf.insert("noise_rms_e".into(), 1e12);
-                perf.insert("power_w".into(), 1e3);
-            }
-        }
+            // Bias or AC failure: infeasible, not a panic.
+            Err(_) => (0.0, 1e12, 1e3),
+        };
         let l = 2.0 * self.tech.lmin;
         let w1 = self.tech.nmos.width_for(id1, l, vov1);
         let r_shaper: f64 = 200e3;
         let c_shaper = tau / r_shaper;
         let gate_area = 6.0 * w1 * l + 40.0 * (i_shaper / 1e-4) * 1e-10;
         let cap_area = (cf + SHAPER_ORDER * c_shaper) / 1e-3;
-        perf.insert("area_m2".into(), 4.0 * gate_area + cap_area + 0.1e-6);
-        perf.insert("peaking_time_s".into(), peaking_time);
-        perf.insert("counting_rate_hz".into(), counting_rate);
-        perf.insert("gain_v_per_fc".into(), gain_v_per_fc);
-        perf.insert("output_range_v".into(), output_range);
-        perf
+        out.copy_from_slice(&[
+            csa_bw,
+            peaking_time,
+            counting_rate,
+            noise_rms_e,
+            gain_v_per_fc,
+            output_range,
+            power,
+            4.0 * gate_area + cap_area + 0.1e-6,
+        ]);
     }
 }
 
@@ -514,9 +530,19 @@ mod tests {
         }
     }
 
+    /// Slot of the bandwidth reading in [`METRICS`].
+    const BW: usize = 0;
+
+    /// The slot vector of `x`.
+    fn slots(m: &SimulatedPulseDetectorModel, x: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; METRICS.len()];
+        m.evaluate_into(x, &mut out);
+        out
+    }
+
     /// The reference reading the top-down scan must reproduce: the full
     /// ascending sweep over the model's grid, scanned from the top.
-    fn full_sweep_reading(m: &SimulatedPulseDetectorModel, x: &[f64]) -> Perf {
+    fn full_sweep_reading(m: &SimulatedPulseDetectorModel, x: &[f64]) -> Vec<f64> {
         let cf = x[2];
         let ckt = m.build_csa(x[0], x[1], cf);
         let ses = SimSession::new(&ckt);
@@ -541,7 +567,9 @@ mod tests {
                 idd,
             })
         });
-        m.score(x, sim)
+        let mut out = vec![0.0; METRICS.len()];
+        m.score(x, sim, &mut out);
+        out
     }
 
     /// On 64 seeded candidates across the parameter bounds and the manual
@@ -574,23 +602,21 @@ mod tests {
         let dense =
             SimSession::new(&sim.build_csa(x0[0], x0[1], x0[2])).backend() == Backend::Dense;
         let mut no_crossing = 0;
+        assert_eq!(METRICS[BW], "csa_bw_hz");
         for x in &candidates {
-            let lazy = sim.evaluate(x);
+            let lazy = slots(&sim, x);
             let full = full_sweep_reading(&sim, x);
             assert_eq!(
-                lazy["csa_bw_hz"].to_bits(),
-                full["csa_bw_hz"].to_bits(),
+                lazy[BW].to_bits(),
+                full[BW].to_bits(),
                 "bandwidth reading at {x:?}"
             );
             if dense {
-                let mut keys: Vec<_> = full.keys().collect();
-                keys.sort();
-                for k in keys {
-                    assert_eq!(lazy[k].to_bits(), full[k].to_bits(), "{k} at {x:?}");
+                for (k, name) in METRICS.iter().enumerate() {
+                    assert_eq!(lazy[k].to_bits(), full[k].to_bits(), "{name} at {x:?}");
                 }
-                assert_eq!(lazy.len(), full.len());
             }
-            no_crossing += usize::from(full["csa_bw_hz"] == 0.0);
+            no_crossing += usize::from(full[BW] == 0.0);
         }
         println!(
             "{no_crossing} of {} candidates read no crossing (0.0)",

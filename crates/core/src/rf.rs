@@ -13,9 +13,7 @@
 //! figure, IIP3 cascade, quantization noise) and the optimizer distributes
 //! gain/noise/linearity across the blocks for minimum power.
 
-use ams_sizing::{ParamDef, Perf, PerfModel};
-// det-lint: allow(hash-collection): Perf maps are built keyed and read by key; ordered walks go through Spec bounds
-use std::collections::HashMap;
+use ams_sizing::{ParamDef, PerfModel};
 
 /// Behavioral receiver chain model.
 ///
@@ -67,7 +65,19 @@ impl PerfModel for RfFrontEndModel {
         ]
     }
 
-    fn evaluate(&self, x: &[f64]) -> Perf {
+    fn metrics(&self) -> &'static [&'static str] {
+        &[
+            "sndr_db",
+            "nf_db",
+            "iip3_dbm",
+            "noise_dbm",
+            "im3_dbm",
+            "quant_dbm",
+            "power_w",
+        ]
+    }
+
+    fn evaluate_into(&self, x: &[f64], out: &mut [f64]) {
         let (lna_g, lna_nf, mix_g, mix_nf, lna_iip3, adc_bits) =
             (x[0], x[1], x[2], x[3], x[4], x[5]);
 
@@ -113,15 +123,9 @@ impl PerfModel for RfFrontEndModel {
         let filter_power = 0.8e-3;
         let power = lna_power + mixer_power + adc_power + filter_power;
 
-        let mut perf: Perf = HashMap::new();
-        perf.insert("sndr_db".into(), sndr_db);
-        perf.insert("nf_db".into(), nf_db);
-        perf.insert("iip3_dbm".into(), iip3_dbm);
-        perf.insert("noise_dbm".into(), noise_dbm);
-        perf.insert("im3_dbm".into(), im3_dbm);
-        perf.insert("quant_dbm".into(), quant_dbm);
-        perf.insert("power_w".into(), power);
-        perf
+        out.copy_from_slice(&[
+            sndr_db, nf_db, iip3_dbm, noise_dbm, im3_dbm, quant_dbm, power,
+        ]);
     }
 }
 

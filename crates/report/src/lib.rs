@@ -352,7 +352,7 @@ pub fn summary(v: &Value) -> String {
         ("power reduction", "power_reduction", "x"),
         ("sizing evals", "sizing_evals", ""),
         ("evals / second", "evals_per_sec", ""),
-        ("wall (quick)", "wall_s_quick", " s"),
+        ("sizing wall", "table1_sizing_wall_s", " s"),
         ("4-thread speedup", "parallel_speedup_4t", "x"),
         ("cache hit rate", "parallel_cache_hit_rate", ""),
     ] {
@@ -455,7 +455,7 @@ mod tests {
 
     fn doc(counter: u64) -> Value {
         json::parse(&format!(
-            r#"{{"feasible": true, "wall_s_quick": 0.5,
+            r#"{{"feasible": true, "table1_sizing_wall_s": 0.5,
                  "counters": {{"sim.newton_iters": {counter}, "bench.parallel.serial_us": 123}},
                  "grid_scaling": [{{"n": 8, "fill_in": 4, "fill_ratio": 1.0}}]}}"#
         ))
@@ -475,7 +475,7 @@ mod tests {
         // Perturb only the wall-clock field: still a pass.
         if let Value::Object(m) = &mut b {
             for (k, v) in m.iter_mut() {
-                if k == "wall_s_quick" {
+                if k == "table1_sizing_wall_s" {
                     *v = Value::Number(9.9);
                 }
             }

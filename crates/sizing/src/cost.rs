@@ -5,7 +5,17 @@
 //! [`CostCompiler`] turns an [`ams_topology::Spec`] into a weighted sum of
 //! normalized constraint violations plus scalarized objectives, evaluated
 //! on performance vectors.
+//!
+//! The optimizer loops compile one step further. [`CostCompiler::resolve`]
+//! looks every bound and the objective up in a model's metric list
+//! ([`PerfModel::metrics`]) once per (model, spec), and the resulting
+//! [`SlotCost`] reads each evaluation's slot vector by index
+//! ([`PerfModel::evaluate_into`]): no name is hashed and no map is built
+//! per evaluation. It sums in the spec's order with the same arithmetic as
+//! [`CostCompiler::cost`], so both give the same bits. A model with no
+//! metric list is costed by name through [`PerfModel::evaluate`].
 
+use crate::eqopt::PerfModel;
 use ams_topology::{Bound, Spec};
 // det-lint: allow(hash-collection): Perf is keyed storage; cost sums iterate the BTreeMap-backed Spec bounds
 use std::collections::HashMap;
@@ -95,31 +105,54 @@ impl CostCompiler {
         }
     }
 
-    /// Scalar cost of a performance vector. Missing metrics are treated as
-    /// hard violations (cost contribution 10) so incomplete evaluations
-    /// cannot look attractive.
+    /// Scalar cost of a performance vector. Missing and non-finite metrics
+    /// are treated as hard violations (cost contribution 10) so incomplete
+    /// evaluations cannot look attractive.
     pub fn cost(&self, perf: &Perf) -> f64 {
         let mut total = 0.0;
         for (metric, bound) in self.spec.bounds() {
-            match perf.get(metric) {
-                Some(&v) if v.is_finite() => {
-                    let viol = Self::violation(bound, v);
-                    total += self.constraint_weight * viol * (1.0 + viol);
-                }
-                _ => total += self.constraint_weight * 10.0,
-            }
+            total += self.bound_charge(bound, perf.get(metric).copied());
         }
         if let Some(obj) = &self.spec.minimize {
-            match perf.get(obj) {
-                Some(&v) if v.is_finite() && v > 0.0 => {
-                    // log-scaled so decades of improvement matter equally.
-                    total += self.objective_weight * v.ln();
-                }
-                Some(&v) if v.is_finite() => total += self.objective_weight * v,
-                _ => total += self.constraint_weight * 10.0,
-            }
+            total += self.objective_charge(perf.get(obj).copied());
         }
         total
+    }
+
+    /// The cost term of one bound at its metric's value (`None`: missing).
+    fn bound_charge(&self, bound: &Bound, value: Option<f64>) -> f64 {
+        match value {
+            Some(v) if v.is_finite() => {
+                let viol = Self::violation(bound, v);
+                self.constraint_weight * viol * (1.0 + viol)
+            }
+            _ => self.constraint_weight * 10.0,
+        }
+    }
+
+    /// The cost term of the objective at its metric's value.
+    fn objective_charge(&self, value: Option<f64>) -> f64 {
+        match value {
+            // log-scaled so decades of improvement matter equally.
+            Some(v) if v.is_finite() && v > 0.0 => self.objective_weight * v.ln(),
+            Some(v) if v.is_finite() => self.objective_weight * v,
+            _ => self.constraint_weight * 10.0,
+        }
+    }
+
+    /// Compiles this cost against `model`'s metric list: every bound and
+    /// the objective resolve to a slot (or to the missing-metric charge)
+    /// here, once, instead of by name at each evaluation.
+    pub fn resolve<'a, M: PerfModel + ?Sized>(&'a self, model: &'a M) -> SlotCost<'a, M> {
+        let metrics = model.metrics();
+        let slot = |name: &str| metrics.iter().position(|m| *m == name);
+        SlotCost {
+            compiler: self,
+            model,
+            width: metrics.len(),
+            bounds: self.spec.bounds().map(|(m, b)| (slot(m), *b)).collect(),
+            objective: self.spec.minimize.as_deref().map(slot),
+        }
     }
 
     /// Whether every bound is satisfied.
@@ -141,6 +174,51 @@ impl CostCompiler {
         }
         out.sort_by(|a, b| a.metric.cmp(&b.metric));
         out
+    }
+}
+
+/// Slot vectors up to this width live on the stack.
+const INLINE_SLOTS: usize = 16;
+
+/// A [`CostCompiler`] resolved against one model by
+/// [`CostCompiler::resolve`]. [`cost`](Self::cost) equals
+/// `compiler.cost(&model.evaluate(x))` bit for bit.
+#[derive(Debug)]
+pub struct SlotCost<'a, M: ?Sized> {
+    compiler: &'a CostCompiler,
+    model: &'a M,
+    /// Length of the model's metric list; 0 costs by name.
+    width: usize,
+    /// Each spec bound with its metric's slot, in the spec's order.
+    bounds: Vec<(Option<usize>, Bound)>,
+    /// The objective's slot, when the spec has an objective.
+    objective: Option<Option<usize>>,
+}
+
+impl<M: PerfModel + ?Sized> SlotCost<'_, M> {
+    /// Scalar cost of the model at parameter point `x`.
+    pub fn cost(&self, x: &[f64]) -> f64 {
+        if self.width == 0 {
+            return self.compiler.cost(&self.model.evaluate(x));
+        }
+        let mut inline = [0.0; INLINE_SLOTS];
+        let mut heap = Vec::new();
+        let values = if self.width <= INLINE_SLOTS {
+            &mut inline[..self.width]
+        } else {
+            heap.resize(self.width, 0.0);
+            &mut heap[..]
+        };
+        self.model.evaluate_into(x, values);
+        let at = |slot: Option<usize>| slot.map(|s| values[s]);
+        let mut total = 0.0;
+        for (slot, bound) in &self.bounds {
+            total += self.compiler.bound_charge(bound, at(*slot));
+        }
+        if let Some(slot) = self.objective {
+            total += self.compiler.objective_charge(at(slot));
+        }
+        total
     }
 }
 

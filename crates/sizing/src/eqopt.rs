@@ -16,6 +16,12 @@ use std::collections::HashMap;
 
 /// An analytic performance model: design equations evaluated in closed form.
 ///
+/// A model names its metrics once, in [`metrics`](Self::metrics), and
+/// writes their values into a slot vector in
+/// [`evaluate_into`](Self::evaluate_into); the optimizer loops cost that
+/// vector through a [`crate::cost::SlotCost`]. [`evaluate`](Self::evaluate)
+/// returns the same values keyed by name, for results and reports.
+///
 /// `Sync` is a supertrait: models are shared by reference across the
 /// `ams-exec` workers that evaluate candidate batches in parallel.
 pub trait PerfModel: Sync {
@@ -23,8 +29,27 @@ pub trait PerfModel: Sync {
     fn name(&self) -> &str;
     /// The design parameters (independent variables).
     fn params(&self) -> Vec<ParamDef>;
-    /// Evaluates all performance metrics at a parameter point.
-    fn evaluate(&self, x: &[f64]) -> Perf;
+    /// The metrics [`evaluate_into`](Self::evaluate_into) writes, in slot
+    /// order, each name once. The default, an empty list, marks a model
+    /// that overrides [`evaluate`](Self::evaluate) instead: it is costed
+    /// by name.
+    fn metrics(&self) -> &'static [&'static str] {
+        &[]
+    }
+    /// Writes metric `i` of [`metrics`](Self::metrics) into `out[i]` at a
+    /// parameter point; `out` has one slot per metric.
+    fn evaluate_into(&self, x: &[f64], out: &mut [f64]) {
+        let _ = (x, out);
+    }
+    /// Evaluates all performance metrics at a parameter point, keyed by
+    /// name. The default names the slots of
+    /// [`evaluate_into`](Self::evaluate_into).
+    fn evaluate(&self, x: &[f64]) -> Perf {
+        let names = self.metrics();
+        let mut values = vec![0.0; names.len()];
+        self.evaluate_into(x, &mut values);
+        names.iter().map(|n| n.to_string()).zip(values).collect()
+    }
     /// Full evaluator identity for cache keys.
     ///
     /// This string, folded with the spec through
@@ -63,27 +88,33 @@ pub struct SizingResult {
 /// default — or `disk`). In disk mode the accumulated entries are
 /// committed when the run completes, so a repeated run warm-starts.
 pub fn optimize<M: PerfModel>(model: &M, spec: &Spec, config: &AnnealConfig) -> SizingResult {
-    size_by_annealing(model.params(), config, &model.cache_identity(), spec, |x| {
-        Some(model.evaluate(x))
-    })
+    let compiler = CostCompiler::new(spec.clone());
+    let cost = compiler.resolve(model);
+    size_by_annealing(
+        model.params(),
+        config,
+        &model.cache_identity(),
+        &compiler,
+        |x| cost.cost(x),
+        |x| Some(model.evaluate(x)),
+    )
 }
 
 /// The annealing loop behind [`optimize`] and [`crate::synthesize`]:
-/// anneals `params` against `spec` through the eval cache that
-/// `AMS_EVAL_CACHE` selects, keyed by `(identity, spec)`, and commits the
-/// cache when the run completes. `perf_at` returns `None` for a point it
-/// cannot measure, which scores infinite cost.
-pub(crate) fn size_by_annealing<P>(
+/// anneals `params` by `cost` (compiled from `compiler`'s spec) through
+/// the eval cache that `AMS_EVAL_CACHE` selects, keyed by
+/// `(identity, spec)`, and commits the cache when the run completes.
+/// `perf_at` reports the best point; `None` there reads as an empty
+/// performance vector.
+pub(crate) fn size_by_annealing(
     params: Vec<ParamDef>,
     config: &AnnealConfig,
     identity: &str,
-    spec: &Spec,
-    perf_at: P,
-) -> SizingResult
-where
-    P: Fn(&[f64]) -> Option<Perf> + Sync,
-{
-    let compiler = CostCompiler::new(spec.clone());
+    compiler: &CostCompiler,
+    cost: impl Fn(&[f64]) -> f64 + Sync,
+    perf_at: impl Fn(&[f64]) -> Option<Perf>,
+) -> SizingResult {
+    let spec = compiler.spec();
     let spec_repr = format!("{spec:?}");
     let handle = EvalCacheHandle::open(
         &EvalCachePolicy::FromEnv,
@@ -93,7 +124,7 @@ where
         &params,
         config,
         Some((eval_tag(identity, spec), handle.cache())),
-        |x| perf_at(x).map_or(f64::INFINITY, |perf| compiler.cost(&perf)),
+        cost,
     );
     handle.commit();
     let perf = perf_at(&result.x).unwrap_or_default();
@@ -119,7 +150,8 @@ where
 ///
 /// Metrics produced: `gain_db`, `ugf_hz`, `phase_margin_deg`,
 /// `slew_v_per_s`, `power_w`, `area_m2`, `swing_v`, `noise_v_rms`
-/// (input-referred thermal, integrated to the UGF).
+/// (input-referred thermal, integrated to the UGF), and the derived device
+/// widths `w1_m`, `w3_m`, `w5_m`, `w6_m`, `w7_m`.
 #[derive(Debug, Clone)]
 pub struct TwoStageModel {
     /// Process technology (supplies the MOS model cards and the supply).
@@ -157,7 +189,26 @@ impl PerfModel for TwoStageModel {
         ]
     }
 
-    fn evaluate(&self, x: &[f64]) -> Perf {
+    fn metrics(&self) -> &'static [&'static str] {
+        &[
+            "gain_db",
+            "ugf_hz",
+            "phase_margin_deg",
+            "slew_v_per_s",
+            "power_w",
+            "area_m2",
+            "swing_v",
+            "noise_v_rms",
+            // Derived sizes for plan comparison and netlisting.
+            "w1_m",
+            "w3_m",
+            "w5_m",
+            "w6_m",
+            "w7_m",
+        ]
+    }
+
+    fn evaluate_into(&self, x: &[f64], out: &mut [f64]) {
         let (itail, i2, vov1, vov3, vov6, cc, l) = (x[0], x[1], x[2], x[3], x[4], x[5], x[6]);
         let n = &self.tech.nmos;
         let p = &self.tech.pmos;
@@ -210,22 +261,21 @@ impl PerfModel for TwoStageModel {
         let sn_in = 2.0 * four_kt * (2.0 / 3.0) / gm1 * (1.0 + gm3 / gm1);
         let noise_rms = (sn_in * std::f64::consts::FRAC_PI_2 * ugf).sqrt();
 
-        let mut perf: Perf = HashMap::new();
-        perf.insert("gain_db".into(), gain_db);
-        perf.insert("ugf_hz".into(), ugf);
-        perf.insert("phase_margin_deg".into(), phase_margin);
-        perf.insert("slew_v_per_s".into(), slew);
-        perf.insert("power_w".into(), power);
-        perf.insert("area_m2".into(), area);
-        perf.insert("swing_v".into(), swing);
-        perf.insert("noise_v_rms".into(), noise_rms);
-        // Expose derived sizes for plan comparison and netlisting.
-        perf.insert("w1_m".into(), w1);
-        perf.insert("w3_m".into(), w3);
-        perf.insert("w5_m".into(), w5);
-        perf.insert("w6_m".into(), w6);
-        perf.insert("w7_m".into(), w7);
-        perf
+        out.copy_from_slice(&[
+            gain_db,
+            ugf,
+            phase_margin,
+            slew,
+            power,
+            area,
+            swing,
+            noise_rms,
+            w1,
+            w3,
+            w5,
+            w6,
+            w7,
+        ]);
     }
 }
 
@@ -270,7 +320,20 @@ impl PerfModel for SymmetricalOtaModel {
         ]
     }
 
-    fn evaluate(&self, x: &[f64]) -> Perf {
+    fn metrics(&self) -> &'static [&'static str] {
+        &[
+            "gain_db",
+            "ugf_hz",
+            "phase_margin_deg",
+            "slew_v_per_s",
+            "power_w",
+            "area_m2",
+            "swing_v",
+            "noise_v_rms",
+        ]
+    }
+
+    fn evaluate_into(&self, x: &[f64], out: &mut [f64]) {
         let (itail, vov1, vov3, b, l) = (x[0], x[1], x[2], x[3], x[4]);
         let n = &self.tech.nmos;
         let p = &self.tech.pmos;
@@ -295,16 +358,16 @@ impl PerfModel for SymmetricalOtaModel {
         let sn_in = 2.0 * four_kt * (2.0 / 3.0) / gm1 * 2.0;
         let noise_rms = (sn_in * std::f64::consts::FRAC_PI_2 * ugf).sqrt();
 
-        let mut perf: Perf = HashMap::new();
-        perf.insert("gain_db".into(), 20.0 * gain.max(1e-12).log10());
-        perf.insert("ugf_hz".into(), ugf);
-        perf.insert("phase_margin_deg".into(), phase_margin);
-        perf.insert("slew_v_per_s".into(), slew);
-        perf.insert("power_w".into(), power);
-        perf.insert("area_m2".into(), area);
-        perf.insert("swing_v".into(), swing);
-        perf.insert("noise_v_rms".into(), noise_rms);
-        perf
+        out.copy_from_slice(&[
+            20.0 * gain.max(1e-12).log10(),
+            ugf,
+            phase_margin,
+            slew,
+            power,
+            area,
+            swing,
+            noise_rms,
+        ]);
     }
 }
 

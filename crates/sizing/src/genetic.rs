@@ -296,13 +296,12 @@ fn evolve_inner(
         ams_exec::workload_fingerprint(&fp_parts),
     );
     let cache = handle.cache();
+    let resolved: Vec<_> = models.iter().map(|m| compiler.resolve(*m)).collect();
     let eval_batch = |cands: &[Chromosome]| -> Vec<f64> {
         cache.eval_batch_keyed(
             cands,
             |c| CacheKey::for_candidate(tags[c.topology], &c.genes),
-            |_, c| {
-                ams_guard::guarded_eval(|| compiler.cost(&models[c.topology].evaluate(&c.genes)))
-            },
+            |_, c| ams_guard::guarded_eval(|| resolved[c.topology].cost(&c.genes)),
         )
     };
 

@@ -109,6 +109,7 @@ pub fn redesign<M: PerfModel>(
     let _span = ams_trace::span("sizing.redesign");
     let params = model.params();
     let compiler = CostCompiler::new(spec.clone());
+    let cost = compiler.resolve(model);
     let Some(hit) = db.nearest(spec) else {
         ams_trace::counter_add("sizing.redesign_db_misses", 1);
         return (crate::eqopt::optimize(model, spec, config), false);
@@ -128,14 +129,14 @@ pub fn redesign<M: PerfModel>(
         })
         .collect();
     let mut best = start.clone();
-    let mut best_cost = compiler.cost(&model.evaluate(&best));
+    let mut best_cost = cost.cost(&best);
     let mut evaluations = 1;
     let local_budget = (config.moves_per_stage * config.stages) / 10;
     for _ in 0..local_budget.max(50) {
         let mut cand = best.clone();
         let k = rng.gen_range(0..params.len());
         cand[k] = perturb_local(&params[k], cand[k], &mut rng);
-        let c = compiler.cost(&model.evaluate(&cand));
+        let c = cost.cost(&cand);
         evaluations += 1;
         if c < best_cost {
             best_cost = c;

@@ -10,7 +10,7 @@
 //! trade-off directly.
 
 use crate::anneal::{AnnealConfig, ParamDef};
-use crate::cost::Perf;
+use crate::cost::{CostCompiler, Perf};
 use crate::eqopt::{size_by_annealing, SizingResult};
 use ams_awe::AweModel;
 use ams_netlist::{Circuit, Technology};
@@ -75,9 +75,16 @@ pub fn synthesize<T: SimulatedTemplate>(
     // The AC evaluator changes what `measure` reports, so it is part of
     // the evaluator identity alongside the template's own knobs.
     let identity = format!("{}|ac={:?}", template.cache_identity(), ac);
-    size_by_annealing(template.params(), config, &identity, spec, |x| {
-        template.measure(&template.build(x), ac).ok()
-    })
+    let compiler = CostCompiler::new(spec.clone());
+    let perf_at = |x: &[f64]| template.measure(&template.build(x), ac).ok();
+    size_by_annealing(
+        template.params(),
+        config,
+        &identity,
+        &compiler,
+        |x| perf_at(x).map_or(f64::INFINITY, |perf| compiler.cost(&perf)),
+        perf_at,
+    )
 }
 
 /// Two-stage Miller opamp as a simulated template: the netlist is rebuilt

@@ -90,6 +90,21 @@ cargo test --offline -q --test lint_corpus
 echo "== perfbench smoke: every workload untraced and traced, digests must match =="
 cargo test --offline --release --manifest-path perfbench/Cargo.toml
 
+echo "== perfbench digests: --ops 12 runs must reproduce scripts/perfbench_digests.txt =="
+compared=0
+while read -r workload seed want; do
+    case "$workload" in '' | '#'*) continue ;; esac
+    got="$(cargo run --offline -q --release --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed "$seed" --seconds 1 --ops 12 < /dev/null |
+        sed -n 's/^digest .*"digest": "\([0-9a-f]*\)".*/\1/p')"
+    if [ "$got" != "$want" ]; then
+        echo "ERROR: perfbench $workload seed $seed digest ${got:-missing}, expected $want" >&2
+        exit 1
+    fi
+    compared=$((compared + 1))
+done < scripts/perfbench_digests.txt
+echo "$compared digests match"
+
 echo "== workspace determinism lint (det-lint) =="
 cargo run --offline -q -p ams-detlint
 
