@@ -177,7 +177,8 @@ impl CostCompiler {
     }
 }
 
-/// Slot vectors up to this width live on the stack.
+/// The widest slot vector a [`SlotCost`] reads; it lives on the stack.
+/// A wider model is costed by name.
 const INLINE_SLOTS: usize = 16;
 
 /// A [`CostCompiler`] resolved against one model by
@@ -187,7 +188,8 @@ const INLINE_SLOTS: usize = 16;
 pub struct SlotCost<'a, M: ?Sized> {
     compiler: &'a CostCompiler,
     model: &'a M,
-    /// Length of the model's metric list; 0 costs by name.
+    /// Length of the model's metric list; 0, or more than
+    /// [`INLINE_SLOTS`], costs by name.
     width: usize,
     /// Each spec bound with its metric's slot, in the spec's order.
     bounds: Vec<(Option<usize>, Bound)>,
@@ -198,17 +200,11 @@ pub struct SlotCost<'a, M: ?Sized> {
 impl<M: PerfModel + ?Sized> SlotCost<'_, M> {
     /// Scalar cost of the model at parameter point `x`.
     pub fn cost(&self, x: &[f64]) -> f64 {
-        if self.width == 0 {
+        if self.width == 0 || self.width > INLINE_SLOTS {
             return self.compiler.cost(&self.model.evaluate(x));
         }
-        let mut inline = [0.0; INLINE_SLOTS];
-        let mut heap = Vec::new();
-        let values = if self.width <= INLINE_SLOTS {
-            &mut inline[..self.width]
-        } else {
-            heap.resize(self.width, 0.0);
-            &mut heap[..]
-        };
+        let mut slots = [0.0; INLINE_SLOTS];
+        let values = &mut slots[..self.width];
         self.model.evaluate_into(x, values);
         let at = |slot: Option<usize>| slot.map(|s| values[s]);
         let mut total = 0.0;

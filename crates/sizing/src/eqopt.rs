@@ -141,6 +141,25 @@ pub(crate) fn size_by_annealing(
     }
 }
 
+/// The metric list of [`TwoStageModel`], in slot order;
+/// [`SymmetricalOtaModel`] writes the first eight.
+const OPAMP_METRICS: &[&str] = &[
+    "gain_db",
+    "ugf_hz",
+    "phase_margin_deg",
+    "slew_v_per_s",
+    "power_w",
+    "area_m2",
+    "swing_v",
+    "noise_v_rms",
+    // Derived sizes for plan comparison and netlisting.
+    "w1_m",
+    "w3_m",
+    "w5_m",
+    "w6_m",
+    "w7_m",
+];
+
 /// Analytic model of the classical two-stage Miller-compensated CMOS opamp
 /// (NMOS input pair, PMOS mirror load, PMOS second stage).
 ///
@@ -190,22 +209,7 @@ impl PerfModel for TwoStageModel {
     }
 
     fn metrics(&self) -> &'static [&'static str] {
-        &[
-            "gain_db",
-            "ugf_hz",
-            "phase_margin_deg",
-            "slew_v_per_s",
-            "power_w",
-            "area_m2",
-            "swing_v",
-            "noise_v_rms",
-            // Derived sizes for plan comparison and netlisting.
-            "w1_m",
-            "w3_m",
-            "w5_m",
-            "w6_m",
-            "w7_m",
-        ]
+        OPAMP_METRICS
     }
 
     fn evaluate_into(&self, x: &[f64], out: &mut [f64]) {
@@ -321,16 +325,7 @@ impl PerfModel for SymmetricalOtaModel {
     }
 
     fn metrics(&self) -> &'static [&'static str] {
-        &[
-            "gain_db",
-            "ugf_hz",
-            "phase_margin_deg",
-            "slew_v_per_s",
-            "power_w",
-            "area_m2",
-            "swing_v",
-            "noise_v_rms",
-        ]
+        &OPAMP_METRICS[..8]
     }
 
     fn evaluate_into(&self, x: &[f64], out: &mut [f64]) {

@@ -161,7 +161,7 @@ static NAMES: [&str; 20] = [
 ];
 
 /// A model whose metrics are its parameters: slot `i` is `x[i]`. Wider
-/// than the inline slot buffer when `width > 16`.
+/// than the inline slot buffer when `width > 16`, so costed by name.
 struct Echo {
     width: usize,
 }
